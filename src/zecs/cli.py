@@ -4,8 +4,7 @@ Subcommands: ``simulate`` (sample a snapshot stream from a circuit),
 ``reconstruct`` (per-subsystem diagnostic report), ``route`` (best qubit
 chain from a report), ``nonlocal`` (non-local correlation scan), and
 ``perturb-study`` (the Bell-perturbation recovery table).  Every command is
-deterministic given its arguments and seed.  The ZECS_THREADS environment
-variable caps internal worker counts.
+deterministic given its arguments and seed.
 """
 
 from __future__ import annotations

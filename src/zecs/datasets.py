@@ -22,11 +22,6 @@ def _load(name: str):
         return json.load(handle)
 
 
-def data_path(name: str) -> str:
-    """Filesystem path of a bundled data file (for CLI-level use)."""
-    return str(resources.files("zecs.data").joinpath(name))
-
-
 def brisbane_report() -> DiagnosticReport:
     return report_from_obj(_load("brisbane_report.json"))
 

@@ -16,14 +16,12 @@ entropy sits two or more standard deviations above the candidate-pool mean.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import linalg, shadow
-from .concurrency import worker_count
 from .errors import (
     AdjacencyError,
     CoverageError,
@@ -218,16 +216,7 @@ def build_report(
         _check_coverage(records, spec.qubits)
     refs = [resolve_reference(spec, references) for spec in specs]
 
-    workers = worker_count()
-    if workers == 1 or len(specs) <= 1:
-        rows = [_diagnose_one(records, spec, ref) for spec, ref in zip(specs, refs)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = [
-                pool.submit(_diagnose_one, records, spec, ref)
-                for spec, ref in zip(specs, refs)
-            ]
-            rows = [job.result() for job in jobs]
+    rows = [_diagnose_one(records, spec, ref) for spec, ref in zip(specs, refs)]
     return DiagnosticReport(
         subsystems=normalize_entropies(rows, entropy_normalization),
         entropy_normalization=entropy_normalization,

@@ -19,10 +19,6 @@ class NotHermitianError(ValidationError):
     """Input matrix deviates from its adjoint beyond tolerance."""
 
 
-class ConvergenceError(ZecsError):
-    """Iterative eigensolver hit its sweep cap before converging."""
-
-
 class DimensionMismatchError(ZecsError):
     """Operands have incompatible dimensions."""
 

@@ -6,18 +6,15 @@ a chain's cost is ``sum over its edges of (1 - fidelity) + w * s_ij``.
 lower bound, seeded by a beam-search incumbent.  Above the node-expansion
 budget it degrades to the beam result and marks the solution approximate.
 Ties are broken by the lexicographically smallest qubit sequence, so results
-do not depend on traversal or thread order.
+do not depend on traversal order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from threading import Lock
 from typing import Iterable, Mapping, Sequence
 
-from .concurrency import worker_count
 from .diagnostics import PAIR, DiagnosticReport
 from .errors import PathError, SearchBudgetError, UnscoredEdgeError
 from .layout import DeviceLayout, normalize_edge
@@ -184,50 +181,40 @@ def _beam_search(
     return min(frontier) if frontier else None
 
 
-class _Bound:
-    """Shared incumbent cost; only ever decreases, so merge order is irrelevant."""
-
-    def __init__(self, value: float):
-        self.value = value
-        self._lock = Lock()
-
-    def tighten(self, value: float) -> None:
-        with self._lock:
-            if value < self.value:
-                self.value = value
-
-
 def _dfs_root(
     root: int,
     adj: dict[int, list[tuple[float, int]]],
     length: int,
     prefix: list[float],
-    bound: _Bound,
-    budget: list[int],
-) -> list[tuple[float, tuple[int, ...]]]:
-    """All bound-surviving length-L paths from one root (cost, path)."""
+    bound: float,
+    budget: int,
+) -> tuple[list[tuple[float, tuple[int, ...]]], float, int]:
+    """Bound-surviving length-L paths from one root (cost, path).
+
+    Returns those paths with the tightened bound and the remaining budget.
+    """
     found: list[tuple[float, tuple[int, ...]]] = []
     path = [root]
     visited = 1 << root
 
     def extend(vertex: int, cost: float) -> None:
-        nonlocal visited
+        nonlocal visited, bound, budget
         depth = len(path)
         if depth == length:
-            if cost <= bound.value + _EPS:
+            if cost <= bound + _EPS:
                 found.append((cost, tuple(path)))
-                bound.tighten(cost)
+                bound = min(bound, cost)
             return
         remaining = length - depth
-        if cost + prefix[remaining] > bound.value + _EPS:
+        if cost + prefix[remaining] > bound + _EPS:
             return
-        budget[0] -= 1
-        if budget[0] < 0:
+        budget -= 1
+        if budget < 0:
             raise SearchBudgetError("node-expansion budget exhausted")
         for ecost, nxt in adj[vertex]:
             if visited >> nxt & 1:
                 continue
-            if cost + ecost + prefix[remaining - 1] > bound.value + _EPS:
+            if cost + ecost + prefix[remaining - 1] > bound + _EPS:
                 continue
             visited |= 1 << nxt
             path.append(nxt)
@@ -236,7 +223,7 @@ def _dfs_root(
             visited &= ~(1 << nxt)
 
     extend(root, 0.0)
-    return found
+    return found, bound, budget
 
 
 def best_chain(
@@ -246,7 +233,6 @@ def best_chain(
     weight_w: float = 1.0,
     node_budget: int = 10**8,
     beam_width: int = 4096,
-    workers: int | None = None,
 ) -> ChainSolution:
     """Minimum-cost simple path of exactly ``length_L`` vertices.
 
@@ -269,23 +255,14 @@ def best_chain(
         prefix.append(prefix[-1] + c)
 
     beam = _beam_search(adj, length_L, beam_width)
-    bound = _Bound(beam[0] if beam is not None else math.inf)
-    budget = [node_budget]
-    roots = [q for q in sorted(adj) if adj[q]]
+    bound = beam[0] if beam is not None else math.inf
+    budget = node_budget
     candidates: list[tuple[float, tuple[int, ...]]] = []
-    n_workers = worker_count() if workers is None else max(1, workers)
     try:
-        if n_workers == 1:
-            for root in roots:
-                candidates.extend(_dfs_root(root, adj, length_L, prefix, bound, budget))
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                jobs = [
-                    pool.submit(_dfs_root, root, adj, length_L, prefix, bound, budget)
-                    for root in roots
-                ]
-                for job in jobs:
-                    candidates.extend(job.result())
+        for root in sorted(adj):
+            if adj[root]:
+                found, bound, budget = _dfs_root(root, adj, length_L, prefix, bound, budget)
+                candidates.extend(found)
     except SearchBudgetError:
         if beam is None:
             raise PathError(f"no simple path of {length_L} qubits exists")

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zecs import linalg
-from zecs.errors import ConvergenceError, DimensionMismatchError, NotHermitianError
+from zecs.errors import DimensionMismatchError, NotHermitianError, ValidationError
+from zecs.states import DensityOperator
 
 
 def random_hermitian(rng, dim):
@@ -85,8 +86,41 @@ class TestEigh:
         linalg.eigh(m)
         assert np.array_equal(m, copy)
 
-    def test_convergence_error_type_exists(self):
-        assert issubclass(ConvergenceError, Exception)
+    def test_full_supported_dimension(self):
+        rng = np.random.default_rng(1024)
+        m = random_hermitian(rng, 1024)
+        d = linalg.eigh(m)
+        assert np.linalg.norm(d.reconstruct() - m) <= 1e-10 * np.linalg.norm(m)
+        gram = d.eigenvectors.conj().T @ d.eigenvectors
+        assert np.linalg.norm(gram - np.eye(1024)) <= 1e-10
+        assert np.all(np.diff(np.abs(d.eigenvalues)) <= 0.0)
+
+
+NON_FINITE = [
+    np.array([[np.nan, 0], [0, 1]], dtype=complex),
+    np.array([[np.inf, 0], [0, 1]], dtype=complex),
+    np.array([[0.5, np.inf], [np.inf, 0.5]], dtype=complex),
+    np.array([[0.5, complex(0, np.nan)], [complex(0, np.nan), 0.5]]),
+]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("m", NON_FINITE)
+    def test_eigh_rejects(self, m):
+        with pytest.raises(ValidationError, match="non-finite"):
+            linalg.eigh(m)
+
+    @pytest.mark.parametrize("m", NON_FINITE)
+    def test_clamp_psd_rejects(self, m):
+        with pytest.raises(ValidationError, match="non-finite"):
+            linalg.clamp_psd(m)
+
+    @pytest.mark.parametrize("m", NON_FINITE)
+    def test_density_operator_rejects(self, m):
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityOperator(1, m)
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityOperator.from_matrix(m, validate=False)
 
 
 class TestKron:
