@@ -18,16 +18,15 @@ from .diagnostics import (
 )
 from .layout import DeviceLayout, heavy_hex_127
 from .linalg import EigenDecomposition, clamp_psd, eigh, kron, mat_sqrt_psd, partial_trace
-from .projection import ZecsResult, eckart_young_residual, zecs_project
+from .projection import ZecsResult, zecs_project
 from .routing import (
     ChainSolution,
     EdgeScore,
     best_chain,
-    brute_force_chains,
     edge_scores_from_report,
     score_chain,
 )
-from .shadow import ShadowAccumulator, accumulate, invert_snapshot, merge, reconstruct, rho_cs
+from .shadow import ShadowAccumulator, merge, reconstruct, rho_cs
 from .simulator import (
     Circuit,
     Gate,
@@ -66,20 +65,16 @@ __all__ = [
     "SubsystemDiagnostics",
     "SubsystemSpec",
     "ZecsResult",
-    "accumulate",
     "best_chain",
-    "brute_force_chains",
     "build_efficient_su2",
     "build_report",
     "clamp_psd",
     "concurrence",
-    "eckart_young_residual",
     "edge_scores_from_report",
     "eigh",
     "entanglement_entropy",
     "fidelity",
     "heavy_hex_127",
-    "invert_snapshot",
     "kron",
     "mat_sqrt_psd",
     "merge",

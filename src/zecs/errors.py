@@ -47,10 +47,6 @@ class EmptyAccumulatorError(ZecsError):
     """No records absorbed; the mean state is undefined."""
 
 
-class ResultMismatchError(ZecsError):
-    """A derived result does not belong to the operator it is checked against."""
-
-
 class MissingReferenceError(ZecsError):
     """No ideal reference state available for a subsystem."""
 

@@ -158,7 +158,12 @@ def read_snapshots(
                 raise RecordError(f"{path}: line {lineno}: unknown format {obj.get('format')!r}")
             if obj.get("version") != FORMAT_VERSION:
                 raise RecordError(f"{path}: line {lineno}: unsupported version {obj.get('version')!r}")
-            n_qubits = int(obj["n_qubits"])
+            n_qubits = obj.get("n_qubits")
+            if type(n_qubits) is not int or n_qubits < 1:
+                raise RecordError(
+                    f"{path}: line {lineno}: header n_qubits must be a positive integer, "
+                    f"got {n_qubits!r}"
+                )
             if file_endianness is None:
                 declared = obj.get("endianness", Q0_LEFTMOST)
                 if declared not in (Q0_LEFTMOST, Q0_RIGHTMOST):

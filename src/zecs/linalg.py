@@ -83,13 +83,11 @@ def eigh(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
     tolerance, ``ValidationError`` for NaN or inf entries and
     ``DimensionMismatchError`` above dimension 1024.
     """
-    a = require_hermitian(m, tol)
-    n = a.shape[0]
+    n = max(np.shape(m), default=0)
     if n > _MAX_DIM:
         raise DimensionMismatchError(f"dimension {n} exceeds the supported maximum {_MAX_DIM}")
-
-    values, v = np.linalg.eigh(a)
-    order = sorted(range(n), key=lambda i: (-abs(values[i]), -values[i], i))
+    values, v = np.linalg.eigh(require_hermitian(m, tol))
+    order = sorted(range(len(values)), key=lambda i: (-abs(values[i]), -values[i], i))
     return EigenDecomposition(eigenvalues=values[order], eigenvectors=v[:, order])
 
 
@@ -102,16 +100,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"Kronecker product dimension {am.shape[0] * bm.shape[0]} exceeds {_MAX_KRON_DIM}"
         )
     return np.kron(am, bm)
-
-
-def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a non-empty sequence of matrices, left to right."""
-    if not len(factors):
-        raise DimensionMismatchError("need at least one factor")
-    out = as_matrix(factors[0])
-    for f in factors[1:]:
-        out = kron(out, f)
-    return out
 
 
 def partial_trace(m: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:

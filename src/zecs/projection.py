@@ -9,13 +9,12 @@ construction positive semidefinite with unit trace.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import ResultMismatchError, ValidationError
+from .errors import ValidationError
 from .states import DensityOperator
 
 #: Relative spectral-gap threshold below which the top eigenvalue is considered degenerate.
@@ -66,31 +65,3 @@ def zecs_project(rho_cs: DensityOperator) -> ZecsResult:
         spectral_gap=gap,
         degenerate_flag=bool(gap < DEGENERACY_REL_TOL * spectrum[0]),
     )
-
-
-def eckart_young_residual(rho_cs: DensityOperator, result: ZecsResult) -> float:
-    """Frobenius distance between the scaled projector and the input.
-
-    Equals ``sqrt(sum of squared tail eigenvalues)``, the optimal rank-1
-    approximation error.  The projector is scaled by the signed dominant
-    eigenvalue, which coincides with ``|lambda_top|`` whenever the dominant
-    eigenvalue is positive (every physically meaningful reconstruction).
-
-    Raises ``ResultMismatchError`` if ``result`` was not derived from
-    ``rho_cs`` (checked against the stored spectrum).
-    """
-    decomp = linalg.eigh(rho_cs.matrix)
-    spectrum = np.abs(decomp.eigenvalues)
-    scale = max(1.0, float(spectrum[0]))
-    if spectrum.shape != result.spectrum.shape or np.abs(
-        spectrum - result.spectrum
-    ).max() > 1e-10 * scale:
-        raise ResultMismatchError("result does not match the spectrum of the given operator")
-    approx = result.lambda_top * result.rho_zecs.matrix
-    return float(np.linalg.norm(approx - rho_cs.matrix))
-
-
-def tail_norm(result: ZecsResult) -> float:
-    """``sqrt(sum_k>=2 lambda_k**2)``: the theoretical optimum residual."""
-    tail = result.spectrum[1:]
-    return math.sqrt(float((tail * tail).sum()))

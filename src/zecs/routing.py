@@ -273,48 +273,3 @@ def best_chain(
     best_cost = min(c for c, _ in candidates)
     winners = [p for c, p in candidates if c <= best_cost + _EPS]
     return _solution(min(winners), smap, weight_w, approximate=False)
-
-
-def brute_force_chains(
-    layout: DeviceLayout,
-    scores: Iterable[EdgeScore] | ScoreMap,
-    length_L: int,
-    weight_w: float = 1.0,
-    max_paths: int = 10**7,
-) -> ChainSolution:
-    """Exhaustive enumeration oracle; raises once the path count exceeds the cap."""
-    if length_L < 2:
-        raise PathError(f"chain length must be >= 2, got {length_L}")
-    smap = score_map(scores)
-    adj, costs = _scored_adjacency(layout, smap, weight_w)
-    if not costs:
-        raise PathError("no scored edges to route over")
-
-    best: tuple[float, tuple[int, ...]] | None = None
-    seen = 0
-    path: list[int] = []
-
-    def walk(vertex: int, cost: float) -> None:
-        nonlocal best, seen
-        path.append(vertex)
-        if len(path) == length_L:
-            seen += 1
-            if seen > max_paths:
-                raise SearchBudgetError(f"more than {max_paths} simple paths")
-            here = tuple(path)
-            if best is None or cost < best[0] - _EPS:
-                best = (cost, here)
-            elif cost <= best[0] + _EPS:
-                best = (min(best[0], cost), min(best[1], here))
-        else:
-            for ecost, nxt in adj[vertex]:
-                if nxt not in path:
-                    walk(nxt, cost + ecost)
-        path.pop()
-
-    for root in sorted(adj):
-        if adj[root]:
-            walk(root, 0.0)
-    if best is None:
-        raise PathError(f"no simple path of {length_L} qubits exists")
-    return _solution(best[1], smap, weight_w, approximate=False)

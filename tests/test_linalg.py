@@ -79,6 +79,11 @@ class TestEigh:
         with pytest.raises(DimensionMismatchError):
             linalg.eigh(np.eye(2048, dtype=complex))
 
+    def test_rejects_oversized_before_checking_hermiticity(self):
+        m = np.triu(np.ones((2048, 2048), dtype=complex))
+        with pytest.raises(DimensionMismatchError):
+            linalg.eigh(m)
+
     def test_input_not_mutated(self):
         rng = np.random.default_rng(9)
         m = random_hermitian(rng, 4)

@@ -4,8 +4,42 @@ import numpy as np
 import pytest
 
 from zecs.errors import PathError
-from zecs.layout import DeviceLayout
-from zecs.routing import EdgeScore, best_chain, brute_force_chains
+from zecs.layout import DeviceLayout, normalize_edge
+from zecs.routing import EdgeScore, best_chain
+
+
+def brute_force_chains(layout, scores, length_L, weight_w=1.0):
+    """Exhaustive oracle: the cheapest simple path of ``length_L`` qubits over scored edges.
+
+    Returns ``(cost, qubits)``.  Costs within 1e-12 tie, and the
+    lexicographically smallest qubit sequence wins.  Raises ``PathError``
+    when no such path exists.
+    """
+    cost = {s.pair: s.cost(weight_w) for s in scores}
+    adj = {
+        q: [v for v in layout.neighbors(q) if normalize_edge(q, v) in cost]
+        for q in range(layout.num_qubits)
+    }
+    best = None
+
+    def walk(path, path_cost):
+        nonlocal best
+        if len(path) == length_L:
+            here = tuple(path)
+            if best is None or path_cost < best[0] - 1e-12:
+                best = (path_cost, here)
+            elif path_cost <= best[0] + 1e-12:
+                best = (min(best[0], path_cost), min(best[1], here))
+            return
+        for v in adj[path[-1]]:
+            if v not in path:
+                walk(path + [v], path_cost + cost[normalize_edge(path[-1], v)])
+
+    for root in range(layout.num_qubits):
+        walk([root], 0.0)
+    if best is None:
+        raise PathError(f"no simple path of {length_L} qubits exists")
+    return best
 
 
 def random_instance(seed, grid):
@@ -46,8 +80,9 @@ def test_best_chain_matches_brute_force(seed, grid):
                 assert found is exact
                 continue
             assert not isinstance(found, type), (length_L, weight_w)
-            assert found.qubits == exact.qubits
-            assert found.cost == pytest.approx(exact.cost, abs=1e-12)
+            cost, qubits = exact
+            assert found.qubits == qubits
+            assert found.cost == pytest.approx(cost, abs=1e-12)
             assert found.approximate is False
 
 
