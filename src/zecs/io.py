@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .diagnostics import DiagnosticReport, NonlocalResult, SubsystemDiagnostics, SubsystemSpec
-from .errors import ConfigError, RecordError
+from .errors import ConfigError, RecordError, ZecsError
 from .layout import DeviceLayout
 from .routing import ChainSolution
 from .simulator import Circuit, Gate, SnapshotRecord, build_efficient_su2, random_su2_params
@@ -81,7 +81,23 @@ def write_canonical(path: str | Path, obj) -> None:
 
 
 def read_json(path: str | Path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
+
+
+def _read_object(path: str | Path, from_obj, what: str):
+    """Parse a JSON object file with ``from_obj``; any malformed content names the file."""
+    obj = read_json(path)
+    try:
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+        return from_obj(obj)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: {what}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, ZecsError) as exc:
+        raise ConfigError(f"{path}: {what}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +238,34 @@ def report_to_obj(report: DiagnosticReport) -> dict:
     }
 
 
+_REPORT_NUMBERS = (
+    "infidelity_cs",
+    "infidelity_zecs",
+    "trace_distance",
+    "s_ab",
+    "s_ab_normalized",
+    "clamp_magnitude",
+)
+
+
 def report_from_obj(obj: dict) -> DiagnosticReport:
     if obj.get("format") != REPORT_FORMAT:
         raise ConfigError(f"not a report file (format {obj.get('format')!r})")
     rows = []
-    for raw in obj["subsystems"]:
+    for index, raw in enumerate(obj["subsystems"]):
+        if not isinstance(raw, dict):
+            raise TypeError(f"row {index} is not an object")
+        numbers = {key: raw.get(key) for key in _REPORT_NUMBERS}
+        for key, value in numbers.items():
+            if value is not None and (type(value) is bool or not isinstance(value, (int, float))):
+                raise TypeError(f"row {index}: {key} must be a number or null, got {value!r}")
+        spec = SubsystemSpec(kind=raw["kind"], qubits=tuple(raw["qubits"]))
         rows.append(
             SubsystemDiagnostics(
-                kind=raw["kind"],
-                qubits=tuple(int(q) for q in raw["qubits"]),
-                infidelity_cs=raw.get("infidelity_cs"),
-                infidelity_zecs=raw.get("infidelity_zecs"),
-                trace_distance=raw.get("trace_distance"),
-                s_ab=raw.get("s_ab"),
-                s_ab_normalized=raw.get("s_ab_normalized"),
+                kind=spec.kind,
+                qubits=spec.qubits,
                 degenerate_flag=raw.get("degenerate_flag"),
-                clamp_magnitude=raw.get("clamp_magnitude"),
+                **numbers,
             )
         )
     return DiagnosticReport(
@@ -251,7 +279,7 @@ def write_report(path: str | Path, report: DiagnosticReport) -> None:
 
 
 def read_report(path: str | Path) -> DiagnosticReport:
-    return report_from_obj(read_json(path))
+    return _read_object(path, report_from_obj, "report")
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +300,8 @@ def chain_to_obj(solution: ChainSolution, weight: float) -> dict:
     }
 
 
-def chain_from_obj(obj: dict) -> ChainSolution:
-    if obj.get("format") != CHAIN_FORMAT:
-        raise ConfigError(f"not a chain file (format {obj.get('format')!r})")
-    return ChainSolution(
-        qubits=tuple(int(q) for q in obj["qubits"]),
-        cost=float(obj["cost"]),
-        mean_fidelity=float(obj["mean_fidelity"]),
-        mean_entropy=float(obj["mean_entropy"]),
-        approximate=bool(obj["approximate"]),
-    )
-
-
 def write_chain(path: str | Path, solution: ChainSolution, weight: float) -> None:
     write_canonical(path, chain_to_obj(solution, weight))
-
-
-def read_chain(path: str | Path) -> ChainSolution:
-    return chain_from_obj(read_json(path))
 
 
 def scan_to_obj(results: Sequence[NonlocalResult]) -> dict:
@@ -306,22 +318,6 @@ def scan_to_obj(results: Sequence[NonlocalResult]) -> dict:
             }
         )
     return {"format": NONLOCAL_FORMAT, "results": rows, "version": FORMAT_VERSION}
-
-
-def scan_from_obj(obj: dict) -> list[NonlocalResult]:
-    if obj.get("format") != NONLOCAL_FORMAT:
-        raise ConfigError(f"not a scan file (format {obj.get('format')!r})")
-    return [
-        NonlocalResult(
-            target=tuple(int(q) for q in raw["target"]),
-            candidate=tuple(int(q) for q in raw["candidate"]),
-            s_ij=float(raw["s_ij"]),
-            zscore=float(raw["zscore"]),
-            flagged=bool(raw["flagged"]),
-            highest=bool(raw["highest"]),
-        )
-        for raw in obj["results"]
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +340,7 @@ def write_layout(path: str | Path, layout: DeviceLayout) -> None:
 
 
 def read_layout(path: str | Path) -> DeviceLayout:
-    return layout_from_obj(read_json(path))
+    return _read_object(path, layout_from_obj, "layout")
 
 
 # ---------------------------------------------------------------------------

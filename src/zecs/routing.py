@@ -2,21 +2,23 @@
 
 Every scored edge carries a fidelity and an entanglement-entropy annotation;
 a chain's cost is ``sum over its edges of (1 - fidelity) + w * s_ij``.
-``best_chain`` is exact: depth-first branch and bound with a sorted-prefix
-lower bound, seeded by a beam-search incumbent.  Above the node-expansion
-budget it degrades to the beam result and marks the solution approximate.
-Ties are broken by the lexicographically smallest qubit sequence, so results
-do not depend on traversal order.
+``best_chain`` is exact: one depth-first branch and bound over all roots,
+pruned by a lower bound that adds the cheapest remaining edge costs in
+sorted order.  Costs within 1e-12 tie, and the lexicographically smallest
+qubit sequence wins, so results do not depend on traversal order.  If the
+node-expansion budget runs out, the cheapest chain found so far is returned
+and marked approximate; if none was found, ``SearchBudgetError`` is raised.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .diagnostics import PAIR, DiagnosticReport
-from .errors import PathError, SearchBudgetError, UnscoredEdgeError
+from .errors import ConfigError, PathError, SearchBudgetError, UnscoredEdgeError
 from .layout import DeviceLayout, normalize_edge
 
 _EPS = 1e-12
@@ -55,27 +57,15 @@ ScoreMap = Mapping[tuple[int, int], EdgeScore]
 
 def score_map(scores: Iterable[EdgeScore] | ScoreMap) -> dict[tuple[int, int], EdgeScore]:
     """Normalize a score collection into a dict keyed by sorted qubit pair."""
-    if isinstance(scores, Mapping):
-        items = scores.values()
-    else:
-        items = scores
-    out = {}
-    for s in items:
-        out[s.pair] = s
-    return out
+    items = scores.values() if isinstance(scores, Mapping) else scores
+    return {s.pair: s for s in items}
 
 
 def _boundary_edges(
     layout: DeviceLayout, block_a: Sequence[int], block_b: Sequence[int]
 ) -> list[tuple[int, int]]:
     """Layout edges with one endpoint in each block."""
-    edges = []
-    set_b = set(block_b)
-    for a in block_a:
-        for v in layout.neighbors(a):
-            if v in set_b:
-                edges.append(normalize_edge(a, v))
-    return sorted(set(edges))
+    return sorted({normalize_edge(a, b) for a in block_a for b in block_b if layout.has_edge(a, b)})
 
 
 def edge_scores_from_report(
@@ -93,8 +83,8 @@ def edge_scores_from_report(
     entropy_by_edge: dict[tuple[int, int], float] = {}
     for row in report.subsystems:
         if row.kind == PAIR:
-            edges = [normalize_edge(row.qubits[0], row.qubits[1])]
-            edges = [e for e in edges if layout.has_edge(*e)]
+            edge = normalize_edge(row.qubits[0], row.qubits[1])
+            edges = [edge] if layout.has_edge(*edge) else []
         else:
             edges = _boundary_edges(layout, row.qubits[:2], row.qubits[2:])
         if row.infidelity_zecs is not None:
@@ -162,55 +152,56 @@ def _solution(
     )
 
 
-def _beam_search(
-    adj: dict[int, list[tuple[float, int]]], length: int, width: int
-) -> tuple[float, tuple[int, ...]] | None:
-    frontier = [(0.0, (v,)) for v in sorted(adj) if adj[v]]
-    for _ in range(length - 1):
-        extended = []
-        for cost, path in frontier:
-            tail = path[-1]
-            for ecost, nxt in adj[tail]:
-                if nxt in path:
-                    continue
-                extended.append((cost + ecost, path + (nxt,)))
-        extended.sort()
-        frontier = extended[:width]
-        if not frontier:
-            return None
-    return min(frontier) if frontier else None
+def best_chain(
+    layout: DeviceLayout,
+    scores: Iterable[EdgeScore] | ScoreMap,
+    length_L: int,
+    weight_w: float = 1.0,
+    node_budget: int = 10**8,
+) -> ChainSolution:
+    """Minimum-cost simple path of exactly ``length_L`` vertices.
 
-
-def _dfs_root(
-    root: int,
-    adj: dict[int, list[tuple[float, int]]],
-    length: int,
-    prefix: list[float],
-    bound: float,
-    budget: int,
-) -> tuple[list[tuple[float, tuple[int, ...]]], float, int]:
-    """Bound-surviving length-L paths from one root (cost, path).
-
-    Returns those paths with the tightened bound and the remaining budget.
+    One depth-first branch and bound over all roots, starting from an
+    infinite bound.  Every expanded node costs one unit of ``node_budget``.
+    If the budget runs out, the cheapest chain found so far is returned with
+    ``approximate=True``; if none was found yet, ``SearchBudgetError`` is
+    raised.
     """
+    if not math.isfinite(weight_w):
+        raise ConfigError(f"entropy weight must be finite, got {weight_w}")
+    if length_L < 2:
+        raise PathError(f"chain length must be >= 2, got {length_L}")
+    smap = score_map(scores)
+    adj, costs = _scored_adjacency(layout, smap, weight_w)
+    if not costs:
+        raise PathError("no scored edges to route over")
+
+    if len(costs) < length_L - 1:
+        raise PathError(f"not enough scored edges for a {length_L}-qubit chain")
+    # prefix[r]: the r cheapest edge costs summed, a lower bound on r more edges.
+    prefix = list(accumulate(sorted(costs.values())[: length_L - 1], initial=0.0))
+
+    # Every length-L path that survives the bound, as (cost, path).
     found: list[tuple[float, tuple[int, ...]]] = []
-    path = [root]
-    visited = 1 << root
+    bound = math.inf
+    budget = node_budget
+    path: list[int] = []
+    visited = 0
 
     def extend(vertex: int, cost: float) -> None:
         nonlocal visited, bound, budget
         depth = len(path)
-        if depth == length:
+        if depth == length_L:
             if cost <= bound + _EPS:
                 found.append((cost, tuple(path)))
                 bound = min(bound, cost)
             return
-        remaining = length - depth
+        remaining = length_L - depth
         if cost + prefix[remaining] > bound + _EPS:
             return
         budget -= 1
         if budget < 0:
-            raise SearchBudgetError("node-expansion budget exhausted")
+            raise SearchBudgetError
         for ecost, nxt in adj[vertex]:
             if visited >> nxt & 1:
                 continue
@@ -222,54 +213,21 @@ def _dfs_root(
             path.pop()
             visited &= ~(1 << nxt)
 
-    extend(root, 0.0)
-    return found, bound, budget
-
-
-def best_chain(
-    layout: DeviceLayout,
-    scores: Iterable[EdgeScore] | ScoreMap,
-    length_L: int,
-    weight_w: float = 1.0,
-    node_budget: int = 10**8,
-    beam_width: int = 4096,
-) -> ChainSolution:
-    """Minimum-cost simple path of exactly ``length_L`` vertices.
-
-    Exact unless the expansion budget is exhausted, in which case the beam
-    incumbent is returned with ``approximate=True``.
-    """
-    if length_L < 2:
-        raise PathError(f"chain length must be >= 2, got {length_L}")
-    smap = score_map(scores)
-    adj, costs = _scored_adjacency(layout, smap, weight_w)
-    if not costs:
-        raise PathError("no scored edges to route over")
-
-    sorted_costs = sorted(costs.values())
-    needed = length_L - 1
-    if len(sorted_costs) < needed:
-        raise PathError(f"not enough scored edges for a {length_L}-qubit chain")
-    prefix = [0.0]
-    for c in sorted_costs[:needed]:
-        prefix.append(prefix[-1] + c)
-
-    beam = _beam_search(adj, length_L, beam_width)
-    bound = beam[0] if beam is not None else math.inf
-    budget = node_budget
-    candidates: list[tuple[float, tuple[int, ...]]] = []
+    approximate = False
     try:
         for root in sorted(adj):
             if adj[root]:
-                found, bound, budget = _dfs_root(root, adj, length_L, prefix, bound, budget)
-                candidates.extend(found)
+                path, visited = [root], 1 << root
+                extend(root, 0.0)
     except SearchBudgetError:
-        if beam is None:
-            raise PathError(f"no simple path of {length_L} qubits exists")
-        return _solution(beam[1], smap, weight_w, approximate=True)
+        if not found:
+            raise SearchBudgetError(
+                f"node budget {node_budget} exhausted before any {length_L}-qubit chain was found"
+            ) from None
+        approximate = True
 
-    if not candidates:
+    if not found:
         raise PathError(f"no simple path of {length_L} qubits exists")
-    best_cost = min(c for c, _ in candidates)
-    winners = [p for c, p in candidates if c <= best_cost + _EPS]
-    return _solution(min(winners), smap, weight_w, approximate=False)
+    best_cost = min(c for c, _ in found)
+    winners = [p for c, p in found if c <= best_cost + _EPS]
+    return _solution(min(winners), smap, weight_w, approximate)

@@ -2,7 +2,10 @@
 
 import json
 
-from zecs import cli, io
+import pytest
+
+from zecs import cli, datasets, io
+from zecs.layout import heavy_hex_127
 
 
 def subsystems_file(tmp_path):
@@ -59,3 +62,93 @@ def test_invalid_json_line_exits_2(tmp_path, capsys):
     stream.write_text(io.canonical_dumps(io.snapshot_header(2)) + "{not json\n")
     assert reconstruct(tmp_path, stream) == 2
     assert "line 2: invalid JSON" in capsys.readouterr().err
+
+
+def route_files(tmp_path, report_obj=None, layout_obj=None):
+    report = tmp_path / "report.json"
+    layout = tmp_path / "layout.json"
+    if report_obj is None:
+        report_obj = io.report_to_obj(datasets.brisbane_report())
+    if layout_obj is None:
+        layout_obj = io.layout_to_obj(heavy_hex_127())
+    report.write_text(json.dumps(report_obj))
+    layout.write_text(json.dumps(layout_obj))
+    return report, layout
+
+
+def route(report, layout, *extra):
+    argv = ["route", "--report", str(report), "--layout", str(layout), "--length", "3"]
+    return cli.main([*argv, *extra, "--out", str(report.parent / "chain.json")])
+
+
+def test_route_on_bundled_report(tmp_path):
+    assert route(*route_files(tmp_path)) == 0
+    assert json.loads((tmp_path / "chain.json").read_text())["approximate"] is False
+
+
+def test_report_row_without_kind_exits_2(tmp_path, capsys):
+    obj = io.report_to_obj(datasets.brisbane_report())
+    del obj["subsystems"][3]["kind"]
+    assert route(*route_files(tmp_path, report_obj=obj)) == 2
+    assert "report.json: report: missing key 'kind'" in capsys.readouterr().err
+    assert not (tmp_path / "chain.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("infidelity_zecs", "0.1"), ("s_ab", True), ("qubits", 7), ("kind", "triple")],
+)
+def test_report_row_with_wrong_type_exits_2(tmp_path, capsys, key, value):
+    obj = io.report_to_obj(datasets.brisbane_report())
+    obj["subsystems"][0][key] = value
+    assert route(*route_files(tmp_path, report_obj=obj)) == 2
+    assert "report.json: report: " in capsys.readouterr().err
+
+
+def test_report_not_an_object_exits_2(tmp_path, capsys):
+    assert route(*route_files(tmp_path, report_obj=[])) == 2
+    assert "report.json: report: expected a JSON object, got list" in capsys.readouterr().err
+
+
+def test_layout_without_num_qubits_exits_2(tmp_path, capsys):
+    obj = io.layout_to_obj(heavy_hex_127())
+    del obj["num_qubits"]
+    assert route(*route_files(tmp_path, layout_obj=obj)) == 2
+    assert "layout.json: layout: missing key 'num_qubits'" in capsys.readouterr().err
+
+
+def test_layout_with_bad_edge_exits_2(tmp_path, capsys):
+    obj = io.layout_to_obj(heavy_hex_127())
+    obj["edges"].append([0])
+    assert route(*route_files(tmp_path, layout_obj=obj)) == 2
+    assert "layout.json: layout: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_non_finite_weight_exits_2(tmp_path, capsys, weight):
+    assert route(*route_files(tmp_path), f"--weight={weight}") == 2
+    assert "entropy weight must be finite" in capsys.readouterr().err
+
+
+BROKEN_JSON = '{\n  "kind": \n'
+
+
+def test_invalid_json_in_every_input_exits_2(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text(BROKEN_JSON)
+    report, layout = route_files(tmp_path)
+    stream = tmp_path / "snapshots.jsonl"
+    assert cli.main(["simulate", "--qubits", "2", "--reps", "1", "--snapshots", "5",
+                     "--out", str(stream)]) == 0
+    out = str(tmp_path / "out.json")
+    commands = [
+        ["route", "--report", str(broken), "--layout", str(layout), "--length", "3"],
+        ["route", "--report", str(report), "--layout", str(broken), "--length", "3"],
+        ["reconstruct", "--snapshots", str(stream), "--subsystems", str(broken)],
+        ["nonlocal", "--values", str(broken)],
+        ["simulate", "--circuit", str(broken), "--snapshots", "5"],
+    ]
+    capsys.readouterr()
+    for argv in commands:
+        assert cli.main([*argv, "--out", out]) == 2, argv
+        assert f"{broken}: line 3: invalid JSON" in capsys.readouterr().err, argv

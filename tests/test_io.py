@@ -1,7 +1,10 @@
 """Tests for file formats: snapshot-stream parsing errors and golden round-trips."""
 
+import importlib.util
 import json
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +79,19 @@ class TestGoldenRoundTrips:
         text = bundled_text("heavy_hex_127.json")
         assert io.layout_to_obj(heavy_hex_127()) == json.loads(text)
         assert io.canonical_dumps(io.layout_to_obj(heavy_hex_127())) == text
+
+
+def test_fixture_tool_rebuilds_bundled_files(monkeypatch):
+    """tools/make_fixtures.py regenerates the three bundled files byte for byte."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/ on import
+    script = Path(__file__).resolve().parents[1] / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    built = {
+        "brisbane_report.json": io.report_to_obj(tool.build_report()),
+        "brisbane_nonlocal_19_20.json": tool.build_nonlocal_values(),
+        "heavy_hex_127.json": io.layout_to_obj(tool.heavy_hex_127()),
+    }
+    for name, obj in built.items():
+        assert io.canonical_dumps(obj) == bundled_text(name), name

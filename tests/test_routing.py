@@ -1,11 +1,20 @@
-"""Tests for chain routing: branch and bound against exhaustive enumeration."""
+"""Tests for chain routing: branch and bound against exhaustive enumeration,
+the node budget, and edge scores derived from a report."""
 
 import numpy as np
 import pytest
 
-from zecs.errors import PathError
+from zecs import datasets
+from zecs.diagnostics import (
+    PAIR,
+    PAIR_PAIR,
+    PAIR_PLUS_IDLE,
+    DiagnosticReport,
+    SubsystemDiagnostics,
+)
+from zecs.errors import ConfigError, PathError, SearchBudgetError
 from zecs.layout import DeviceLayout, normalize_edge
-from zecs.routing import EdgeScore, best_chain
+from zecs.routing import EdgeScore, best_chain, edge_scores_from_report, score_chain
 
 
 def brute_force_chains(layout, scores, length_L, weight_w=1.0):
@@ -97,3 +106,107 @@ def test_instances_cover_feasible_and_infeasible_lengths():
             except PathError:
                 infeasible += 1
     assert feasible > 50 and infeasible > 10
+
+
+def test_negative_weight_matches_brute_force():
+    for seed in range(6):
+        layout, scores = random_instance(seed, grid=False)
+        for length_L in range(2, 6):
+            exact = outcome(brute_force_chains, layout, scores, length_L, -1.5)
+            found = outcome(best_chain, layout, scores, length_L, -1.5)
+            if isinstance(exact, type):
+                assert found is exact
+                continue
+            assert found.qubits == exact[1]
+            assert found.cost == pytest.approx(exact[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weight_rejected(weight):
+    layout, scores = random_instance(0, grid=False)
+    with pytest.raises(ConfigError, match="entropy weight must be finite"):
+        best_chain(layout, scores, 3, weight)
+
+
+class TestNodeBudget:
+    @pytest.fixture(scope="class")
+    def brisbane(self):
+        layout = datasets.brisbane_layout()
+        scores = edge_scores_from_report(datasets.brisbane_report(), layout)
+        return layout, scores, best_chain(layout, scores, 40)
+
+    def test_default_budget_is_exact(self, brisbane):
+        assert brisbane[2].approximate is False
+
+    @pytest.mark.parametrize("budget", [100, 1000, 10000])
+    def test_exhausted_budget_returns_best_chain_so_far(self, brisbane, budget):
+        layout, scores, exact = brisbane
+        found = best_chain(layout, scores, 40, node_budget=budget)
+        assert found.approximate is True
+        assert len(found.qubits) == len(set(found.qubits)) == 40
+        assert all(layout.has_edge(a, b) for a, b in zip(found.qubits, found.qubits[1:]))
+        assert found.cost == pytest.approx(score_chain(found.qubits, scores), abs=1e-12)
+        assert found.cost >= exact.cost
+
+    def test_budget_exhausted_before_any_chain(self, brisbane):
+        layout, scores, _ = brisbane
+        with pytest.raises(SearchBudgetError, match="before any 40-qubit chain"):
+            best_chain(layout, scores, 40, node_budget=10)
+
+
+def row(kind, qubits, infidelity=None, s_ab=None):
+    return SubsystemDiagnostics(
+        kind=kind, qubits=qubits, infidelity_cs=None, infidelity_zecs=infidelity,
+        trace_distance=None, s_ab=s_ab, s_ab_normalized=None,
+        degenerate_flag=None, clamp_magnitude=None,
+    )
+
+
+class TestEdgeScoresFromReport:
+    """Path 0-1-2-3-4 with a spur 1-5; dyadic values keep every sum exact."""
+
+    LAYOUT = DeviceLayout(num_qubits=6, edges=((0, 1), (1, 2), (2, 3), (3, 4), (1, 5)))
+
+    def scores(self, *rows):
+        report = DiagnosticReport(subsystems=rows)
+        return {
+            e: (s.fidelity, s.s_ij)
+            for e, s in edge_scores_from_report(report, self.LAYOUT).items()
+        }
+
+    def test_pair_row_scores_its_own_edge_only_if_coupled(self):
+        got = self.scores(row(PAIR, (1, 0), 0.25), row(PAIR, (0, 4), 0.5))
+        assert got == {(0, 1): (0.75, 0.0)}
+
+    def test_rows_outside_the_layout_score_nothing(self):
+        assert self.scores(row(PAIR, (6, 7), 0.25), row(PAIR_PAIR, (0, 1, 8, 9), 0.25, 0.5)) == {}
+
+    def test_boundary_rows_score_crossing_edges(self):
+        got = self.scores(
+            row(PAIR_PAIR, (1, 2, 0, 5), 0.25, 0.5),
+            row(PAIR_PLUS_IDLE, (2, 3, 4), 0.125, 0.25),
+        )
+        assert got == {(0, 1): (0.75, 0.5), (1, 5): (0.75, 0.5), (3, 4): (0.875, 0.25)}
+
+    def test_lowest_fidelity_wins_on_shared_edge(self):
+        rows = (row(PAIR, (1, 2), 0.5), row(PAIR_PAIR, (0, 1, 2, 3), 0.25, 0.0))
+        assert self.scores(*rows)[(1, 2)] == (0.5, 0.0)
+        assert self.scores(*rows[::-1])[(1, 2)] == (0.5, 0.0)
+
+    def test_entropy_is_max_over_non_pair_rows(self):
+        got = self.scores(
+            row(PAIR_PAIR, (0, 1, 2, 3), 0.0, 0.25),
+            row(PAIR_PLUS_IDLE, (2, 3, 1), 0.0, 0.5),
+            row(PAIR, (1, 2), 0.0, 0.75),
+            row(PAIR, (0, 1), 0.0, 0.75),
+        )
+        assert got == {(1, 2): (1.0, 0.5), (0, 1): (1.0, 0.0)}
+
+    def test_fidelity_clamped_to_unit_interval(self):
+        got = self.scores(row(PAIR, (0, 1), -0.5), row(PAIR, (1, 2), 1.5))
+        assert got == {(0, 1): (1.0, 0.0), (1, 2): (0.0, 0.0)}
+
+    def test_missing_infidelity_adds_no_fidelity(self):
+        assert self.scores(row(PAIR, (0, 1)), row(PAIR_PAIR, (0, 1, 2, 3), None, 0.5)) == {}
+        got = self.scores(row(PAIR_PAIR, (0, 1, 2, 3), None, 0.5), row(PAIR, (1, 2), 0.25))
+        assert got == {(1, 2): (0.75, 0.5)}
