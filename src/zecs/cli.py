@@ -40,9 +40,8 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 def _load_circuit(args) -> tuple:
     if args.circuit:
-        obj = io.read_json(args.circuit)
         circuit_id = args.circuit_id or Path(args.circuit).stem
-        return io.circuit_from_obj(obj), circuit_id
+        return io.read_circuit(args.circuit), circuit_id
     if args.qubits is None or args.reps is None:
         raise ConfigError("give either --circuit FILE or both --qubits and --reps")
     obj = {
@@ -66,11 +65,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _references_from_specs(specs, raw_references, policy: str):
-    references = {}
-    for key, circuit_obj in raw_references.items():
-        circuit = io.circuit_from_obj(circuit_obj)
-        references[key] = run(circuit).to_density()
+def _references_from_specs(specs, circuits, policy: str):
+    references = {key: run(circuit).to_density() for key, circuit in circuits.items()}
     if policy == "zero":
         for spec in specs:
             pair = spec.qubits[:2]
@@ -83,8 +79,8 @@ def _references_from_specs(specs, raw_references, policy: str):
 
 def cmd_reconstruct(args) -> int:
     records, _ = io.read_snapshots(args.snapshots, endianness=args.endianness)
-    specs, raw_references = io.read_subsystems(args.subsystems)
-    references = _references_from_specs(specs, raw_references, args.ref_policy)
+    specs, circuits = io.read_subsystems(args.subsystems)
+    references = _references_from_specs(specs, circuits, args.ref_policy)
     report = build_report(
         records, specs, references, entropy_normalization=args.entropy_norm
     )
@@ -109,13 +105,7 @@ def cmd_route(args) -> int:
 
 def cmd_nonlocal(args) -> int:
     if args.values:
-        obj = io.read_json(args.values)
-        target = tuple(int(q) for q in obj["target"])
-        values = [
-            (tuple(int(q) for q in row["candidate"]), float(row["s_ij"]))
-            for row in obj["pairs"]
-        ]
-        results = score_candidates(target, values)
+        results = score_candidates(*io.read_nonlocal_values(args.values))
     else:
         if not (args.snapshots and args.targets and args.candidates and args.layout):
             raise ConfigError(

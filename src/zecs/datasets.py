@@ -13,7 +13,7 @@ import json
 from importlib import resources
 
 from .diagnostics import DiagnosticReport
-from .io import layout_from_obj, report_from_obj
+from .io import layout_from_obj, nonlocal_values_from_obj, report_from_obj
 from .layout import DeviceLayout
 
 
@@ -32,9 +32,4 @@ def brisbane_layout() -> DeviceLayout:
 
 def brisbane_nonlocal_values() -> tuple[tuple[int, int], list[tuple[tuple[int, int], float]]]:
     """Archived (candidate, entropy) values for the (19, 20) non-local scan."""
-    obj = _load("brisbane_nonlocal_19_20.json")
-    target = tuple(int(q) for q in obj["target"])
-    values = [
-        (tuple(int(q) for q in row["candidate"]), float(row["s_ij"])) for row in obj["pairs"]
-    ]
-    return target, values
+    return nonlocal_values_from_obj(_load("brisbane_nonlocal_19_20.json"))

@@ -80,9 +80,19 @@ def write_canonical(path: str | Path, obj) -> None:
     Path(path).write_text(canonical_dumps(obj), encoding="ascii")
 
 
+def _read_text(path: str | Path, error: type[ZecsError]) -> str:
+    """The file's text; a file that cannot be read as UTF-8 raises ``error`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"{path}: cannot read file ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start}: not UTF-8 text") from None
+
+
 def read_json(path: str | Path):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(_read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
 
@@ -156,7 +166,7 @@ def read_snapshots(
     from a partially valid file.  ``endianness`` overrides the header (and is
     required context for headerless files from other tools).
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path, RecordError)
     records: list[SnapshotRecord] = []
     file_endianness = endianness
     n_qubits: int | None = None
@@ -304,6 +314,22 @@ def write_chain(path: str | Path, solution: ChainSolution, weight: float) -> Non
     write_canonical(path, chain_to_obj(solution, weight))
 
 
+#: Target pair and archived (candidate, entropy) values of a non-local scan.
+NonlocalValues = tuple[tuple[int, ...], list[tuple[tuple[int, ...], float]]]
+
+
+def nonlocal_values_from_obj(obj: dict) -> NonlocalValues:
+    target = tuple(int(q) for q in obj["target"])
+    values = [
+        (tuple(int(q) for q in row["candidate"]), float(row["s_ij"])) for row in obj["pairs"]
+    ]
+    return target, values
+
+
+def read_nonlocal_values(path: str | Path) -> NonlocalValues:
+    return _read_object(path, nonlocal_values_from_obj, "values")
+
+
 def scan_to_obj(results: Sequence[NonlocalResult]) -> dict:
     rows = []
     for r in results:
@@ -379,17 +405,28 @@ def circuit_from_obj(obj: dict) -> Circuit:
     raise ConfigError(f"unknown circuit kind {kind!r}")
 
 
-def subsystems_from_obj(obj: dict) -> tuple[list[SubsystemSpec], dict[tuple[int, ...], dict]]:
-    """Parse subsystem specs plus any inline reference-circuit descriptions."""
+def read_circuit(path: str | Path) -> Circuit:
+    return _read_object(path, circuit_from_obj, "circuit")
+
+
+#: Subsystem specs and the reference circuits given inline for some of them.
+Subsystems = tuple[list[SubsystemSpec], dict[tuple[int, ...], Circuit]]
+
+
+def subsystems_from_obj(obj: dict) -> Subsystems:
+    """Parse subsystem specs plus any inline reference circuits."""
     specs = []
-    references: dict[tuple[int, ...], dict] = {}
+    references: dict[tuple[int, ...], Circuit] = {}
     for raw in obj["subsystems"]:
         spec = SubsystemSpec(kind=str(raw["kind"]), qubits=tuple(int(q) for q in raw["qubits"]))
         specs.append(spec)
-        if raw.get("reference") is not None:
-            references[spec.qubits] = raw["reference"]
+        reference = raw.get("reference")
+        if reference is not None:
+            if not isinstance(reference, dict):
+                raise TypeError(f"reference of {spec.qubits} is not an object")
+            references[spec.qubits] = circuit_from_obj(reference)
     return specs, references
 
 
-def read_subsystems(path: str | Path) -> tuple[list[SubsystemSpec], dict[tuple[int, ...], dict]]:
-    return subsystems_from_obj(read_json(path))
+def read_subsystems(path: str | Path) -> Subsystems:
+    return _read_object(path, subsystems_from_obj, "subsystems")

@@ -50,8 +50,6 @@ def zecs_project(rho_cs: DensityOperator) -> ZecsResult:
     trace = complex(np.trace(rho_cs.matrix))
     if abs(trace - 1.0) > _TRACE_TOL:
         raise ValidationError(f"trace {trace:.8g} deviates from 1 beyond {_TRACE_TOL:.1e}")
-    if rho_cs.dim < 2:
-        raise ValidationError("projection needs dimension >= 2")
     decomp = linalg.eigh(rho_cs.matrix)
     top = decomp.eigenvectors[:, 0]
     lambda_top = float(decomp.eigenvalues[0])

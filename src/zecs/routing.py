@@ -2,19 +2,21 @@
 
 Every scored edge carries a fidelity and an entanglement-entropy annotation;
 a chain's cost is ``sum over its edges of (1 - fidelity) + w * s_ij``.
-``best_chain`` is exact: one depth-first branch and bound over all roots,
-pruned by a lower bound that adds the cheapest remaining edge costs in
-sorted order.  Costs within 1e-12 tie, and the lexicographically smallest
-qubit sequence wins, so results do not depend on traversal order.  If the
-node-expansion budget runs out, the cheapest chain found so far is returned
-and marked approximate; if none was found, ``SearchBudgetError`` is raised.
+``best_chain`` is exact: one depth-first branch and bound over all roots.
+A partial chain ending in the step ``u -> v`` with r edges still to go is
+pruned when its cost plus the cheapest walk of r edges from ``v`` that never
+steps straight back to ``u`` cannot beat the best chain so far; every simple
+path is such a walk, so the bound never cuts off an optimum.  Costs within
+1e-12 tie, and the lexicographically smallest qubit sequence wins, so results
+do not depend on traversal order.  If the node-expansion budget runs out, the
+cheapest chain found so far is returned and marked approximate; if none was
+found, ``SearchBudgetError`` is raised.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .diagnostics import PAIR, DiagnosticReport
@@ -152,6 +154,29 @@ def _solution(
     )
 
 
+def _walk_bounds(
+    adj: dict[int, list[tuple[float, int]]], steps: int
+) -> list[dict[tuple[int, int], float]]:
+    """``walk[r][(u, v)]``: cheapest walk of r edges from v that never steps straight back to u.
+
+    One entry per directed scored edge ``u -> v`` and per root ``(-1, v)``,
+    which has no predecessor; ``inf`` where no such walk exists.
+    """
+    walk = [{(u, v): 0.0 for v in adj for u in (-1, *(w for _, w in adj[v]))}]
+    for _ in range(steps):
+        last, row = walk[-1], {}
+        for v, nbrs in adj.items():
+            # Only the two cheapest continuations from v matter: a walk that
+            # arrived from u takes the cheapest unless it steps back to u.
+            ranked = sorted((c + last[v, w], w) for c, w in nbrs) + [(math.inf, -1)] * 2
+            (best, via), (second, _) = ranked[:2]
+            row[-1, v] = best
+            for _, u in nbrs:
+                row[u, v] = second if u == via else best
+        walk.append(row)
+    return walk
+
+
 def best_chain(
     layout: DeviceLayout,
     scores: Iterable[EdgeScore] | ScoreMap,
@@ -162,10 +187,11 @@ def best_chain(
     """Minimum-cost simple path of exactly ``length_L`` vertices.
 
     One depth-first branch and bound over all roots, starting from an
-    infinite bound.  Every expanded node costs one unit of ``node_budget``.
-    If the budget runs out, the cheapest chain found so far is returned with
-    ``approximate=True``; if none was found yet, ``SearchBudgetError`` is
-    raised.
+    infinite bound and pruned by the non-backtracking walk bound of
+    ``_walk_bounds``.  Every expanded node costs one unit of
+    ``node_budget``.  If the budget runs out, the cheapest chain found so
+    far is returned with ``approximate=True``; if none was found yet,
+    ``SearchBudgetError`` is raised.
     """
     if not math.isfinite(weight_w):
         raise ConfigError(f"entropy weight must be finite, got {weight_w}")
@@ -178,8 +204,7 @@ def best_chain(
 
     if len(costs) < length_L - 1:
         raise PathError(f"not enough scored edges for a {length_L}-qubit chain")
-    # prefix[r]: the r cheapest edge costs summed, a lower bound on r more edges.
-    prefix = list(accumulate(sorted(costs.values())[: length_L - 1], initial=0.0))
+    walk = _walk_bounds(adj, length_L - 1)
 
     # Every length-L path that survives the bound, as (cost, path).
     found: list[tuple[float, tuple[int, ...]]] = []
@@ -188,7 +213,7 @@ def best_chain(
     path: list[int] = []
     visited = 0
 
-    def extend(vertex: int, cost: float) -> None:
+    def extend(prev: int, vertex: int, cost: float) -> None:
         nonlocal visited, bound, budget
         depth = len(path)
         if depth == length_L:
@@ -197,19 +222,20 @@ def best_chain(
                 bound = min(bound, cost)
             return
         remaining = length_L - depth
-        if cost + prefix[remaining] > bound + _EPS:
+        if cost + walk[remaining][prev, vertex] > bound + _EPS:
             return
         budget -= 1
         if budget < 0:
             raise SearchBudgetError
+        tail = walk[remaining - 1]
         for ecost, nxt in adj[vertex]:
             if visited >> nxt & 1:
                 continue
-            if cost + ecost + prefix[remaining - 1] > bound + _EPS:
+            if cost + ecost + tail[vertex, nxt] > bound + _EPS:
                 continue
             visited |= 1 << nxt
             path.append(nxt)
-            extend(nxt, cost + ecost)
+            extend(vertex, nxt, cost + ecost)
             path.pop()
             visited &= ~(1 << nxt)
 
@@ -218,7 +244,7 @@ def best_chain(
         for root in sorted(adj):
             if adj[root]:
                 path, visited = [root], 1 << root
-                extend(root, 0.0)
+                extend(-1, root, 0.0)
     except SearchBudgetError:
         if not found:
             raise SearchBudgetError(

@@ -152,3 +152,83 @@ def test_invalid_json_in_every_input_exits_2(tmp_path, capsys):
     for argv in commands:
         assert cli.main([*argv, "--out", out]) == 2, argv
         assert f"{broken}: line 3: invalid JSON" in capsys.readouterr().err, argv
+
+
+def test_missing_snapshots_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    assert reconstruct(tmp_path, missing) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{missing}: cannot read file (No such file or directory)" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_missing_report_file_exits_2(tmp_path, capsys):
+    _, layout = route_files(tmp_path)
+    missing = tmp_path / "missing.json"
+    assert route(missing, layout) == 2
+    assert f"{missing}: cannot read file (No such file or directory)" in capsys.readouterr().err
+    assert not (tmp_path / "chain.json").exists()
+
+
+def test_non_utf8_snapshots_file_exits_2(tmp_path, capsys):
+    stream = tmp_path / "snapshots.jsonl"
+    stream.write_bytes(b'{"bases":"XZ","bits":"\xff1"}\n')
+    assert reconstruct(tmp_path, stream) == 2
+    assert "snapshots.jsonl: byte 22: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "obj, key",
+    [
+        ({"pairs": []}, "target"),
+        ({"target": [19, 20]}, "pairs"),
+        ({"target": [19, 20], "pairs": [{"s_ij": 0.5}]}, "candidate"),
+        ({"target": [19, 20], "pairs": [{"candidate": [2, 3]}]}, "s_ij"),
+    ],
+)
+def test_values_missing_key_exits_2(tmp_path, capsys, obj, key):
+    values = tmp_path / "values.json"
+    values.write_text(json.dumps(obj))
+    assert cli.main(["nonlocal", "--values", str(values), "--out", str(tmp_path / "o.json")]) == 2
+    assert f"values.json: values: missing key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ({"qubits": [0, 1]}, "missing key 'kind'"),
+        ({"kind": "pair"}, "missing key 'qubits'"),
+        ({"kind": "pair", "qubits": [0, 1], "reference": {"kind": "gates", "n_qubits": 2}},
+         "missing key 'gates'"),
+        ({"kind": "pair", "qubits": [0, 1], "reference": [1]},
+         "reference of (0, 1) is not an object"),
+    ],
+)
+def test_malformed_subsystems_file_exits_2(tmp_path, capsys, row, message):
+    stream = tmp_path / "snapshots.jsonl"
+    assert cli.main(["simulate", "--qubits", "2", "--reps", "1", "--snapshots", "5",
+                     "--out", str(stream)]) == 0
+    subsystems = tmp_path / "subsystems.json"
+    subsystems.write_text(json.dumps({"subsystems": [row]}))
+    argv = ["reconstruct", "--snapshots", str(stream), "--subsystems", str(subsystems),
+            "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 2
+    assert f"subsystems.json: subsystems: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "obj, key",
+    [
+        ({"kind": "efficient_su2", "reps": 1, "param_seed": 0}, "n_qubits"),
+        ({"kind": "gates", "n_qubits": 2}, "gates"),
+        ({"kind": "gates", "n_qubits": 2, "gates": [{"target": 0}]}, "kind"),
+    ],
+)
+def test_circuit_missing_key_exits_2(tmp_path, capsys, obj, key):
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps(obj))
+    argv = ["simulate", "--circuit", str(circuit), "--snapshots", "5",
+            "--out", str(tmp_path / "s.jsonl")]
+    assert cli.main(argv) == 2
+    assert f"circuit.json: circuit: missing key {key!r}" in capsys.readouterr().err

@@ -1,12 +1,11 @@
 """Tests for the rank-1 ZECS projection against NumPy's eigendecomposition."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from zecs.errors import ValidationError
+from zecs.errors import DimensionMismatchError, ValidationError
 from zecs.projection import zecs_project
 from zecs.shadow import reconstruct
 from zecs.simulator import StateVector, sample_shadow
@@ -73,8 +72,8 @@ def test_accepts_trace_within_tolerance():
     assert zecs_project(DensityOperator.from_matrix(m, validate=False)).lambda_top > 0.5
 
 
-def test_rejects_dimension_one():
-    # DensityOperator itself needs n_qubits >= 1, so a stand-in carries the 1x1 matrix.
-    rho = SimpleNamespace(matrix=np.array([[1.0 + 0j]]), dim=1)
-    with pytest.raises(ValidationError, match="dimension >= 2"):
-        zecs_project(rho)
+@pytest.mark.parametrize("validate", [False, True])
+def test_density_operator_rejects_dimension_one(validate):
+    # No 1x1 operator reaches zecs_project, which needs a second eigenvalue for the gap.
+    with pytest.raises(DimensionMismatchError, match="dim 1 does not describe 0 qubit"):
+        DensityOperator.from_matrix(np.array([[1.0 + 0j]]), validate=validate)

@@ -1,5 +1,6 @@
 """Tests for chain routing: branch and bound against exhaustive enumeration,
-the node budget, and edge scores derived from a report."""
+its non-backtracking walk bound, the node budget, and edge scores derived
+from a report."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,15 @@ from zecs.diagnostics import (
 )
 from zecs.errors import ConfigError, PathError, SearchBudgetError
 from zecs.layout import DeviceLayout, normalize_edge
-from zecs.routing import EdgeScore, best_chain, edge_scores_from_report, score_chain
+from zecs.routing import (
+    EdgeScore,
+    _scored_adjacency,
+    _walk_bounds,
+    best_chain,
+    edge_scores_from_report,
+    score_chain,
+    score_map,
+)
 
 
 def brute_force_chains(layout, scores, length_L, weight_w=1.0):
@@ -121,6 +130,51 @@ def test_negative_weight_matches_brute_force():
             assert found.cost == pytest.approx(exact[0], abs=1e-12)
 
 
+def walk_table(layout, scores, steps, weight_w):
+    adj, _ = _scored_adjacency(layout, score_map(scores), weight_w)
+    return adj, _walk_bounds(adj, steps)
+
+
+def cheapest_walk(adj, prev, vertex, steps):
+    """Exhaustive oracle: cheapest walk of ``steps`` edges from ``vertex`` never stepping back."""
+    if steps == 0:
+        return 0.0
+    return min(
+        (c + cheapest_walk(adj, vertex, w, steps - 1) for c, w in adj[vertex] if w != prev),
+        default=float("inf"),
+    )
+
+
+@pytest.mark.parametrize("weight_w", [0.0, 1.0, -1.5])
+@pytest.mark.parametrize("grid", [False, True])
+def test_walk_table_matches_enumerated_walks(grid, weight_w):
+    for seed in range(8):
+        layout, scores = random_instance(seed, grid)
+        adj, walk = walk_table(layout, scores, 4, weight_w)
+        for r, row in enumerate(walk):
+            assert row.keys() == walk[0].keys()
+            for (u, v), value in row.items():
+                assert value == pytest.approx(cheapest_walk(adj, u, v, r), abs=1e-12)
+
+
+@pytest.mark.parametrize("weight_w", [0.0, 1.0, -1.5])
+@pytest.mark.parametrize("grid", [False, True])
+def test_root_walk_bound_never_exceeds_optimum(grid, weight_w):
+    checked = 0
+    for seed in range(28):
+        layout, scores = random_instance(seed, grid)
+        _, walk = walk_table(layout, scores, 6, weight_w)
+        for length_L in range(2, 8):
+            try:
+                optimum, _ = brute_force_chains(layout, scores, length_L, weight_w)
+            except PathError:
+                continue
+            root_bound = min(value for (u, _), value in walk[length_L - 1].items() if u == -1)
+            assert root_bound <= optimum + 1e-12
+            checked += 1
+    assert checked > 50
+
+
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_weight_rejected(weight):
     layout, scores = random_instance(0, grid=False)
@@ -138,7 +192,11 @@ class TestNodeBudget:
     def test_default_budget_is_exact(self, brisbane):
         assert brisbane[2].approximate is False
 
-    @pytest.mark.parametrize("budget", [100, 1000, 10000])
+    def test_default_case_fits_small_budget(self, brisbane):
+        layout, scores, _ = brisbane
+        assert best_chain(layout, scores, 40, node_budget=20_000).approximate is False
+
+    @pytest.mark.parametrize("budget", [100, 1000, 4000])
     def test_exhausted_budget_returns_best_chain_so_far(self, brisbane, budget):
         layout, scores, exact = brisbane
         found = best_chain(layout, scores, 40, node_budget=budget)
@@ -152,6 +210,14 @@ class TestNodeBudget:
         layout, scores, _ = brisbane
         with pytest.raises(SearchBudgetError, match="before any 40-qubit chain"):
             best_chain(layout, scores, 40, node_budget=10)
+
+    def test_sixty_qubit_chain_is_exact(self, brisbane):
+        layout, scores, _ = brisbane
+        found = best_chain(layout, scores, 60)
+        assert found.approximate is False
+        assert len(found.qubits) == len(set(found.qubits)) == 60
+        assert all(layout.has_edge(a, b) for a, b in zip(found.qubits, found.qubits[1:]))
+        assert found.cost == score_chain(found.qubits, scores)
 
 
 def row(kind, qubits, infidelity=None, s_ab=None):
