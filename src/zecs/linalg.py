@@ -66,15 +66,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """Return ``V diag(w) V†``."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def eigh(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
     """Eigendecompose a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).

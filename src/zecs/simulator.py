@@ -7,7 +7,9 @@ second RY and RZ column.
 
 Shadow sampling measures every qubit in a uniformly random Pauli basis and
 draws the bit string from the exact Born distribution of the basis-rotated
-state.  Streams are reproducible bit-for-bit from the seed (PCG64).
+state by the chain rule, one qubit at a time; records with a common (basis,
+bit) prefix share one collapsed state.  Streams are reproducible bit-for-bit
+from the seed (PCG64).
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ BASIS_ROTATIONS = {
     "Y": _HADAMARD @ _S_DAG,
     "Z": np.eye(2, dtype=complex),
 }
+_ROTATION_STACK = np.stack([BASIS_ROTATIONS[letter] for letter in BASIS_LETTERS])
 
 _MAX_SIM_QUBITS = 12
+_SAMPLE_CHUNK = 2048  # records sampled together; bounds the states held at any depth
 
 
 @dataclass(frozen=True)
@@ -213,15 +217,22 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     return StateVector(n, amps / norm)
 
 
-def _measurement_distribution(state: StateVector, basis_indices: tuple[int, ...]) -> np.ndarray:
-    amps = state.amplitudes
-    n = state.n_qubits
-    for q, b in enumerate(basis_indices):
-        letter = BASIS_LETTERS[b]
-        if letter != "Z":
-            amps = _apply_single(amps, BASIS_ROTATIONS[letter], q, n)
-    probs = np.abs(amps) ** 2
-    return probs / probs.sum()
+def _chain_rule_bits(amps: np.ndarray, bases: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Chain-rule outcome bits of one chunk; ``draws`` are uniforms scaled by ``|psi|^2``."""
+    bits = np.empty(bases.shape, dtype=np.uint8)
+    states = amps.reshape(1, -1)
+    row = np.zeros(len(draws), dtype=np.intp)
+    for q in range(bases.shape[1]):
+        keys, pair = np.unique(3 * row + bases[:, q], return_inverse=True)
+        halves = _ROTATION_STACK[keys % 3] @ states[keys // 3].reshape(len(keys), 2, -1)
+        mass = np.einsum("pbk,pbk->pb", halves.view(np.float64), halves.view(np.float64))
+        mass0 = mass[pair, 0]
+        bit = (draws >= mass0) & (mass[pair, 1] > 0)
+        draws = np.where(bit, draws - mass0, draws)
+        bits[:, q] = bit
+        states = halves.reshape(2 * len(keys), -1)
+        row = 2 * pair + bit
+    return bits
 
 
 def sample_shadow(
@@ -230,33 +241,29 @@ def sample_shadow(
     """Draw ``n_records`` randomized Pauli-basis measurement records.
 
     Per record each qubit's basis is uniform over {X, Y, Z} and the joint
-    bit string follows the Born distribution of the rotated state.  Rotated
-    distributions are cached per basis string, so repeated bases are cheap.
+    bit string follows the Born distribution of the rotated state.  One
+    uniform per record is the inverse-CDF draw, taken qubit by qubit: rotate
+    qubit q, take bit 1 when the remaining draw reaches the bit-0 mass (never
+    a zero-mass branch), collapse.  Records sharing a (basis, bit) prefix
+    share one collapsed state, and chunks of ``_SAMPLE_CHUNK`` records bound
+    peak memory independently of ``n_records``.
     """
     if n_records < 1:
         raise ValueError(f"n_records must be >= 1, got {n_records}")
     n = state.n_qubits
     rng = np.random.default_rng(seed)
     bases = rng.integers(0, 3, size=(n_records, n))
-    draws = rng.random(n_records)
-    cache: dict[tuple[int, ...], np.ndarray] = {}
-    records = []
-    for r in range(n_records):
-        key = tuple(int(b) for b in bases[r])
-        cdf = cache.get(key)
-        if cdf is None:
-            cdf = np.cumsum(_measurement_distribution(state, key))
-            cache[key] = cdf
-        outcome = int(np.searchsorted(cdf, draws[r], side="right"))
-        outcome = min(outcome, 2**n - 1)
-        records.append(
-            SnapshotRecord(
-                bases="".join(BASIS_LETTERS[b] for b in key),
-                bits=format(outcome, f"0{n}b"),
-                circuit_id=circuit_id,
-            )
-        )
-    return records
+    draws = rng.random(n_records) * float(np.vdot(state.amplitudes, state.amplitudes).real)
+    bits = np.concatenate([
+        _chain_rule_bits(state.amplitudes, bases[i:i + _SAMPLE_CHUNK], draws[i:i + _SAMPLE_CHUNK])
+        for i in range(0, n_records, _SAMPLE_CHUNK)
+    ])
+    base_text = np.frombuffer(BASIS_LETTERS.encode(), dtype=np.uint8)[bases].tobytes().decode()
+    bit_text = (bits + ord("0")).tobytes().decode()
+    return [
+        SnapshotRecord(base_text[i:i + n], bit_text[i:i + n], circuit_id)
+        for i in range(0, n_records * n, n)
+    ]
 
 
 _PAULIS = (

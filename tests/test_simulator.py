@@ -1,12 +1,17 @@
 """Tests for circuit simulation, shadow sampling, and the perturbation model."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from zecs import cli
 from zecs.errors import CircuitSpecError, DimensionMismatchError, RecordError, ValidationError
 from zecs.simulator import (
+    _SAMPLE_CHUNK,
+    BASIS_ROTATIONS,
     Circuit,
     Gate,
     SnapshotRecord,
@@ -16,12 +21,75 @@ from zecs.simulator import (
     random_su2_params,
     run,
     sample_shadow,
+    _chain_rule_bits,
     zero_state,
 )
 from zecs.states import DensityOperator
 
-# chi-squared critical value, df=1, p=0.001
-_CHI2_1DF_P001 = 10.828
+# chi-squared critical values at p=0.001, by degrees of freedom
+_CHI2_P001 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515, 6: 22.458, 7: 24.322}
+_CHI2_1DF_P001 = _CHI2_P001[1]
+
+#: sha256 of ``zecs simulate --qubits 4 --reps 2 --param-seed 0 --snapshots 300 --seed 7``,
+#: written by the per-basis inverse-CDF sampler this package used before the chain rule.
+_SMALL_STREAM_SHA256 = "a25a0f87faa84dbafd0a89a131be60b5437fe6faa413a540243459a9af9ade4d"
+
+
+def rotated_amplitudes(amps, bases):
+    """Amplitudes after rotating each qubit into its basis letter (Z is left alone)."""
+    n = len(bases)
+    t = np.asarray(amps, dtype=complex).reshape([2] * n)
+    for q, letter in enumerate(bases):
+        if letter != "Z":
+            t = np.moveaxis(np.tensordot(BASIS_ROTATIONS[letter], t, axes=([1], [q])), 0, q)
+    return t.reshape(-1)
+
+
+def inverse_cdf_sampler(state, n_records, seed, circuit_id=""):
+    """Oracle: the same seed stream, one cumulative distribution per basis string."""
+    n = state.n_qubits
+    rng = np.random.default_rng(seed)
+    bases = rng.integers(0, 3, size=(n_records, n))
+    draws = rng.random(n_records)
+    cdfs = {}
+    records = []
+    for r in range(n_records):
+        letters = "".join("XYZ"[b] for b in bases[r])
+        if letters not in cdfs:
+            probs = np.abs(rotated_amplitudes(state.amplitudes, letters)) ** 2
+            cdfs[letters] = np.cumsum(probs / probs.sum())
+        outcome = min(int(np.searchsorted(cdfs[letters], draws[r], side="right")), 2**n - 1)
+        records.append(SnapshotRecord(letters, format(outcome, f"0{n}b"), circuit_id))
+    return records
+
+
+def ghz(n):
+    amps = np.zeros(2**n)
+    amps[0] = amps[-1] = 1 / math.sqrt(2)
+    return StateVector(n, amps)
+
+
+def product_state():
+    factors = [
+        np.array([1, 1]) / math.sqrt(2),
+        np.array([0, 1]),
+        np.array([math.cos(0.4), math.sin(0.4) * np.exp(0.9j)]),
+        np.array([1, 1j]) / math.sqrt(2),
+    ]
+    amps = factors[0]
+    for f in factors[1:]:
+        amps = np.kron(amps, f)
+    return StateVector(4, amps)
+
+
+def su2_state(n, seed):
+    return run(build_efficient_su2(n, 2, random_su2_params(n, 2, seed=seed)))
+
+
+def w_state():
+    amps = np.zeros(8, dtype=complex)
+    amps[[1, 2, 4]] = np.array([1, 1j, -1]) / math.sqrt(3)
+    return StateVector(3, amps)
 
 
 def spearman(xs, ys):
@@ -188,6 +256,88 @@ class TestSampleShadow:
             SnapshotRecord(bases="XY", bits="02")
         with pytest.raises(RecordError):
             SnapshotRecord(bases="XY", bits="0")
+
+
+class TestSamplerOracle:
+    """The chain-rule sampler reproduces the per-basis inverse-CDF draw record for record."""
+
+    @pytest.mark.parametrize(
+        "make_state, n_records, seeds",
+        [
+            (product_state, 1500, (0, 1, 2)),
+            (lambda: ghz(1), 500, (0, 1, 2)),
+            (lambda: ghz(3), 1500, (0, 1, 2)),
+            (lambda: ghz(8), 1500, (0, 1, 2)),
+            (lambda: su2_state(12, 3), 250, (0, 1)),
+        ],
+        ids=["product", "ghz1", "ghz3", "ghz8", "su2-12"],
+    )
+    def test_equal_records(self, make_state, n_records, seeds):
+        state = make_state()
+        for seed in seeds:
+            expected = inverse_cdf_sampler(state, n_records, seed, circuit_id="c")
+            assert sample_shadow(state, n_records, seed, circuit_id="c") == expected
+
+    @pytest.mark.parametrize("make_state", [lambda: ghz(3), lambda: su2_state(6, 8)])
+    def test_equal_records_across_chunks(self, make_state):
+        state = make_state()
+        n_records = 2 * _SAMPLE_CHUNK + 123
+        assert sample_shadow(state, n_records, seed=21) == inverse_cdf_sampler(
+            state, n_records, seed=21
+        )
+
+    def test_simulate_stream_is_pinned(self, tmp_path, capsys):
+        out = tmp_path / "small.jsonl"
+        argv = ["simulate", "--qubits", "4", "--reps", "2", "--param-seed", "0",
+                "--snapshots", "300", "--seed", "7", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _SMALL_STREAM_SHA256
+
+
+class TestSamplerProperties:
+    def test_ghz_z_qubits_agree(self):
+        for rec in sample_shadow(ghz(10), 3000, seed=11):
+            z_bits = {bit for letter, bit in zip(rec.bases, rec.bits) if letter == "Z"}
+            assert len(z_bits) <= 1, rec
+
+    @pytest.mark.parametrize("make_state", [lambda: ghz(10), w_state, lambda: su2_state(7, 2)])
+    def test_no_outcome_has_zero_born_probability(self, make_state):
+        state = make_state()
+        for rec in sample_shadow(state, 1500, seed=12):
+            amp = rotated_amplitudes(state.amplitudes, rec.bases)[int(rec.bits, 2)]
+            assert abs(amp) ** 2 > 1e-12, rec
+
+    def test_draw_past_total_mass_takes_no_empty_branch(self):
+        # Under Z, |00000> has one outcome; a draw at or above the total mass
+        # (the inverse CDF clamped it to 11111) must still land on it.
+        bases = np.full((3, 5), 2)
+        bits = _chain_rule_bits(zero_state(5).amplitudes, bases, np.array([0.0, 1.0, 1.5]))
+        assert not bits.any()
+
+    @pytest.mark.parametrize("make_state", [w_state, lambda: su2_state(3, 5)], ids=["w", "su2"])
+    def test_joint_distribution_per_basis_string(self, make_state):
+        state = make_state()
+        counts = {}
+        for rec in sample_shadow(state, 54_000, seed=13):
+            counts.setdefault(rec.bases, np.zeros(8))[int(rec.bits, 2)] += 1
+        assert len(counts) == 27
+        for letters, observed in counts.items():
+            total = observed.sum()
+            expected = total * np.abs(rotated_amplitudes(state.amplitudes, letters)) ** 2
+            support = expected > 1e-9 * total
+            assert observed[~support].sum() == 0, letters
+            chi2 = float((((observed - expected) ** 2)[support] / expected[support]).sum())
+            assert chi2 < _CHI2_P001[int(support.sum()) - 1], (letters, chi2)
+
+    def test_peak_memory_is_bounded(self):
+        state = su2_state(12, 1)
+        tracemalloc.start()
+        try:
+            sample_shadow(state, 6000, seed=14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestPerturbState:
