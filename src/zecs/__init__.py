@@ -17,7 +17,7 @@ from .diagnostics import (
     score_candidates,
 )
 from .layout import DeviceLayout, heavy_hex_127
-from .linalg import EigenDecomposition, clamp_psd, eigh, kron, mat_sqrt_psd, partial_trace
+from .linalg import EigenDecomposition, clamp_psd, eigh, mat_sqrt_psd, partial_trace
 from .projection import ZecsResult, zecs_project
 from .routing import (
     ChainSolution,
@@ -75,7 +75,6 @@ __all__ = [
     "entanglement_entropy",
     "fidelity",
     "heavy_hex_127",
-    "kron",
     "mat_sqrt_psd",
     "merge",
     "nonlocal_scan",

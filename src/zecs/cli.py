@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import io
-from .diagnostics import build_report, nonlocal_scan, score_candidates
+from .diagnostics import PAIR_PAIR, build_report, nonlocal_scan, score_candidates
 from .errors import ConfigError, ZecsError
 from .routing import best_chain, edge_scores_from_report
 from .simulator import run, sample_shadow, zero_state
@@ -69,9 +69,13 @@ def _references_from_specs(specs, circuits, policy: str):
     references = {key: run(circuit).to_density() for key, circuit in circuits.items()}
     if policy == "zero":
         for spec in specs:
-            pair = spec.qubits[:2]
-            if pair not in references and spec.qubits not in references:
-                references[pair] = zero_state(2).to_density()
+            if spec.qubits in references:
+                continue
+            pairs = [spec.qubits[:2]]
+            if spec.kind == PAIR_PAIR:
+                pairs.append(spec.qubits[2:])
+            for pair in pairs:
+                references.setdefault(pair, zero_state(2).to_density())
     elif policy != "require":
         raise ConfigError(f"unknown reference policy {policy!r}")
     return references

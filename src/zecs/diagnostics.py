@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import linalg, shadow
+from . import shadow
 from .errors import (
     AdjacencyError,
     CoverageError,
@@ -133,12 +133,12 @@ def resolve_reference(
     if spec.kind == PAIR_PLUS_IDLE:
         idle = np.zeros((2, 2), dtype=complex)
         idle[0, 0] = 1.0
-        matrix = linalg.kron(first.matrix, idle)
+        matrix = np.kron(first.matrix, idle)
     else:
         second = references.get(spec.qubits[2:])
         if second is None:
             raise MissingReferenceError(f"no reference state for pair {spec.qubits[2:]}")
-        matrix = linalg.kron(first.matrix, second.matrix)
+        matrix = np.kron(first.matrix, second.matrix)
     vec = None
     if first.pure_vector is not None:
         if spec.kind == PAIR_PLUS_IDLE:

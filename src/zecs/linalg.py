@@ -6,8 +6,12 @@ the most significant bit of the computational-basis index, so the first
 factor of a Kronecker product acts on qubit 0.
 
 The Hermitian eigensolver is LAPACK's, through ``numpy.linalg.eigh``, at
-the dimensions this package works with (up to 2**10).  Every matrix entering
-this module must be finite: NaN and inf are rejected, not propagated.
+the dimensions this package works with (up to 2**10).  ``eigh`` and
+``mat_sqrt_psd`` also take a stack ``(..., d, d)`` of matrices and treat
+each one as a single call would: one vectorized finiteness check, one
+hermiticity check and one symmetrization cover the whole stack, and one
+LAPACK call decomposes it.  Every matrix entering this module must be
+finite: NaN and inf are rejected, not propagated.
 """
 
 from __future__ import annotations
@@ -27,40 +31,53 @@ HERMITICITY_TOL = 1e-8
 CLAMP_TOL = 1e-10
 
 _MAX_DIM = 1024
-_MAX_KRON_DIM = 2**20
 
 
-def as_matrix(m: np.ndarray | Sequence) -> np.ndarray:
-    """Coerce input to a square complex matrix, validating shape and finiteness."""
+def as_stack(m: np.ndarray | Sequence) -> np.ndarray:
+    """Coerce input to a complex ``(..., d, d)`` array, validating shape and finiteness."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries (NaN or inf)")
     return a
 
 
+def as_matrix(m: np.ndarray | Sequence) -> np.ndarray:
+    """Coerce input to a square complex matrix, validating shape and finiteness."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    return as_stack(a)
+
+
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a ``(..., d, d)`` stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation between ``m`` and its adjoint."""
-    return float(np.abs(m - m.conj().T).max())
+    """Largest entrywise deviation between ``m`` and its adjoint, over the whole stack."""
+    return float(np.abs(m - adjoint(m)).max())
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate hermiticity and return the symmetrized matrix ``(m + m†)/2``."""
-    a = as_matrix(m)
+    """Validate hermiticity and return the symmetrized stack ``(m + m†)/2``."""
+    a = as_stack(m)
     defect = hermiticity_defect(a)
     if defect > tol:
         raise NotHermitianError(f"matrix deviates from its adjoint by {defect:.3e} (tol {tol:.1e})")
-    return (a + a.conj().T) / 2.0
+    return (a + adjoint(a)) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix, or of each matrix in a stack.
 
-    ``eigenvalues`` are real and sorted by descending absolute value (ties
-    broken by descending signed value, then LAPACK's ascending order);
-    ``eigenvectors`` holds the matching orthonormal columns.
+    ``eigenvalues`` (shape ``(..., d)``) are real and sorted by descending
+    absolute value (ties broken by descending signed value, then LAPACK's
+    ascending order); ``eigenvectors`` (shape ``(..., d, d)``) holds the
+    matching orthonormal columns.
     """
 
     eigenvalues: np.ndarray
@@ -68,29 +85,26 @@ class EigenDecomposition:
 
 
 def eigh(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
-    """Eigendecompose a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
+    """Eigendecompose a Hermitian matrix, or a ``(..., d, d)`` stack, with LAPACK.
 
-    Raises ``NotHermitianError`` when the input fails the hermiticity
-    tolerance, ``ValidationError`` for NaN or inf entries and
-    ``DimensionMismatchError`` above dimension 1024.
+    A stack gives, matrix by matrix, what single calls would.  Raises
+    ``NotHermitianError`` when any matrix fails the hermiticity tolerance,
+    ``ValidationError`` for NaN or inf entries and ``DimensionMismatchError``
+    above dimension 1024 (the matrix dimension; the stack may be any length).
     """
-    n = max(np.shape(m), default=0)
+    shape = np.shape(m)
+    n = shape[-1] if shape else 0
     if n > _MAX_DIM:
         raise DimensionMismatchError(f"dimension {n} exceeds the supported maximum {_MAX_DIM}")
     values, v = np.linalg.eigh(require_hermitian(m, tol))
-    order = sorted(range(len(values)), key=lambda i: (-abs(values[i]), -values[i], i))
-    return EigenDecomposition(eigenvalues=values[order], eigenvectors=v[:, order])
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor is the more significant one."""
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape[0] * bm.shape[0] > _MAX_KRON_DIM:
-        raise OverflowError(
-            f"Kronecker product dimension {am.shape[0] * bm.shape[0]} exceeds {_MAX_KRON_DIM}"
-        )
-    return np.kron(am, bm)
+    # lexsort is stable and its last key is the primary one.
+    order = np.lexsort((-values, -np.abs(values)), axis=-1)
+    # Gathered as rows and viewed transposed, so each eigenvector column is contiguous.
+    rows = np.take_along_axis(v.swapaxes(-1, -2), order[..., :, None], axis=-2)
+    return EigenDecomposition(
+        eigenvalues=np.take_along_axis(values, order, axis=-1),
+        eigenvectors=rows.swapaxes(-1, -2),
+    )
 
 
 def partial_trace(m: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
@@ -150,7 +164,7 @@ def clamp_psd(m: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def mat_sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
+    """Principal square root of a Hermitian PSD matrix, or of each matrix in a stack.
 
     Negative eigenvalues are clamped to zero first, so mildly indefinite
     inputs (finite-sample shadow reconstructions) are accepted.
@@ -158,5 +172,5 @@ def mat_sqrt_psd(m: np.ndarray) -> np.ndarray:
     decomp = eigh(m)
     roots = np.sqrt(np.maximum(decomp.eigenvalues, 0.0))
     v = decomp.eigenvectors
-    out = (v * roots) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    out = (v * roots[..., None, :]) @ adjoint(v)
+    return (out + adjoint(out)) / 2.0

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import CircuitSpecError, DimensionMismatchError, RecordError, ValidationError
-from .states import DensityOperator
+from .states import DensityOperator, require_physical
 
 RY = "ry"
 RZ = "rz"
@@ -272,34 +272,51 @@ _PAULIS = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+#: ``_PAULI_PRODUCTS[i, j] = P_i (x) P_j`` for the 16 two-qubit Pauli pairs.
+_PAULI_PRODUCTS = np.array([[np.kron(p, q) for q in _PAULIS] for p in _PAULIS])
 
 
 def perturb_state(rho0: DensityOperator, sigma: float, seed: int) -> DensityOperator:
     """Randomly perturb a 2-qubit state and project back to a physical one.
 
     Adds ``(1/2) sum_ij eta_ij P_i (x) P_j`` over all 16 two-qubit Pauli
-    pairs with ``eta_ij ~ N(0, sigma**2)`` i.i.d., then restores positivity
-    by replacing eigenvalues with their absolute values and renormalizing
-    the trace to 1.  ``sigma=0`` returns the input unchanged.
+    pairs with ``eta_ij ~ N(0, sigma**2)`` i.i.d. drawn from ``seed``, then
+    restores positivity by replacing eigenvalues with their absolute values
+    and renormalizing the trace to 1.  ``sigma=0`` returns the input
+    unchanged.  This is the one-seed case of the stacked model that
+    :func:`zecs.study.perturbation_study` runs for all trials at once.
     """
     if rho0.n_qubits != 2:
         raise DimensionMismatchError("perturbation model is defined for 2-qubit states")
+    (matrix,) = _perturb_stack(rho0.matrix, sigma, [seed])
+    if sigma == 0.0:
+        return rho0
+    return DensityOperator(n_qubits=2, matrix=matrix, validated=True)
+
+
+def _perturb_stack(rho0: np.ndarray, sigma: float, seeds: Sequence[int]) -> np.ndarray:
+    """The perturbation model of :func:`perturb_state` on a 4x4 matrix, once per seed.
+
+    Returns a ``(len(seeds), 4, 4)`` stack: entry t is what ``seeds[t]``
+    alone gives.  All perturbations come from one contraction with the Pauli
+    product table, and the |eigenvalue| repair is one stacked ``eigh``.  The
+    stack passes the trace and PSD checks of ``DensityOperator.from_matrix``
+    or raises its ``ValidationError``.
+    """
     if not 0.0 <= sigma <= 0.5:
         raise ValueError(f"sigma must lie in [0, 0.5], got {sigma}")
     if sigma == 0.0:
-        return rho0
-    rng = np.random.default_rng(seed)
-    eta = rng.normal(0.0, sigma, size=(4, 4))
-    perturbed = rho0.matrix.astype(complex).copy()
-    for i in range(4):
-        for j in range(4):
-            perturbed += 0.5 * eta[i, j] * linalg.kron(_PAULIS[i], _PAULIS[j])
+        return np.repeat(rho0[None], len(seeds), axis=0)
+    eta = np.stack([np.random.default_rng(int(s)).normal(0.0, sigma, size=(4, 4)) for s in seeds])
+    perturbed = rho0 + np.einsum("tij,ijab->tab", 0.5 * eta, _PAULI_PRODUCTS)
     decomp = linalg.eigh(perturbed)
     magnitudes = np.abs(decomp.eigenvalues)
+    weights = magnitudes / magnitudes.sum(axis=-1, keepdims=True)
     v = decomp.eigenvectors
-    out = (v * (magnitudes / magnitudes.sum())) @ v.conj().T
-    out = (out + out.conj().T) / 2.0
-    return DensityOperator.from_matrix(out, validate=True)
+    out = (v * weights[:, None, :]) @ linalg.adjoint(v)
+    out = (out + linalg.adjoint(out)) / 2.0
+    require_physical(out)
+    return out
 
 
 def random_su2_params(n_qubits: int, reps: int, seed: int) -> np.ndarray:

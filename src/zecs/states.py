@@ -7,6 +7,11 @@ Neumann entropy of a marginal (a Bell pair scores exactly 1).
 
 Shadow reconstructions are generally indefinite; metric functions clamp
 negative eigenvalues internally instead of rejecting such inputs.
+
+Trace distance, concurrence and the fidelity to a pure state each have one
+matrix-level kernel (``trace_distance_matrix``, ``concurrence_matrix``,
+``pure_fidelity_matrix``) that takes plain arrays or ``(..., d, d)`` stacks;
+the ``DensityOperator`` functions delegate to them.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ TRACE_TOL = 1e-8
 PSD_TOL = 1e-8
 _PURITY_TOL = 1e-10
 
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+#: The two-qubit spin flip ``X (x) X``: it reverses the computational basis.
+_SPIN_FLIP = np.eye(4, dtype=complex)[::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,12 +71,7 @@ class DensityOperator:
             raise DimensionMismatchError(f"dimension {m.shape[0]} is not a power of two")
         if not validate:
             return cls(n_qubits=n, matrix=m, validated=False)
-        trace = complex(np.trace(m))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace {trace:.6g} deviates from 1 beyond {TRACE_TOL:.1e}")
-        smallest = linalg.eigh(m).eigenvalues.min()
-        if smallest < -PSD_TOL:
-            raise ValidationError(f"minimum eigenvalue {smallest:.3e} below -{PSD_TOL:.1e}")
+        require_physical(m)
         return cls(n_qubits=n, matrix=m, validated=True)
 
     @classmethod
@@ -90,6 +91,22 @@ class DensityOperator:
         if self.validated or self.pure_vector is not None:
             return self.matrix, 0.0
         return linalg.clamp_psd(self.matrix)
+
+
+def require_physical(m: np.ndarray) -> None:
+    """Raise ``ValidationError`` unless each matrix of the stack is a density matrix.
+
+    Each matrix of the Hermitian ``(..., d, d)`` stack must have unit trace
+    within ``TRACE_TOL`` and no eigenvalue below ``-PSD_TOL``.
+    """
+    traces = np.atleast_1d(np.trace(m, axis1=-2, axis2=-1))
+    off = np.abs(traces - 1.0) > TRACE_TOL
+    if off.any():
+        trace = complex(traces[off][0])
+        raise ValidationError(f"trace {trace:.6g} deviates from 1 beyond {TRACE_TOL:.1e}")
+    smallest = linalg.eigh(m).eigenvalues.min()
+    if smallest < -PSD_TOL:
+        raise ValidationError(f"minimum eigenvalue {smallest:.3e} below -{PSD_TOL:.1e}")
 
 
 def _rank_one_vector(rho: DensityOperator, matrix: np.ndarray) -> np.ndarray | None:
@@ -120,41 +137,60 @@ def fidelity(a: DensityOperator, b: DensityOperator) -> float:
     bm, _ = b.clamped()
     vec_a = _rank_one_vector(a, am)
     if vec_a is not None:
-        return float(np.real(vec_a.conj() @ bm @ vec_a))
+        return float(pure_fidelity_matrix(vec_a, bm))
     vec_b = _rank_one_vector(b, bm)
     if vec_b is not None:
-        return float(np.real(vec_b.conj() @ am @ vec_b))
+        return float(pure_fidelity_matrix(vec_b, am))
     sqrt_a = linalg.mat_sqrt_psd(am)
     inner = sqrt_a @ bm @ sqrt_a
     roots = np.sqrt(np.maximum(linalg.eigh(inner).eigenvalues, 0.0))
     return float(roots.sum() ** 2)
 
 
+def pure_fidelity_matrix(psi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Fidelity ``<psi| m |psi>`` of PSD matrices ``m`` to pure states ``psi``.
+
+    ``psi`` is ``(..., d)`` and ``m`` is ``(..., d, d)``; leading axes broadcast.
+    """
+    return np.real(psi.conj()[..., None, :] @ m @ psi[..., :, None])[..., 0, 0]
+
+
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Half the trace norm of the difference of the two operators."""
     _check_same_dim(a, b)
-    values = linalg.eigh(a.matrix - b.matrix).eigenvalues
-    return float(np.abs(values).sum() / 2.0)
+    return float(trace_distance_matrix(a.matrix, b.matrix))
+
+
+def trace_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Half the trace norm of ``a - b``, matrix by matrix over ``(..., d, d)`` stacks."""
+    return np.abs(linalg.eigh(a - b).eigenvalues).sum(axis=-1) / 2.0
 
 
 def concurrence(rho: DensityOperator) -> float:
     """Two-qubit entanglement monotone from the spin-flipped R-matrix.
 
-    ``R = sqrt(sqrt(rho) rho~ sqrt(rho))`` with
-    ``rho~ = (X (x) X) conj(rho) (X (x) X)``; the result is
-    ``max(0, l0 - l1 - l2 - l3)`` over the descending eigenvalues of R.
+    Indefinite inputs are clamped to the PSD cone first; see
+    ``concurrence_matrix`` for the formula.
     """
     if rho.n_qubits != 2:
         raise DimensionMismatchError("concurrence is defined for exactly 2 qubits")
     m, _ = rho.clamped()
-    flip = linalg.kron(_SIGMA_X, _SIGMA_X)
-    flipped = flip @ m.conj() @ flip
+    return float(concurrence_matrix(m))
+
+
+def concurrence_matrix(m: np.ndarray) -> np.ndarray:
+    """Concurrence of each PSD two-qubit matrix in a ``(..., 4, 4)`` stack.
+
+    ``R = sqrt(sqrt(rho) rho~ sqrt(rho))`` with
+    ``rho~ = (X (x) X) conj(rho) (X (x) X)``; the result is
+    ``max(0, l0 - l1 - l2 - l3)`` over the descending eigenvalues of R.
+    """
+    flipped = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
     sqrt_m = linalg.mat_sqrt_psd(m)
     inner = sqrt_m @ flipped @ sqrt_m
     # R's eigenvalues are the square roots of inner's (inner is PSD up to noise).
-    lam = np.sqrt(np.maximum(linalg.eigh(inner).eigenvalues, 0.0))
-    lam = np.sort(lam)[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.sort(np.sqrt(np.maximum(linalg.eigh(inner).eigenvalues, 0.0)), axis=-1)
+    return np.maximum(0.0, lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0])
 
 
 def entanglement_entropy(rho: DensityOperator, subsystem_a: Sequence[int]) -> float:

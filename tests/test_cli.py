@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from zecs import cli, datasets, io
+from zecs.diagnostics import SubsystemSpec, resolve_reference
 from zecs.layout import heavy_hex_127
 
 
@@ -33,6 +35,15 @@ def test_simulate_then_reconstruct(tmp_path, capsys):
     assert reconstruct(tmp_path, stream) == 0
     report = io.read_report(tmp_path / "report.json")
     assert [row.qubits for row in report.subsystems] == [(0, 1)]
+
+
+def test_zero_policy_fills_both_pairs_of_a_pair_pair():
+    spec = SubsystemSpec("pair_pair", (0, 1, 3, 4))
+    references = cli._references_from_specs([spec], {}, "zero")
+    assert set(references) == {(0, 1), (3, 4)}
+    zero = np.zeros(16)
+    zero[0] = 1.0
+    assert np.array_equal(resolve_reference(spec, references).pure_vector, zero)
 
 
 def test_header_without_n_qubits_exits_2(tmp_path, capsys):

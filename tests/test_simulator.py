@@ -22,6 +22,7 @@ from zecs.simulator import (
     run,
     sample_shadow,
     _chain_rule_bits,
+    _perturb_stack,
     zero_state,
 )
 from zecs.states import DensityOperator
@@ -381,6 +382,25 @@ class TestPerturbState:
         a = perturb_state(bell, 0.2, seed=42)
         b = perturb_state(bell, 0.2, seed=42)
         assert np.array_equal(a.matrix, b.matrix)
+
+    def test_matches_pauli_sum_oracle(self, bell):
+        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                  np.diag([1.0, -1.0])]
+        for seed in range(10):
+            eta = np.random.default_rng(seed).normal(0.0, 0.4, size=(4, 4))
+            m = bell.matrix + sum(0.5 * eta[i, j] * np.kron(paulis[i], paulis[j])
+                                  for i in range(4) for j in range(4))
+            w, v = np.linalg.eigh(m)
+            expected = (v * (np.abs(w) / np.abs(w).sum())) @ v.conj().T
+            assert np.allclose(perturb_state(bell, 0.4, seed).matrix, expected, rtol=0, atol=1e-13)
+
+    def test_stack_matches_one_seed_calls(self, bell):
+        seeds = [3, 1 << 40, 2**63 - 2, 17]
+        stack = _perturb_stack(bell.matrix, 0.25, seeds)
+        assert stack.shape == (4, 4, 4)
+        for matrix, seed in zip(stack, seeds):
+            assert np.array_equal(matrix, perturb_state(bell, 0.25, seed).matrix)
+        assert np.array_equal(_perturb_stack(bell.matrix, 0.0, seeds), np.stack([bell.matrix] * 4))
 
 
 class TestRandomParams:

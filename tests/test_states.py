@@ -10,9 +10,13 @@ from zecs.errors import DimensionMismatchError, SubsystemError, ValidationError
 from zecs.states import (
     DensityOperator,
     concurrence,
+    concurrence_matrix,
     entanglement_entropy,
     fidelity,
+    pure_fidelity_matrix,
+    require_physical,
     trace_distance,
+    trace_distance_matrix,
 )
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -155,6 +159,43 @@ class TestTraceDistance:
             assert d <= math.sqrt(1 - f) + 1e-6
 
 
+class TestStackedKernels:
+    """Each matrix-level kernel on a stack equals the scalar function, matrix by matrix."""
+
+    @pytest.fixture
+    def states(self):
+        rng = np.random.default_rng(41)
+        return [random_density(rng, 2) for _ in range(5)] + [random_pure(rng, 2) for _ in range(3)]
+
+    def test_concurrence(self, states):
+        stack = np.stack([s.matrix for s in states])
+        assert np.array_equal(concurrence_matrix(stack), [concurrence(s) for s in states])
+
+    def test_trace_distance(self, states):
+        stack = np.stack([s.matrix for s in states])
+        ref = DensityOperator.from_pure(BELL)
+        got = trace_distance_matrix(stack, ref.matrix)
+        assert np.array_equal(got, [trace_distance(s, ref) for s in states])
+
+    def test_pure_fidelity(self, states):
+        stack = np.stack([s.matrix for s in states])
+        ref = DensityOperator.from_pure(BELL)
+        assert np.array_equal(pure_fidelity_matrix(BELL, stack), [fidelity(ref, s) for s in states])
+        vectors = np.stack([s.pure_vector for s in states[5:]])
+        assert np.array_equal(pure_fidelity_matrix(vectors, ref.matrix),
+                              [fidelity(s, ref) for s in states[5:]])
+
+    def test_require_physical_names_the_failure(self, states):
+        stack = np.stack([s.matrix for s in states])
+        require_physical(stack)
+        stack[6] *= 1.01
+        with pytest.raises(ValidationError, match="trace 1.01"):
+            require_physical(stack)
+        stack[6] = np.diag([1.1, -0.1, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="minimum eigenvalue -1.000e-01"):
+            require_physical(stack)
+
+
 class TestConcurrence:
     def test_bell_state_is_maximally_entangled(self):
         assert concurrence(DensityOperator.from_pure(BELL)) == pytest.approx(1.0, abs=1e-8)
@@ -216,7 +257,7 @@ class TestEntanglementEntropy:
     def test_invariant_under_local_unitary(self):
         rng = np.random.default_rng(10)
         rho = random_pure(rng, 2)
-        u = linalg.kron(random_unitary(rng, 2), np.eye(2))
+        u = np.kron(random_unitary(rng, 2), np.eye(2))
         rotated = DensityOperator.from_matrix(u @ rho.matrix @ u.conj().T)
         assert entanglement_entropy(rotated, [0]) == pytest.approx(
             entanglement_entropy(rho, [0]), abs=1e-6

@@ -3,11 +3,15 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zecs import cli, io
 from zecs.errors import ConfigError
-from zecs.study import perturbation_study
+from zecs.projection import zecs_project
+from zecs.simulator import perturb_state
+from zecs.states import concurrence, fidelity, trace_distance
+from zecs.study import bell_state, perturbation_study
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 SIGMAS = "0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5"
@@ -29,14 +33,53 @@ def max_abs_err(got, want, where=""):
     return 0.0
 
 
-def test_cli_output_matches_golden(tmp_path, capsys):
+def loop_study(sigma_grid, trials, seed):
+    """Reference study, one trial at a time: perturb_state -> zecs_project -> scalar metrics."""
+    ideal = bell_state()
+    master = np.random.default_rng(seed)
+    trial_seeds = master.integers(0, 2**63 - 1, size=(len(sigma_grid), trials))
+    rows = []
+    for i, sigma in enumerate(sigma_grid):
+        columns = {name: [] for name in (
+            "infidelity_raw", "infidelity_ze", "trace_distance_raw", "trace_distance_ze",
+            "concurrence_raw", "concurrence_ze")}
+        eigenvalues = np.zeros(4)
+        for t in range(trials):
+            rho = perturb_state(ideal, sigma, int(trial_seeds[i, t]))
+            result = zecs_project(rho)
+            ze = result.rho_zecs
+            columns["infidelity_raw"].append(1.0 - fidelity(rho, ideal))
+            columns["infidelity_ze"].append(1.0 - fidelity(ze, ideal))
+            columns["trace_distance_raw"].append(trace_distance(rho, ideal))
+            columns["trace_distance_ze"].append(trace_distance(ze, ideal))
+            columns["concurrence_raw"].append(concurrence(rho))
+            columns["concurrence_ze"].append(concurrence(ze))
+            eigenvalues += result.spectrum
+        row = {"sigma": sigma, "trials": trials}
+        for name, values in columns.items():
+            row[f"{name}_mean"] = float(np.mean(values))
+            row[f"{name}_std"] = float(np.std(values))
+        row["eigenvalue_means"] = list(eigenvalues / trials)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cli_output_matches_golden(tmp_path, capsys, seed):
     out = tmp_path / "study.json"
-    argv = ["perturb-study", "--sigmas", SIGMAS, "--trials", "100", "--seed", "0", "--out", str(out)]
+    argv = ["perturb-study", "--sigmas", SIGMAS, "--trials", "100", "--seed", str(seed),
+            "--out", str(out)]
     assert cli.main(argv) == 0
     got = json.loads(out.read_text())
-    want = json.loads((GOLDEN / "study_seed0.json").read_text())
+    want = json.loads((GOLDEN / f"study_seed{seed}.json").read_text())
     assert got["format"] == io.STUDY_FORMAT
     assert max_abs_err(got, want) <= GOLDEN_TOL
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_stacked_study_matches_trial_loop(seed):
+    sigmas = [0.0, 0.05, 0.5]
+    assert max_abs_err(perturbation_study(sigmas, 60, seed), loop_study(sigmas, 60, seed)) <= 1e-12
 
 
 def test_rows_carry_every_statistic():
