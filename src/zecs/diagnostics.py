@@ -1,21 +1,21 @@
 """Per-subsystem quality maps and the non-local correlation scanner.
 
-``build_report`` reconstructs each requested subsystem from a shared record
-stream, projects it to its dominant pure state, and scores it against an
-ideal reference: infidelity of the raw and projected reconstructions, trace
-distance, and (for 3- and 4-qubit subsystems) the entanglement entropy of
-the bipartition the subsystem kind defines.  Entropies are computed on the
+``build_report`` reconstructs each requested subsystem from one code matrix
+of a shared record stream, projects it to its dominant pure state, and scores
+it against an ideal reference: infidelity of the raw and projected
+reconstructions, trace distance, and (for 3- and 4-qubit subsystems) the
+entanglement entropy of the bipartition the subsystem kind defines.  Entropies are computed on the
 projected state, the only one for which bipartite entanglement entropy is a
 well-defined measure.
 
 ``nonlocal_scan`` reconstructs a target pair jointly with each candidate
-pair it shares no coupling with, and flags candidates whose cross-partition
-entropy sits two or more standard deviations above the candidate-pool mean.
+pair it shares no coupling with, from one code matrix, and flags candidates
+whose cross-partition entropy sits two or more standard deviations above the
+candidate-pool mean.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -105,10 +105,10 @@ class NonlocalResult:
     highest: bool
 
 
-def _check_coverage(records: Sequence[SnapshotRecord], qubits: Sequence[int]) -> None:
-    if not records:
+def _check_coverage(codes: np.ndarray, qubits: Sequence[int]) -> None:
+    if not len(codes):
         raise CoverageError("record stream is empty")
-    width = records[0].n_qubits
+    width = codes.shape[1]
     missing = [q for q in qubits if q < 0 or q >= width]
     if missing:
         raise CoverageError(f"records cover qubits 0..{width - 1}, need {missing}")
@@ -154,11 +154,11 @@ def resolve_reference(
 
 
 def _diagnose_one(
-    records: Sequence[SnapshotRecord],
+    codes: np.ndarray,
     spec: SubsystemSpec,
     reference: DensityOperator,
 ) -> SubsystemDiagnostics:
-    rho_cs = shadow.reconstruct(records, spec.qubits)
+    rho_cs = shadow.rho_cs(shadow.ShadowAccumulator(spec.qubits).add_codes(codes))
     _, clamp_magnitude = rho_cs.clamped()
     result = zecs_project(rho_cs)
     part_a = spec.partition_a()
@@ -210,13 +210,13 @@ def build_report(
     entropy_normalization: str = "per-kind",
 ) -> DiagnosticReport:
     """Reconstruct and score every subsystem against its ideal reference."""
-    records = list(records)
+    codes = shadow.outcome_codes(list(records))
     specs = list(subsystems)
     for spec in specs:
-        _check_coverage(records, spec.qubits)
+        _check_coverage(codes, spec.qubits)
     refs = [resolve_reference(spec, references) for spec in specs]
 
-    rows = [_diagnose_one(records, spec, ref) for spec, ref in zip(specs, refs)]
+    rows = [_diagnose_one(codes, spec, ref) for spec, ref in zip(specs, refs)]
     return DiagnosticReport(
         subsystems=normalize_entropies(rows, entropy_normalization),
         entropy_normalization=entropy_normalization,
@@ -276,8 +276,9 @@ def nonlocal_scan(
     """
     target_pairs = [_as_pair(t) for t in targets]
     candidate_pairs = [_as_pair(c) for c in candidates]
+    codes = shadow.outcome_codes(list(records))
     for pair in target_pairs + candidate_pairs:
-        _check_coverage(records, pair)
+        _check_coverage(codes, pair)
 
     results: list[NonlocalResult] = []
     for target in target_pairs:
@@ -297,7 +298,7 @@ def nonlocal_scan(
             )
         values = []
         for cand in pool:
-            joint = shadow.reconstruct(records, target + cand)
+            joint = shadow.rho_cs(shadow.ShadowAccumulator(target + cand).add_codes(codes))
             projected = zecs_project(joint).rho_zecs
             values.append((cand, entanglement_entropy(projected, (0, 1))))
         results.extend(score_candidates(target, values))

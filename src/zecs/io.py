@@ -163,8 +163,9 @@ def read_snapshots(
     """Parse a snapshot stream, returning internal-convention records.
 
     Malformed lines are rejected with their line number; nothing is returned
-    from a partially valid file.  ``endianness`` overrides the header (and is
-    required context for headerless files from other tools).
+    from a partially valid file.  A header may only be the first non-blank
+    line.  ``endianness`` overrides the header (and is required context for
+    headerless files from other tools).
     """
     text = _read_text(path, RecordError)
     records: list[SnapshotRecord] = []
@@ -180,6 +181,8 @@ def read_snapshots(
         if not isinstance(obj, dict):
             raise RecordError(f"{path}: line {lineno}: expected an object")
         if "format" in obj:
+            if n_qubits is not None:
+                raise RecordError(f"{path}: line {lineno}: a header must be the first non-blank line")
             if obj.get("format") != SNAPSHOT_FORMAT:
                 raise RecordError(f"{path}: line {lineno}: unknown format {obj.get('format')!r}")
             if obj.get("version") != FORMAT_VERSION:

@@ -17,7 +17,6 @@ finite: NaN and inf are rejected, not propagated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from string import ascii_letters
 from typing import Sequence
 
 import numpy as np
@@ -125,26 +124,11 @@ def partial_trace(m: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
         if not 0 <= q < n:
             raise IndexError(f"qubit index {q} out of range for {n} qubits")
 
-    if not keep:
-        return np.array([[np.trace(a)]], dtype=complex)
-
-    keep_set = set(keep)
-    row = {}
-    col = {}
-    symbols = iter(ascii_letters)
-    for q in range(n):
-        if q in keep_set:
-            row[q] = next(symbols)
-            col[q] = next(symbols)
-        else:
-            shared = next(symbols)
-            row[q] = shared
-            col[q] = shared
-    source = "".join(row[q] for q in range(n)) + "".join(col[q] for q in range(n))
-    target = "".join(row[q] for q in keep) + "".join(col[q] for q in keep)
-    reduced = np.einsum(f"{source}->{target}", a.reshape([2] * (2 * n)))
-    dim = 2 ** len(keep)
-    return reduced.reshape(dim, dim)
+    rest = [q for q in range(n) if q not in keep]
+    order = keep + rest
+    t = a.reshape([2] * (2 * n)).transpose(order + [n + q for q in order])
+    dk, dr = 2 ** len(keep), 2 ** len(rest)
+    return np.trace(t.reshape(dk, dr, dk, dr), axis1=1, axis2=3)
 
 
 def clamp_psd(m: np.ndarray) -> tuple[np.ndarray, float]:

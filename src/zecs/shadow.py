@@ -7,9 +7,10 @@ single-qubit factor has unit trace and eigenvalues {2, -1}; the mean is
 Hermitian with unit trace but generally indefinite.
 
 A k-qubit snapshot depends on the record only through its k local outcome
-codes ``2 * basis + bit``, so :meth:`ShadowAccumulator.add_many`, the one
-place records enter a sum, counts them into a ``6**k`` histogram and
-contracts each axis with the 6 x 2 x 2 factor table.  The work after
+codes ``2 * basis + bit``.  :func:`outcome_codes` encodes a stream once as a
+``uint8[N, width]`` matrix, and :meth:`ShadowAccumulator.add_codes`, the one
+place codes enter a sum, counts a subset's columns into a ``6**k`` histogram
+and contracts each axis with the 6 x 2 x 2 factor table.  The work after
 counting does not depend on the number of records; the histogram takes
 16 * 6**k bytes as complex (27 MB at k = 8).  The full-device operator is
 never formed.
@@ -52,10 +53,26 @@ _FACTORS = np.array(
     dtype=complex,
 )
 #: Local outcome code ``2 * basis + bit`` by character code, for rows of
-#: ``_FACTORS.reshape(6, 2, 2)``: basis letters give ``2 * basis``, bits give ``bit``.
-_CODE = np.zeros(128, dtype=np.intp)
+#: ``_FACTORS.reshape(6, 2, 2)``: basis letters give ``2 * basis``, bits give
+#: ``bit``, and the NUL that pads a short record in both strings gives 3, so a
+#: qubit the record does not cover reads 6.
+_CODE = np.zeros(128, dtype=np.uint8)
 _CODE[[ord(letter) for letter in BASIS_LETTERS]] = np.arange(0, 6, 2)
 _CODE[ord("1")] = 1
+_CODE[0] = 3
+
+
+def outcome_codes(records: Sequence[SnapshotRecord]) -> np.ndarray:
+    """Encode records as a ``uint8[N, width]`` matrix of codes ``2 * basis + bit``.
+
+    ``width`` is that of the widest record; the qubits a shorter record does
+    not cover read 6.  An empty stream gives a ``(0, 0)`` matrix.
+    """
+    if not records:
+        return np.zeros((0, 0), dtype=np.uint8)
+    chars = np.array([[r.bases for r in records], [r.bits for r in records]])
+    chars = chars.view(np.uint32).reshape(2, len(records), -1)
+    return _CODE[chars[0]] + _CODE[chars[1]]
 
 
 class ShadowAccumulator:
@@ -75,41 +92,40 @@ class ShadowAccumulator:
         self.sum_matrix = np.zeros((dim, dim), dtype=complex)
 
     def add_many(self, records: Iterable[SnapshotRecord]) -> "ShadowAccumulator":
-        """Absorb a batch of records through a histogram of their local outcomes.
+        """Absorb a batch of records: :meth:`add_codes` of their :func:`outcome_codes`."""
+        return self.add_codes(outcome_codes(list(records)))
 
-        Each record's subset columns become codes ``2 * basis + bit`` in 0..5;
-        the records are counted into a ``6**k`` histogram (16 * 6**k bytes as
-        complex, 27 MB at k = 8), and each of its k axes is contracted with
-        the 6 x 2 x 2 factor table.  The row and column axes are then
-        interleaved into the ``2**k x 2**k`` sum, which is exact while
-        ``count * 4**k < 2**52``.  Every record must cover every subset
-        qubit, else ``CoverageError``.
+    def add_codes(self, codes: np.ndarray) -> "ShadowAccumulator":
+        """Absorb the rows of an :func:`outcome_codes` matrix through a histogram.
+
+        The subset's columns of each row are counted into a ``6**k``
+        histogram (16 * 6**k bytes as complex, 27 MB at k = 8), and each of
+        its k axes is contracted with the 6 x 2 x 2 factor table.  The row
+        and column axes are then interleaved into the ``2**k x 2**k`` sum,
+        which is exact while ``count * 4**k < 2**52``.  Every row must cover
+        every subset qubit, else ``CoverageError`` and nothing is absorbed.
         """
-        records = list(records)
-        if not records:
+        n_rows, width = codes.shape
+        if not n_rows:
             return self
         subset = list(self.qubit_subset)
         k = len(subset)
-        bases = np.array([r.bases for r in records])
-        width = bases.dtype.itemsize // 4
         if min(subset) < 0 or max(subset) >= width:
             raise CoverageError(f"records cover qubits 0..{width - 1}, subset asks for {subset}")
-        bases = bases.view(np.uint32).reshape(len(records), width)[:, subset]
-        if not bases.all():
-            row = int(np.flatnonzero(~bases.all(axis=1))[0])
+        local = codes[:, subset]
+        if local.max() > 5:
+            row = int(np.flatnonzero(local.max(axis=1) > 5)[0])
+            covered = np.count_nonzero(codes[row] < 6)
             raise CoverageError(
-                f"record {row} covers qubits 0..{records[row].n_qubits - 1}, "
-                f"subset asks for {subset}"
+                f"record {row} covers qubits 0..{covered - 1}, subset asks for {subset}"
             )
-        bits = np.array([r.bits for r in records]).view(np.uint32).reshape(len(records), width)
-        codes = _CODE[bases] + _CODE[bits[:, subset]]
-        hist = np.bincount(np.ravel_multi_index(codes.T, (6,) * k), minlength=6**k)
+        hist = np.bincount(np.ravel_multi_index(local.T, (6,) * k), minlength=6**k)
         tensor = hist.astype(complex).reshape((6,) * k)
         for _ in range(k):
             tensor = np.tensordot(tensor, _FACTORS.reshape(6, 2, 2), axes=(0, 0))
         rows_then_cols = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
         self.sum_matrix += tensor.transpose(rows_then_cols).reshape(2**k, 2**k)
-        self.count += len(records)
+        self.count += n_rows
         return self
 
 

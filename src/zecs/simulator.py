@@ -77,16 +77,6 @@ class Circuit:
                 raise CircuitSpecError(f"unknown gate kind {g.kind!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
 
-    def inverse(self) -> "Circuit":
-        """Reversed gate order with negated rotation angles."""
-        inv = []
-        for g in reversed(self.gates):
-            if g.kind == CNOT:
-                inv.append(g)
-            else:
-                inv.append(Gate(g.kind, g.target, angle=-g.angle))
-        return Circuit(self.n_qubits, tuple(inv))
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:

@@ -29,7 +29,7 @@ from zecs.errors import (
 )
 from zecs.layout import DeviceLayout
 from zecs.projection import zecs_project
-from zecs.simulator import CNOT, RY, Circuit, Gate, StateVector, sample_shadow
+from zecs.simulator import CNOT, RY, Circuit, Gate, SnapshotRecord, StateVector, sample_shadow
 from zecs.states import DensityOperator, entanglement_entropy, fidelity, trace_distance
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -46,6 +46,20 @@ def kron_all(*vectors):
 
 def pure(vec):
     return DensityOperator.from_pure(vec)
+
+
+@pytest.fixture
+def encode_calls(monkeypatch):
+    """Record the stream length of every ``shadow.outcome_codes`` call."""
+    calls = []
+    encode = shadow.outcome_codes
+
+    def counted(records):
+        calls.append(len(records))
+        return encode(records)
+
+    monkeypatch.setattr(shadow, "outcome_codes", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +225,15 @@ class TestBuildReport:
         for row in rows[2:]:
             assert row.s_ab_normalized == row.s_ab / peak
 
+    def test_stream_is_encoded_once(self, six_qubit_records, references, encode_calls):
+        build_report(six_qubit_records, self.SPECS, references)
+        assert encode_calls == [len(six_qubit_records)]
+
+    def test_ragged_stream_names_the_short_record(self, six_qubit_records, references):
+        records = list(six_qubit_records[:5]) + [SnapshotRecord("XYZ", "010")]
+        with pytest.raises(CoverageError, match=r"^record 5 covers qubits 0\.\.2, subset asks"):
+            build_report(records, self.SPECS[:2], references)
+
     def test_uncovered_qubit(self, six_qubit_records, references):
         with pytest.raises(CoverageError):
             build_report(six_qubit_records, [SubsystemSpec(PAIR, (5, 6))], references)
@@ -277,6 +300,12 @@ class TestNonlocalScan:
             values.append((cand, entanglement_entropy(joint, (0, 1))))
         expected = score_candidates((0, 1), values)
         assert nonlocal_scan(records, [(0, 1)], self.CANDIDATES, self.LINE) == expected
+
+    def test_stream_is_encoded_once(self, records, encode_calls):
+        # (8, 9) keeps (1, 2)..(5, 6) in its pool: two targets, one encoding.
+        results = nonlocal_scan(records, [(0, 1), (8, 9)], self.CANDIDATES, self.LINE)
+        assert {r.target for r in results} == {(0, 1), (8, 9)}
+        assert encode_calls == [len(records)]
 
     def test_conflicting_candidate_rejected_without_auto_exclude(self, records):
         with pytest.raises(AdjacencyError):

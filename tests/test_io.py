@@ -54,6 +54,34 @@ class TestReadSnapshots:
         with pytest.raises(RecordError, match="line 2: record width 2 != expected 3"):
             io.read_snapshots(path)
 
+    @pytest.mark.parametrize(
+        "lines, bad_line",
+        [
+            # One stream read in two bit orders: the same record before and after.
+            (['{"bases": "XYZ", "bits": "001"}', "HEADER 3 q0-rightmost",
+              '{"bases": "XYZ", "bits": "001"}'], 2),
+            # A width-3 record, then a header that declares 5 qubits.
+            (['{"bases": "XYZ", "bits": "001"}', "HEADER 5 q0-leftmost",
+              '{"bases": "XYZXY", "bits": "00101"}'], 2),
+            # A second header, after a blank line.
+            (["HEADER 3 q0-leftmost", '{"bases": "XYZ", "bits": "001"}', "",
+              "HEADER 3 q0-leftmost"], 4),
+        ],
+    )
+    def test_header_only_on_the_first_line(self, tmp_path, lines, bad_line):
+        text = ""
+        for line in lines:
+            if line.startswith("HEADER"):
+                _, n, endianness = line.split()
+                line = json.dumps(io.snapshot_header(int(n), endianness))
+            text += line + "\n"
+        path = tmp_path / "snapshots.jsonl"
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(
+            RecordError, match=rf"snapshots\.jsonl: line {bad_line}: a header must be the first"
+        ):
+            io.read_snapshots(path)
+
 
 class TestGoldenRoundTrips:
     def test_report(self):

@@ -3,8 +3,8 @@
 The central oracle: averaging inverted snapshots over every basis string and
 outcome, weighted by the exact Born probabilities, must reproduce the input
 state to machine precision (the inverted channel is unbiased).  The
-histogram kernel in ``ShadowAccumulator.add_many`` is checked bit for bit
-against a per-record Kronecker-product oracle.
+histogram kernel ``ShadowAccumulator.add_codes`` is checked bit for bit
+against a per-record Kronecker-product oracle, through ``add_many``.
 """
 
 import functools
@@ -21,7 +21,14 @@ from zecs.errors import (
     MergeError,
     SubsystemError,
 )
-from zecs.shadow import _FACTORS, ShadowAccumulator, merge, reconstruct, rho_cs
+from zecs.shadow import (
+    _FACTORS,
+    ShadowAccumulator,
+    merge,
+    outcome_codes,
+    reconstruct,
+    rho_cs,
+)
 from zecs.simulator import BASIS_ROTATIONS, SnapshotRecord, StateVector, sample_shadow
 
 
@@ -182,7 +189,9 @@ class TestHistogramKernel:
             SnapshotRecord(bases="YYYY", bits="1111"),
         ]
         acc = ShadowAccumulator([0, 3])
-        with pytest.raises(CoverageError):
+        with pytest.raises(
+            CoverageError, match=r"^record 2 covers qubits 0\.\.1, subset asks for \[0, 3\]$"
+        ):
             acc.add_many(records)
         assert acc.count == 0
         assert not acc.sum_matrix.any()
@@ -191,6 +200,34 @@ class TestHistogramKernel:
         acc = ShadowAccumulator([0, 1]).add_many([])
         assert acc.count == 0
         assert not acc.sum_matrix.any()
+
+
+class TestCodeMatrix:
+    def test_codes_are_two_basis_plus_bit(self):
+        codes = outcome_codes([SnapshotRecord("XYZ", "011"), SnapshotRecord("ZX", "10")])
+        assert codes.dtype == np.uint8
+        # The short record's uncovered qubit reads 6.
+        assert codes.tolist() == [[0, 3, 5], [5, 0, 6]]
+        assert outcome_codes([]).shape == (0, 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_add_many_equals_add_codes_and_sharded_merge(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        records = random_records(rng, int(rng.integers(1, 400)), 9)
+        codes = outcome_codes(records)
+        for k in range(1, 6):
+            subset = [int(q) for q in rng.permutation(9)[:k]]
+            by_records = ShadowAccumulator(subset).add_many(records)
+            by_codes = ShadowAccumulator(subset).add_codes(codes)
+            assert by_codes.count == by_records.count == len(records)
+            assert np.array_equal(by_codes.sum_matrix, by_records.sum_matrix)
+            cut = int(rng.integers(0, len(records) + 1))
+            sharded = merge(
+                ShadowAccumulator(subset).add_codes(codes[:cut]),
+                ShadowAccumulator(subset).add_many(records[cut:]),
+            )
+            assert sharded.count == by_records.count
+            assert np.array_equal(sharded.sum_matrix, by_records.sum_matrix)
 
 
 class TestUnbiasedness:
