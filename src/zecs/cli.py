@@ -5,6 +5,10 @@ Subcommands: ``simulate`` (sample a snapshot stream from a circuit),
 chain from a report), ``nonlocal`` (non-local correlation scan), and
 ``perturb-study`` (the Bell-perturbation recovery table).  Every command is
 deterministic given its arguments and seed.
+
+``route`` runs on the stored report alone and imports no NumPy; ``simulate``,
+``reconstruct``, ``nonlocal`` and ``perturb-study`` import the numeric layers
+(``simulator``, ``diagnostics``, ``study``) when they run.
 """
 
 from __future__ import annotations
@@ -14,12 +18,9 @@ import sys
 from pathlib import Path
 
 from . import io
-from .diagnostics import PAIR_PAIR, build_report, nonlocal_scan, score_candidates
 from .errors import ConfigError, ZecsError
+from .report import PAIR_PAIR
 from .routing import best_chain, edge_scores_from_report
-from .simulator import run, sample_shadow, zero_state
-from .states import DensityOperator
-from .study import perturbation_study
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
@@ -55,6 +56,8 @@ def _load_circuit(args) -> tuple:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import run, sample_shadow
+
     if args.snapshots < 1:
         raise ConfigError(f"--snapshots must be >= 1, got {args.snapshots}")
     circuit, circuit_id = _load_circuit(args)
@@ -66,6 +69,8 @@ def cmd_simulate(args) -> int:
 
 
 def _references_from_specs(specs, circuits, policy: str):
+    from .simulator import run, zero_state
+
     references = {key: run(circuit).to_density() for key, circuit in circuits.items()}
     if policy == "zero":
         for spec in specs:
@@ -82,6 +87,8 @@ def _references_from_specs(specs, circuits, policy: str):
 
 
 def cmd_reconstruct(args) -> int:
+    from .diagnostics import build_report
+
     records, _ = io.read_snapshots(args.snapshots, endianness=args.endianness)
     specs, circuits = io.read_subsystems(args.subsystems)
     references = _references_from_specs(specs, circuits, args.ref_policy)
@@ -108,6 +115,8 @@ def cmd_route(args) -> int:
 
 
 def cmd_nonlocal(args) -> int:
+    from .diagnostics import nonlocal_scan, score_candidates
+
     if args.values:
         results = score_candidates(*io.read_nonlocal_values(args.values))
     else:
@@ -130,6 +139,8 @@ def cmd_nonlocal(args) -> int:
 
 
 def cmd_perturb_study(args) -> int:
+    from .study import perturbation_study
+
     sigmas = [float(s) for s in args.sigmas.split(",") if s.strip()]
     rows = perturbation_study(sigmas, args.trials, args.seed)
     io.write_canonical(args.out, {"format": io.STUDY_FORMAT, "rows": rows, "version": 1})

@@ -12,9 +12,12 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .diagnostics import DiagnosticReport
+# perfbench/tracer.py looks every layer up in sys.modules after importing zecs,
+# zecs.cli and zecs.datasets; the CLI itself loads diagnostics and study on demand.
+from . import diagnostics, study  # noqa: F401  (kept loaded for perfbench/tracer.py)
 from .io import layout_from_obj, nonlocal_values_from_obj, report_from_obj
 from .layout import DeviceLayout
+from .report import DiagnosticReport
 
 
 def _load(name: str):

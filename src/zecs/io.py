@@ -8,22 +8,27 @@ Snapshot streams are JSON lines with an optional header line; the header
 pins the qubit count and the bit-string endianness.  The internal
 convention is ``q0-leftmost`` (qubit 0 is the leftmost character and the
 most significant bit); ``q0-rightmost`` input is reversed on ingestion.
+
+Reports, layouts, chains, scans and canonical JSON need no NumPy, so the
+``route`` command loads none; ``read_snapshots`` and ``circuit_from_obj``
+import the ``simulator`` layer when they build records and circuits.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
-from .diagnostics import DiagnosticReport, NonlocalResult, SubsystemDiagnostics, SubsystemSpec
 from .errors import ConfigError, RecordError, ZecsError
 from .layout import DeviceLayout
+from .report import DiagnosticReport, NonlocalResult, SubsystemDiagnostics, SubsystemSpec
 from .routing import ChainSolution
-from .simulator import Circuit, Gate, SnapshotRecord, build_efficient_su2, random_su2_params
+
+if TYPE_CHECKING:
+    from .simulator import Circuit, SnapshotRecord
 
 SNAPSHOT_FORMAT = "zecs-snapshots"
 REPORT_FORMAT = "zecs-report"
@@ -43,11 +48,11 @@ Q0_RIGHTMOST = "q0-rightmost"
 def _canonical(obj) -> str:
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         value = float(obj)
         if not math.isfinite(value):
             raise ValueError(f"non-finite float {value} cannot be serialized")
@@ -59,7 +64,7 @@ def _canonical(obj) -> str:
         return json.dumps(obj, ensure_ascii=True)
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_canonical(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):  # NumPy scalars and arrays, as Python values
         return _canonical(obj.tolist())
     if isinstance(obj, dict):
         parts = []
@@ -106,7 +111,7 @@ def _read_object(path: str | Path, from_obj, what: str):
         return from_obj(obj)
     except KeyError as exc:
         raise ConfigError(f"{path}: {what}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError, ZecsError) as exc:
+    except (TypeError, ValueError, OverflowError, ZecsError) as exc:
         raise ConfigError(f"{path}: {what}: {exc}") from None
 
 
@@ -124,9 +129,7 @@ def snapshot_header(n_qubits: int, endianness: str = Q0_LEFTMOST) -> dict:
 
 
 def _reverse_record(record: SnapshotRecord) -> SnapshotRecord:
-    return SnapshotRecord(
-        bases=record.bases[::-1], bits=record.bits[::-1], circuit_id=record.circuit_id
-    )
+    return replace(record, bases=record.bases[::-1], bits=record.bits[::-1])
 
 
 def write_snapshots(
@@ -167,6 +170,8 @@ def read_snapshots(
     line.  ``endianness`` overrides the header (and is required context for
     headerless files from other tools).
     """
+    from .simulator import SnapshotRecord
+
     text = _read_text(path, RecordError)
     records: list[SnapshotRecord] = []
     file_endianness = endianness
@@ -251,6 +256,12 @@ def report_to_obj(report: DiagnosticReport) -> dict:
     }
 
 
+def _require_finite(value: float, what: str) -> None:
+    """Reject NaN and infinities (JSON ``NaN``, ``Infinity``, ``1e400``) in an input file."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+
+
 _REPORT_NUMBERS = (
     "infidelity_cs",
     "infidelity_zecs",
@@ -270,8 +281,11 @@ def report_from_obj(obj: dict) -> DiagnosticReport:
             raise TypeError(f"row {index} is not an object")
         numbers = {key: raw.get(key) for key in _REPORT_NUMBERS}
         for key, value in numbers.items():
-            if value is not None and (type(value) is bool or not isinstance(value, (int, float))):
+            if value is None:
+                continue
+            if type(value) is bool or not isinstance(value, (int, float)):
                 raise TypeError(f"row {index}: {key} must be a number or null, got {value!r}")
+            _require_finite(value, f"row {index}: {key}")
         spec = SubsystemSpec(kind=raw["kind"], qubits=tuple(raw["qubits"]))
         rows.append(
             SubsystemDiagnostics(
@@ -323,9 +337,11 @@ NonlocalValues = tuple[tuple[int, ...], list[tuple[tuple[int, ...], float]]]
 
 def nonlocal_values_from_obj(obj: dict) -> NonlocalValues:
     target = tuple(int(q) for q in obj["target"])
-    values = [
-        (tuple(int(q) for q in row["candidate"]), float(row["s_ij"])) for row in obj["pairs"]
-    ]
+    values = []
+    for index, row in enumerate(obj["pairs"]):
+        s_ij = float(row["s_ij"])
+        _require_finite(s_ij, f"row {index}: s_ij")
+        values.append((tuple(int(q) for q in row["candidate"]), s_ij))
     return target, values
 
 
@@ -382,6 +398,8 @@ def circuit_from_obj(obj: dict) -> Circuit:
     Either a layered ansatz (``kind: efficient_su2`` with explicit ``params``
     or a ``param_seed``) or an explicit gate list (``kind: gates``).
     """
+    from .simulator import Circuit, Gate, build_efficient_su2, random_su2_params
+
     kind = obj.get("kind")
     if kind == "efficient_su2":
         n = int(obj["n_qubits"])
@@ -413,7 +431,7 @@ def read_circuit(path: str | Path) -> Circuit:
 
 
 #: Subsystem specs and the reference circuits given inline for some of them.
-Subsystems = tuple[list[SubsystemSpec], dict[tuple[int, ...], Circuit]]
+Subsystems = tuple[list[SubsystemSpec], dict[tuple[int, ...], "Circuit"]]
 
 
 def subsystems_from_obj(obj: dict) -> Subsystems:

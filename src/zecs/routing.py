@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .diagnostics import PAIR, DiagnosticReport
 from .errors import ConfigError, PathError, SearchBudgetError, UnscoredEdgeError
 from .layout import DeviceLayout, normalize_edge
+from .report import PAIR, DiagnosticReport
 
 _EPS = 1e-12
 
@@ -38,7 +38,7 @@ class EdgeScore:
         object.__setattr__(self, "pair", normalize_edge(*self.pair))
         if not 0.0 <= self.fidelity <= 1.0:
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
-        if self.s_ij < 0.0:
+        if not self.s_ij >= 0.0:
             raise ValueError(f"s_ij {self.s_ij} must be non-negative")
 
     def cost(self, weight_w: float) -> float:

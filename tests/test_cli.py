@@ -1,13 +1,19 @@
 """Tests for the command-line surface: exit codes and error messages."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zecs
 from zecs import cli, datasets, io
-from zecs.diagnostics import SubsystemSpec, resolve_reference
+from zecs.diagnostics import resolve_reference
 from zecs.layout import heavy_hex_127
+from zecs.report import SubsystemSpec
 
 
 def subsystems_file(tmp_path):
@@ -135,6 +141,35 @@ def test_layout_with_bad_edge_exits_2(tmp_path, capsys):
     assert "layout.json: layout: " in capsys.readouterr().err
 
 
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400"]
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+@pytest.mark.parametrize("row, key", [(107, "s_ab"), (0, "infidelity_zecs")])
+def test_non_finite_report_value_exits_2(tmp_path, capsys, literal, row, key):
+    obj = io.report_to_obj(datasets.brisbane_report())
+    obj["subsystems"][row][key] = "PLACEHOLDER"
+    report, layout = route_files(tmp_path, report_obj=obj)
+    report.write_text(report.read_text().replace('"PLACEHOLDER"', literal))
+    assert route(report, layout) == 2
+    assert f"report.json: report: row {row}: {key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "chain.json").exists()
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_non_finite_scan_value_exits_2(tmp_path, capsys, literal):
+    target, values = datasets.brisbane_nonlocal_values()
+    rows = [{"candidate": list(c), "s_ij": s} for c, s in values]
+    rows[5]["s_ij"] = "PLACEHOLDER"
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps({"pairs": rows, "target": list(target)}).replace(
+        '"PLACEHOLDER"', literal))
+    out = tmp_path / "scan.json"
+    assert cli.main(["nonlocal", "--values", str(path), "--out", str(out)]) == 2
+    assert "values.json: values: row 5: s_ij must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
 def test_non_finite_weight_exits_2(tmp_path, capsys, weight):
     assert route(*route_files(tmp_path), f"--weight={weight}") == 2
@@ -243,3 +278,43 @@ def test_circuit_missing_key_exits_2(tmp_path, capsys, obj, key):
             "--out", str(tmp_path / "s.jsonl")]
     assert cli.main(argv) == 2
     assert f"circuit.json: circuit: missing key {key!r}" in capsys.readouterr().err
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(zecs.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_route_loads_no_numpy(tmp_path):
+    """``import zecs``, ``import zecs.cli`` and a whole ``route`` run leave NumPy unloaded."""
+    report, layout = route_files(tmp_path)
+    out = tmp_path / "chain.json"
+    run_python(
+        "import sys\n"
+        "import zecs, zecs.cli\n"
+        "argv = ['route', '--report', sys.argv[1], '--layout', sys.argv[2],\n"
+        "        '--length', '20', '--out', sys.argv[3]]\n"
+        "assert zecs.cli.main(argv) == 0\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)[:5]\n",
+        report, layout, out,
+    )
+    assert json.loads(out.read_text())["cost"] == pytest.approx(0.757)
+
+
+#: Layer modules perfbench/tracer.py looks up in sys.modules after its imports.
+TRACED_LAYERS = ["io", "simulator", "shadow", "linalg", "projection", "states",
+                 "diagnostics", "routing", "study"]
+
+
+def test_tracer_imports_load_every_layer():
+    run_python(
+        "import sys\n"
+        "import zecs, zecs.cli, zecs.datasets\n"
+        f"missing = [m for m in {TRACED_LAYERS!r} if 'zecs.' + m not in sys.modules]\n"
+        "assert not missing, missing\n"
+    )

@@ -8,11 +8,6 @@ import pytest
 from zecs import cli, shadow
 from zecs.diagnostics import (
     FLAG_ZSCORE,
-    PAIR,
-    PAIR_PAIR,
-    PAIR_PLUS_IDLE,
-    SubsystemDiagnostics,
-    SubsystemSpec,
     build_report,
     nonlocal_scan,
     normalize_entropies,
@@ -29,6 +24,7 @@ from zecs.errors import (
 )
 from zecs.layout import DeviceLayout
 from zecs.projection import zecs_project
+from zecs.report import PAIR, PAIR_PAIR, PAIR_PLUS_IDLE, SubsystemDiagnostics, SubsystemSpec
 from zecs.simulator import CNOT, RY, Circuit, Gate, SnapshotRecord, StateVector, sample_shadow
 from zecs.states import DensityOperator, entanglement_entropy, fidelity, trace_distance
 

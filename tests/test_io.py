@@ -6,6 +6,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zecs import datasets, io
@@ -81,6 +82,29 @@ class TestReadSnapshots:
             RecordError, match=rf"snapshots\.jsonl: line {bad_line}: a header must be the first"
         ):
             io.read_snapshots(path)
+
+
+def test_canonical_numpy_values_match_python_values():
+    as_numpy = {
+        "bools": [np.bool_(True), np.bool_(False)],
+        "int": np.int64(-7),
+        "single": np.float32(0.1),
+        "double": np.float64(1 / 3),
+        "matrix": np.array([[0.5, -2.0], [3.0, 1e-300]]),
+        "counts": np.array([[1, 2], [3, 4]], dtype=np.int64),
+    }
+    as_python = {
+        "bools": [True, False],
+        "int": -7,
+        "single": 0.10000000149011612,
+        "double": 1 / 3,
+        "matrix": [[0.5, -2.0], [3.0, 1e-300]],
+        "counts": [[1, 2], [3, 4]],
+    }
+    assert io.canonical_dumps(as_numpy) == io.canonical_dumps(as_python)
+    for value in (np.float64("nan"), np.float32("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            io.canonical_dumps(value)
 
 
 class TestGoldenRoundTrips:

@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 
 from zecs import datasets
-from zecs.diagnostics import (
-    PAIR,
-    PAIR_PAIR,
-    PAIR_PLUS_IDLE,
-    DiagnosticReport,
-    SubsystemDiagnostics,
-)
 from zecs.errors import ConfigError, PathError, SearchBudgetError
 from zecs.layout import DeviceLayout, normalize_edge
+from zecs.report import PAIR, PAIR_PAIR, PAIR_PLUS_IDLE, DiagnosticReport, SubsystemDiagnostics
 from zecs.routing import (
     EdgeScore,
     _scored_adjacency,
@@ -180,6 +174,15 @@ def test_non_finite_weight_rejected(weight):
     layout, scores = random_instance(0, grid=False)
     with pytest.raises(ConfigError, match="entropy weight must be finite"):
         best_chain(layout, scores, 3, weight)
+
+
+@pytest.mark.parametrize(
+    "fidelity, s_ij",
+    [(-0.1, 0.0), (1.5, 0.0), (float("nan"), 0.0), (0.9, -1.0), (0.9, float("nan"))],
+)
+def test_edge_score_rejects_out_of_range_values(fidelity, s_ij):
+    with pytest.raises(ValueError):
+        EdgeScore(pair=(0, 1), fidelity=fidelity, s_ij=s_ij)
 
 
 class TestNodeBudget:

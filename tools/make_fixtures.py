@@ -21,15 +21,15 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from zecs import io  # noqa: E402
-from zecs.diagnostics import (  # noqa: E402
+from zecs.diagnostics import normalize_entropies  # noqa: E402
+from zecs.layout import heavy_hex_127  # noqa: E402
+from zecs.report import (  # noqa: E402
     PAIR,
     PAIR_PAIR,
     PAIR_PLUS_IDLE,
     DiagnosticReport,
     SubsystemDiagnostics,
-    normalize_entropies,
 )
-from zecs.layout import heavy_hex_127  # noqa: E402
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "zecs" / "data"
 
