@@ -2,16 +2,22 @@
 
 ``build_report`` reconstructs each requested subsystem from one code matrix
 of a shared record stream, projects it to its dominant pure state, and scores
-it against an ideal reference: infidelity of the raw and projected
+it against its ideal pure reference: infidelity of the raw and projected
 reconstructions, trace distance, and (for 3- and 4-qubit subsystems) the
-entanglement entropy of the bipartition the subsystem kind defines.  Entropies are computed on the
-projected state, the only one for which bipartite entanglement entropy is a
-well-defined measure.
+entanglement entropy of the bipartition the subsystem kind defines, computed
+on the projected state, the only one for which bipartite entanglement entropy
+is a well-defined measure.  ``infidelity_zecs`` lies in [0, 1] up to rounding.
+``infidelity_cs`` scores the raw reconstruction clamped to the PSD cone and
+not renormalized, so it can fall below 0 by the clamped-away magnitude:
+``clamp_magnitude`` plus the negatives within ``CLAMP_TOL`` that it ignores.
 
 ``nonlocal_scan`` reconstructs a target pair jointly with each candidate
 pair it shares no coupling with, from one code matrix, and flags candidates
 whose cross-partition entropy sits two or more standard deviations above the
 candidate-pool mean.
+
+Both decompose the stacked reconstructions of one kind (of one target) with
+one ``linalg.eigh`` call and score them with the matrix kernels of ``states``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import shadow
+from . import linalg, shadow, states
 from .errors import (
     AdjacencyError,
     CoverageError,
@@ -30,17 +36,17 @@ from .errors import (
     SubsystemError,
 )
 from .layout import DeviceLayout
-from .projection import zecs_project
+from .projection import project_spectra
 from .report import (
     PAIR,
-    PAIR_PLUS_IDLE,
+    PAIR_PAIR,
     DiagnosticReport,
     NonlocalResult,
     SubsystemDiagnostics,
     SubsystemSpec,
 )
 from .simulator import SnapshotRecord
-from .states import DensityOperator, entanglement_entropy, fidelity, trace_distance
+from .states import DensityOperator
 
 #: Candidates at or above this z-score are flagged as non-locally correlated.
 FLAG_ZSCORE = 2.0
@@ -58,65 +64,58 @@ def _check_coverage(codes: np.ndarray, qubits: Sequence[int]) -> None:
 def resolve_reference(
     spec: SubsystemSpec, references: Mapping[tuple[int, ...], DensityOperator]
 ) -> DensityOperator:
-    """Ideal state for a subsystem.
+    """Ideal pure state for a subsystem.
 
-    An exact entry for the full qubit tuple wins; otherwise the reference is
-    composed from per-pair entries, with idle qubits in |0>.
+    An exact entry for the full qubit tuple wins; otherwise the state is the
+    product of the per-pair entries, with idle qubits in |0>.  A missing
+    entry, or one that is not a pure state with its vector, raises
+    ``MissingReferenceError``.
     """
     exact = references.get(spec.qubits)
     if exact is not None:
-        return exact
-    first = references.get(spec.qubits[:2])
-    if first is None:
-        raise MissingReferenceError(f"no reference state for pair {spec.qubits[:2]}")
+        return _pure(exact, spec.qubits)
+    pairs = [spec.qubits[:2], spec.qubits[2:]] if spec.kind == PAIR_PAIR else [spec.qubits[:2]]
+    refs = [_pure(references.get(pair), pair) for pair in pairs]
     if spec.kind == PAIR:
-        return first
-    if spec.kind == PAIR_PLUS_IDLE:
-        idle = np.zeros((2, 2), dtype=complex)
-        idle[0, 0] = 1.0
-        matrix = np.kron(first.matrix, idle)
-    else:
-        second = references.get(spec.qubits[2:])
-        if second is None:
-            raise MissingReferenceError(f"no reference state for pair {spec.qubits[2:]}")
-        matrix = np.kron(first.matrix, second.matrix)
-    vec = None
-    if first.pure_vector is not None:
-        if spec.kind == PAIR_PLUS_IDLE:
-            other = np.array([1.0, 0.0], dtype=complex)
-            vec = np.kron(first.pure_vector, other)
-        elif references.get(spec.qubits[2:]) is not None:
-            second = references[spec.qubits[2:]]
-            if second.pure_vector is not None:
-                vec = np.kron(first.pure_vector, second.pure_vector)
-    if vec is not None:
-        return DensityOperator.from_pure(vec)
-    return DensityOperator.from_matrix(matrix, validate=True)
+        return refs[0]
+    second = refs[1].pure_vector if spec.kind == PAIR_PAIR else np.array([1.0, 0.0], dtype=complex)
+    return DensityOperator.from_pure(np.kron(refs[0].pure_vector, second))
 
 
-def _diagnose_one(
-    codes: np.ndarray,
-    spec: SubsystemSpec,
-    reference: DensityOperator,
-) -> SubsystemDiagnostics:
-    rho_cs = shadow.rho_cs(shadow.ShadowAccumulator(spec.qubits).add_codes(codes))
-    _, clamp_magnitude = rho_cs.clamped()
-    result = zecs_project(rho_cs)
-    part_a = spec.partition_a()
-    s_ab = None
-    if part_a is not None:
-        s_ab = entanglement_entropy(result.rho_zecs, part_a)
-    return SubsystemDiagnostics(
-        kind=spec.kind,
-        qubits=spec.qubits,
-        infidelity_cs=1.0 - fidelity(rho_cs, reference),
-        infidelity_zecs=1.0 - fidelity(result.rho_zecs, reference),
-        trace_distance=trace_distance(result.rho_zecs, reference),
-        s_ab=s_ab,
-        s_ab_normalized=None,
-        degenerate_flag=result.degenerate_flag,
-        clamp_magnitude=clamp_magnitude,
-    )
+def _pure(ref: DensityOperator | None, qubits: tuple[int, ...]) -> DensityOperator:
+    if ref is None:
+        raise MissingReferenceError(f"no reference state for pair {qubits}")
+    if ref.pure_vector is None:
+        raise MissingReferenceError(f"reference state for {qubits} is not a pure state")
+    return ref
+
+
+def _rho_cs(codes: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    return shadow.rho_cs(shadow.ShadowAccumulator(qubits).add_codes(codes)).matrix
+
+
+def _diagnose_kind(
+    codes: np.ndarray, specs: Sequence[SubsystemSpec], refs: Sequence[DensityOperator]
+) -> list[SubsystemDiagnostics]:
+    """Rows for subsystems of one kind, from one ``eigh`` of their stacked ``rho_cs``."""
+    decomp = linalg.eigh(np.stack([_rho_cs(codes, spec.qubits) for spec in specs]))
+    top, zecs, degenerate = project_spectra(decomp)
+    clamped, clamp_magnitude = linalg.clamp_spectrum(decomp)
+    psi = np.stack([ref.pure_vector for ref in refs])
+    ideal = np.stack([ref.matrix for ref in refs])
+    part_a = specs[0].partition_a()
+    columns = {
+        "infidelity_cs": 1.0 - states.pure_fidelity_matrix(psi, clamped),
+        "infidelity_zecs": 1.0 - states.pure_fidelity_matrix(top, ideal),
+        "trace_distance": states.trace_distance_matrix(zecs, ideal),
+        "s_ab": np.full(len(specs), None) if part_a is None
+                else states.entanglement_entropy_matrix(zecs, part_a),
+        "degenerate_flag": degenerate,
+        "clamp_magnitude": clamp_magnitude,
+    }
+    rows = zip(specs, zip(*(column.tolist() for column in columns.values())))
+    return [SubsystemDiagnostics(s.kind, s.qubits, s_ab_normalized=None, **dict(zip(columns, row)))
+            for s, row in rows]
 
 
 def normalize_entropies(
@@ -150,16 +149,25 @@ def build_report(
     references: Mapping[tuple[int, ...], DensityOperator],
     entropy_normalization: str = "per-kind",
 ) -> DiagnosticReport:
-    """Reconstruct and score every subsystem against its ideal reference."""
+    """Reconstruct and score every subsystem against its ideal pure reference.
+
+    Per kind, three stacked ``linalg.eigh`` calls: the reconstructions, the
+    trace distances and (for kinds with a bipartition) the marginal entropies.
+    """
     codes = shadow.outcome_codes(list(records))
     specs = list(subsystems)
     for spec in specs:
         _check_coverage(codes, spec.qubits)
     refs = [resolve_reference(spec, references) for spec in specs]
 
-    rows = [_diagnose_one(codes, spec, ref) for spec, ref in zip(specs, refs)]
+    rows: dict[int, SubsystemDiagnostics] = {}
+    for kind in dict.fromkeys(spec.kind for spec in specs):
+        index = [i for i, spec in enumerate(specs) if spec.kind == kind]
+        rows.update(zip(index, _diagnose_kind(codes, [specs[i] for i in index],
+                                              [refs[i] for i in index])))
     return DiagnosticReport(
-        subsystems=normalize_entropies(rows, entropy_normalization),
+        subsystems=normalize_entropies([rows[i] for i in range(len(specs))],
+                                       entropy_normalization),
         entropy_normalization=entropy_normalization,
     )
 
@@ -237,10 +245,8 @@ def nonlocal_scan(
             raise InsufficientCandidatesError(
                 f"target {target} retains {len(pool)} candidates after exclusions"
             )
-        values = []
-        for cand in pool:
-            joint = shadow.rho_cs(shadow.ShadowAccumulator(target + cand).add_codes(codes))
-            projected = zecs_project(joint).rho_zecs
-            values.append((cand, entanglement_entropy(projected, (0, 1))))
+        joint = np.stack([_rho_cs(codes, target + cand) for cand in pool])
+        _, zecs, _ = project_spectra(linalg.eigh(joint))
+        values = list(zip(pool, states.entanglement_entropy_matrix(zecs, (0, 1)).tolist()))
         results.extend(score_candidates(target, values))
     return results

@@ -39,10 +39,6 @@ class CoverageError(ZecsError):
     """A record does not cover the qubits requested from it."""
 
 
-class MergeError(ZecsError):
-    """Accumulators over different qubit subsets cannot be merged."""
-
-
 class EmptyAccumulatorError(ZecsError):
     """No records absorbed; the mean state is undefined."""
 

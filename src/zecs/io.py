@@ -256,10 +256,20 @@ def report_to_obj(report: DiagnosticReport) -> dict:
     }
 
 
-def _require_finite(value: float, what: str) -> None:
-    """Reject NaN and infinities (JSON ``NaN``, ``Infinity``, ``1e400``) in an input file."""
+def _number(value, what: str) -> float:
+    """A finite JSON number: not a boolean, string, null, ``NaN``, ``Infinity`` or ``1e400``."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer from an input file: not a boolean, string or fraction."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 _REPORT_NUMBERS = (
@@ -281,11 +291,8 @@ def report_from_obj(obj: dict) -> DiagnosticReport:
             raise TypeError(f"row {index} is not an object")
         numbers = {key: raw.get(key) for key in _REPORT_NUMBERS}
         for key, value in numbers.items():
-            if value is None:
-                continue
-            if type(value) is bool or not isinstance(value, (int, float)):
-                raise TypeError(f"row {index}: {key} must be a number or null, got {value!r}")
-            _require_finite(value, f"row {index}: {key}")
+            if value is not None:
+                _number(value, f"row {index}: {key}")
         spec = SubsystemSpec(kind=raw["kind"], qubits=tuple(raw["qubits"]))
         rows.append(
             SubsystemDiagnostics(
@@ -336,12 +343,12 @@ NonlocalValues = tuple[tuple[int, ...], list[tuple[tuple[int, ...], float]]]
 
 
 def nonlocal_values_from_obj(obj: dict) -> NonlocalValues:
-    target = tuple(int(q) for q in obj["target"])
+    target = tuple(_integer(q, "target qubit") for q in obj["target"])
     values = []
     for index, row in enumerate(obj["pairs"]):
-        s_ij = float(row["s_ij"])
-        _require_finite(s_ij, f"row {index}: s_ij")
-        values.append((tuple(int(q) for q in row["candidate"]), s_ij))
+        s_ij = _number(row["s_ij"], f"row {index}: s_ij")
+        candidate = tuple(_integer(q, f"row {index}: candidate qubit") for q in row["candidate"])
+        values.append((candidate, s_ij))
     return target, values
 
 
@@ -374,10 +381,8 @@ def layout_to_obj(layout: DeviceLayout) -> dict:
 
 
 def layout_from_obj(obj: dict) -> DeviceLayout:
-    return DeviceLayout(
-        num_qubits=int(obj["num_qubits"]),
-        edges=tuple((int(a), int(b)) for a, b in obj["edges"]),
-    )
+    edges = [tuple(_integer(q, f"edge {i}: qubit") for q in e) for i, e in enumerate(obj["edges"])]
+    return DeviceLayout(_integer(obj["num_qubits"], "num_qubits"), tuple(edges))
 
 
 def write_layout(path: str | Path, layout: DeviceLayout) -> None:

@@ -109,14 +109,15 @@ def eigh(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
 def partial_trace(m: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
     """Trace out all qubits not listed in ``keep`` from an ``n``-qubit operator.
 
+    ``m`` is one matrix or a ``(..., d, d)`` stack, traced matrix by matrix.
     ``keep`` is an ordered list of distinct qubit indices; the result axes
     follow that order, so ``keep=[2, 0]`` returns an operator whose most
     significant qubit is original qubit 2.  ``keep=[]`` yields the 1x1
     matrix ``[[trace]]``.
     """
-    a = as_matrix(m)
-    if n < 0 or a.shape[0] != 2**n:
-        raise DimensionMismatchError(f"matrix of dim {a.shape[0]} is not a {n}-qubit operator")
+    a = as_stack(m)
+    if n < 0 or a.shape[-1] != 2**n:
+        raise DimensionMismatchError(f"matrix of dim {a.shape[-1]} is not a {n}-qubit operator")
     keep = list(keep)
     if len(set(keep)) != len(keep):
         raise IndexError(f"duplicate qubit indices in keep={keep}")
@@ -124,27 +125,32 @@ def partial_trace(m: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
         if not 0 <= q < n:
             raise IndexError(f"qubit index {q} out of range for {n} qubits")
 
-    rest = [q for q in range(n) if q not in keep]
-    order = keep + rest
-    t = a.reshape([2] * (2 * n)).transpose(order + [n + q for q in order])
-    dk, dr = 2 ** len(keep), 2 ** len(rest)
-    return np.trace(t.reshape(dk, dr, dk, dr), axis1=1, axis2=3)
+    lead = a.shape[:-2]
+    order = [len(lead) + q for q in keep + [q for q in range(n) if q not in keep]]
+    axes = [*range(len(lead)), *order, *(n + q for q in order)]
+    t = a.reshape(lead + (2,) * (2 * n)).transpose(axes)
+    dk, dr = 2 ** len(keep), 2 ** (n - len(keep))
+    return np.trace(t.reshape(lead + (dk, dr, dk, dr)), axis1=-3, axis2=-1)
+
+
+def clamp_spectrum(decomp: EigenDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """PSD part of each decomposed matrix and the negative magnitude removed from it.
+
+    Negative eigenvalues are zeroed; the trace is not renormalized.  The
+    magnitude is minus the sum, matrix by matrix, of just the eigenvalues
+    below ``-CLAMP_TOL`` (0.0 when only numerical-noise negatives are present).
+    """
+    values, v = decomp.eigenvalues, decomp.eigenvectors
+    rows = values.reshape(-1, values.shape[-1])
+    magnitudes = np.array([-w[w < -CLAMP_TOL].sum() for w in rows]).reshape(values.shape[:-1])
+    out = (v * np.maximum(values, 0.0)[..., None, :]) @ adjoint(v)
+    return (out + adjoint(out)) / 2.0, magnitudes
 
 
 def clamp_psd(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Project a Hermitian matrix onto the PSD cone by zeroing negative eigenvalues.
-
-    Returns the clamped matrix and the total magnitude of eigenvalues below
-    ``-CLAMP_TOL`` that had to be removed (0.0 when only numerical-noise
-    negatives were present).  The trace is not renormalized.
-    """
-    decomp = eigh(m)
-    values = decomp.eigenvalues
-    clamped_magnitude = float(-values[values < -CLAMP_TOL].sum())
-    positive = np.maximum(values, 0.0)
-    v = decomp.eigenvectors
-    out = (v * positive) @ v.conj().T
-    return (out + out.conj().T) / 2.0, clamped_magnitude
+    """``clamp_spectrum`` of one Hermitian matrix: its PSD part and the removed magnitude."""
+    clamped, magnitude = clamp_spectrum(eigh(as_matrix(m)))
+    return clamped, float(magnitude)
 
 
 def mat_sqrt_psd(m: np.ndarray) -> np.ndarray:

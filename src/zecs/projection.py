@@ -23,6 +23,20 @@ DEGENERACY_REL_TOL = 1e-6
 _TRACE_TOL = 1e-6
 
 
+def project_spectra(decomp: linalg.EigenDecomposition) -> tuple[np.ndarray, ...]:
+    """Rank-1 projection of each matrix that one ``linalg.eigh`` call decomposed.
+
+    Returns the unit dominant-|eigenvalue| eigenvectors ``(..., d)`` (column 0
+    of the sorted decomposition), their projectors ``|v><v|`` and the flags of
+    a gap between the top two |eigenvalues| below ``DEGENERACY_REL_TOL`` times
+    the first.
+    """
+    top = decomp.eigenvectors[..., :, 0]
+    spectrum = np.abs(decomp.eigenvalues)
+    degenerate = spectrum[..., 0] - spectrum[..., 1] < DEGENERACY_REL_TOL * spectrum[..., 0]
+    return top, top[..., :, None] * top.conj()[..., None, :], degenerate
+
+
 @dataclass(frozen=True, eq=False)
 class ZecsResult:
     """Outcome of the rank-1 projection.
@@ -51,15 +65,12 @@ def zecs_project(rho_cs: DensityOperator) -> ZecsResult:
     if abs(trace - 1.0) > _TRACE_TOL:
         raise ValidationError(f"trace {trace:.8g} deviates from 1 beyond {_TRACE_TOL:.1e}")
     decomp = linalg.eigh(rho_cs.matrix)
-    top = decomp.eigenvectors[:, 0]
-    lambda_top = float(decomp.eigenvalues[0])
+    top, _, degenerate = project_spectra(decomp)
     spectrum = np.abs(decomp.eigenvalues)
-    gap = float(spectrum[0] - spectrum[1])
-    pure = DensityOperator.from_pure(top)
     return ZecsResult(
-        rho_zecs=pure,
-        lambda_top=lambda_top,
+        rho_zecs=DensityOperator.from_pure(top),
+        lambda_top=float(decomp.eigenvalues[0]),
         spectrum=spectrum,
-        spectral_gap=gap,
-        degenerate_flag=bool(gap < DEGENERACY_REL_TOL * spectrum[0]),
+        spectral_gap=float(spectrum[0] - spectrum[1]),
+        degenerate_flag=bool(degenerate),
     )

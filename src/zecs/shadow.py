@@ -19,10 +19,10 @@ The factor table is written out exactly: every entry is a multiple of 1/2, so
 each k-qubit snapshot entry is an integer multiple of 2**-k and every sum of
 N snapshots, in any order or grouping, is exact while N * 4**k < 2**52
 (k <= 8 at any realistic N).  Within that range ``trace(sum_matrix) ==
-count`` holds exactly, and one batch, several batches and ``merge`` of
-shards agree bit for bit.  Dividing by the count rounds each diagonal entry
-on its own, so :func:`rho_cs` puts the diagonal back on a dyadic grid whose
-float sum is exactly 1 in any summation order.
+count`` holds exactly, and one batch and several batches agree bit for bit.
+Dividing by the count rounds each diagonal entry on its own, so
+:func:`rho_cs` puts the diagonal back on a dyadic grid whose float sum is
+exactly 1 in any summation order.
 """
 
 from __future__ import annotations
@@ -32,12 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    CoverageError,
-    EmptyAccumulatorError,
-    MergeError,
-    SubsystemError,
-)
+from .errors import CoverageError, EmptyAccumulatorError, SubsystemError
 from .simulator import BASIS_LETTERS, SnapshotRecord
 from .states import DensityOperator
 
@@ -78,8 +73,8 @@ def outcome_codes(records: Sequence[SnapshotRecord]) -> np.ndarray:
 class ShadowAccumulator:
     """Running sum of inverted snapshots over a fixed qubit subset.
 
-    Stores the raw sum (not the mean) so that merging shards is exact.
-    Single-writer: shard streams across accumulators and merge afterwards.
+    Stores the raw sum (not the mean), which stays exact however the
+    records are split into batches.  Single-writer.
     """
 
     def __init__(self, qubit_subset: Sequence[int]):
@@ -127,16 +122,6 @@ class ShadowAccumulator:
         self.sum_matrix += tensor.transpose(rows_then_cols).reshape(2**k, 2**k)
         self.count += n_rows
         return self
-
-
-def merge(a: ShadowAccumulator, b: ShadowAccumulator) -> ShadowAccumulator:
-    """Combine two shards; bit for bit equal to sequential accumulation."""
-    if a.qubit_subset != b.qubit_subset:
-        raise MergeError(f"subset mismatch: {a.qubit_subset} vs {b.qubit_subset}")
-    out = ShadowAccumulator(a.qubit_subset)
-    out.count = a.count + b.count
-    out.sum_matrix = a.sum_matrix + b.sum_matrix
-    return out
 
 
 def _unit_trace_diagonal(d: np.ndarray) -> np.ndarray:

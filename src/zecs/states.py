@@ -1,15 +1,16 @@
 """Density operators and the closeness / entanglement metrics built on them.
 
-Fidelity follows the Uhlmann form ``F = Tr(sqrt(sqrt(r1) r2 sqrt(r1)))**2``,
-trace distance is ``D = Tr|r1 - r2| / 2``, concurrence comes from the
-spin-flipped R-matrix spectrum, and entanglement entropy is the base-2 von
-Neumann entropy of a marginal (a Bell pair scores exactly 1).
+Fidelity is taken to a pure state, ``F = <psi| rho |psi>``, trace distance
+is ``D = Tr|r1 - r2| / 2``, concurrence comes from the spin-flipped R-matrix
+spectrum, and entanglement entropy is the base-2 von Neumann entropy of a
+marginal (a Bell pair scores exactly 1).
 
 Shadow reconstructions are generally indefinite; metric functions clamp
 negative eigenvalues internally instead of rejecting such inputs.
 
-Trace distance, concurrence and the fidelity to a pure state each have one
-matrix-level kernel (``trace_distance_matrix``, ``concurrence_matrix``,
+Trace distance, concurrence, entanglement entropy and the fidelity to a pure
+state each have one matrix-level kernel (``trace_distance_matrix``,
+``concurrence_matrix``, ``entanglement_entropy_matrix``,
 ``pure_fidelity_matrix``) that takes plain arrays or ``(..., d, d)`` stacks;
 the ``DensityOperator`` functions delegate to them.
 """
@@ -28,7 +29,6 @@ from .errors import DimensionMismatchError, SubsystemError, ValidationError
 #: Tolerances for deciding that an operator is a physical density operator.
 TRACE_TOL = 1e-8
 PSD_TOL = 1e-8
-_PURITY_TOL = 1e-10
 
 #: The two-qubit spin flip ``X (x) X``: it reverses the computational basis.
 _SPIN_FLIP = np.eye(4, dtype=complex)[::-1]
@@ -109,42 +109,27 @@ def require_physical(m: np.ndarray) -> None:
         raise ValidationError(f"minimum eigenvalue {smallest:.3e} below -{PSD_TOL:.1e}")
 
 
-def _rank_one_vector(rho: DensityOperator, matrix: np.ndarray) -> np.ndarray | None:
-    """Return the state vector if ``matrix`` is a rank-1 projector, else None."""
-    if rho.pure_vector is not None:
-        return rho.pure_vector
-    purity = float(np.trace(matrix @ matrix).real)
-    trace = float(np.trace(matrix).real)
-    if abs(trace - 1.0) > 1e-8 or abs(purity - 1.0) > _PURITY_TOL:
-        return None
-    decomp = linalg.eigh(matrix)
-    return decomp.eigenvectors[:, 0]
-
-
 def _check_same_dim(a: DensityOperator, b: DensityOperator) -> None:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"operator dims differ: {a.dim} vs {b.dim}")
 
 
 def fidelity(a: DensityOperator, b: DensityOperator) -> float:
-    """Uhlmann fidelity between two states, in [0, 1] up to rounding.
+    """Fidelity ``<psi| rho |psi>`` between a pure state and another state.
 
-    Indefinite inputs are clamped to the PSD cone first.  When either state
-    is rank-1 the overlap form ``<psi| rho |psi>`` is used directly.
+    One operand must carry its state vector ``psi`` (``DensityOperator.from_pure``),
+    else ``ValidationError``.  The other, ``rho``, is clamped to the PSD cone
+    first and not renormalized, so up to rounding the value lies in [0, 1 + m],
+    where m is the total magnitude of its negative eigenvalues: above 1 is
+    possible for an indefinite reconstruction, not for a density operator.
     """
     _check_same_dim(a, b)
-    am, _ = a.clamped()
-    bm, _ = b.clamped()
-    vec_a = _rank_one_vector(a, am)
-    if vec_a is not None:
-        return float(pure_fidelity_matrix(vec_a, bm))
-    vec_b = _rank_one_vector(b, bm)
-    if vec_b is not None:
-        return float(pure_fidelity_matrix(vec_b, am))
-    sqrt_a = linalg.mat_sqrt_psd(am)
-    inner = sqrt_a @ bm @ sqrt_a
-    roots = np.sqrt(np.maximum(linalg.eigh(inner).eigenvalues, 0.0))
-    return float(roots.sum() ** 2)
+    if a.pure_vector is None:
+        a, b = b, a
+    if a.pure_vector is None:
+        raise ValidationError("fidelity needs a pure operand (one with its state vector)")
+    m, _ = b.clamped()
+    return float(pure_fidelity_matrix(a.pure_vector, m))
 
 
 def pure_fidelity_matrix(psi: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -194,11 +179,7 @@ def concurrence_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def entanglement_entropy(rho: DensityOperator, subsystem_a: Sequence[int]) -> float:
-    """Base-2 von Neumann entropy of the marginal on ``subsystem_a``.
-
-    Marginal eigenvalues are clamped to [0, 1] and renormalized before the
-    entropy sum, so slightly unphysical reconstructions are handled.
-    """
+    """Base-2 von Neumann entropy of the marginal on ``subsystem_a``; see the matrix kernel."""
     qubits = list(subsystem_a)
     if not qubits or len(set(qubits)) != len(qubits):
         raise SubsystemError(f"subsystem {qubits} must be non-empty without repeats")
@@ -206,11 +187,20 @@ def entanglement_entropy(rho: DensityOperator, subsystem_a: Sequence[int]) -> fl
         raise SubsystemError(f"subsystem {qubits} out of range for {rho.n_qubits} qubits")
     if len(qubits) >= rho.n_qubits:
         raise SubsystemError("subsystem must be a proper subset of the qubits")
-    marginal = linalg.partial_trace(rho.matrix, qubits, rho.n_qubits)
-    probs = np.clip(linalg.eigh(marginal).eigenvalues, 0.0, 1.0)
-    total = probs.sum()
-    if total <= 0.0:
+    return float(entanglement_entropy_matrix(rho.matrix, qubits))
+
+
+def entanglement_entropy_matrix(m: np.ndarray, subsystem_a: Sequence[int]) -> np.ndarray:
+    """Entropy of the marginal on ``subsystem_a`` of each matrix in a ``(..., d, d)`` stack.
+
+    Marginal eigenvalues are clipped to [0, 1] and renormalized before the
+    entropy sum, so slightly unphysical reconstructions are handled.
+    """
+    marginals = linalg.partial_trace(m, subsystem_a, m.shape[-1].bit_length() - 1)
+    probs = np.clip(linalg.eigh(marginals).eigenvalues, 0.0, 1.0)
+    total = probs.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise ValidationError("marginal has no positive weight")
     probs = probs / total
-    positive = probs[probs > 0.0]
-    return float(-(positive * np.log2(positive)).sum())
+    # A zero probability adds 0 * log2(1) = 0 exactly.
+    return -(probs * np.log2(np.where(probs > 0.0, probs, 1.0))).sum(axis=-1)

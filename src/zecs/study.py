@@ -16,6 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError
+from .projection import project_spectra
 from .simulator import _perturb_stack
 from .states import (
     DensityOperator,
@@ -37,10 +38,9 @@ def perturbation_study(
     """One row per sigma with mean/std of 1-F, D, C for raw and projected states.
 
     Trial t of sigma i is ``perturb_state(bell, sigma, seed_it)`` with its
-    own seed from the master stream, projected as ``zecs_project`` does (the
-    top column of the sorted ``eigh``, whose |eigenvalues| are the spectrum).
-    All trials of one sigma go through the model, the projection and the
-    metrics as one ``(trials, 4, 4)`` stack.
+    own seed from the master stream, projected by ``project_spectra`` as
+    ``zecs_project`` does.  All trials of one sigma go through the model, the
+    projection and the metrics as one ``(trials, 4, 4)`` stack.
     """
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
@@ -55,8 +55,7 @@ def perturbation_study(
     for sigma, seeds in zip(sigmas, trial_seeds):
         raw = _perturb_stack(ideal, sigma, seeds)
         decomp = linalg.eigh(raw)
-        top = decomp.eigenvectors[..., 0]
-        ze = top[:, :, None] * top.conj()[:, None, :]
+        top, ze, _ = project_spectra(decomp)
         metrics = {
             "infidelity_raw": 1.0 - pure_fidelity_matrix(BELL_VECTOR, raw),
             "infidelity_ze": 1.0 - pure_fidelity_matrix(top, ideal),

@@ -141,6 +141,23 @@ def test_layout_with_bad_edge_exits_2(tmp_path, capsys):
     assert "layout.json: layout: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("edges", "edge 3: qubit must be an integer, got True"),
+        ("num_qubits", "num_qubits must be an integer, got '3'"),
+    ],
+)
+def test_layout_with_wrong_type_exits_2(tmp_path, capsys, field, message):
+    obj = io.layout_to_obj(heavy_hex_127())
+    if field == "edges":
+        obj["edges"][3][0] = True
+    else:
+        obj["num_qubits"] = "3"
+    assert route(*route_files(tmp_path, layout_obj=obj)) == 2
+    assert f"layout.json: layout: {message}" in capsys.readouterr().err
+
+
 NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400"]
 
 
@@ -167,6 +184,27 @@ def test_non_finite_scan_value_exits_2(tmp_path, capsys, literal):
     out = tmp_path / "scan.json"
     assert cli.main(["nonlocal", "--values", str(path), "--out", str(out)]) == 2
     assert "values.json: values: row 5: s_ij must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("s_ij", True, "row 5: s_ij must be a number, got True"),
+        ("s_ij", "0.5", "row 5: s_ij must be a number, got '0.5'"),
+        ("candidate", [4.9, 6], "row 5: candidate qubit must be an integer, got 4.9"),
+    ],
+    ids=["bool-s_ij", "string-s_ij", "fractional-qubit"],
+)
+def test_scan_value_with_wrong_type_exits_2(tmp_path, capsys, key, value, message):
+    target, values = datasets.brisbane_nonlocal_values()
+    rows = [{"candidate": list(c), "s_ij": s} for c, s in values]
+    rows[5][key] = value
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps({"pairs": rows, "target": list(target)}))
+    out = tmp_path / "scan.json"
+    assert cli.main(["nonlocal", "--values", str(path), "--out", str(out)]) == 2
+    assert f"values.json: values: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

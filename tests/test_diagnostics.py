@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from zecs import cli, shadow
+from zecs import cli, linalg, shadow
 from zecs.diagnostics import (
     FLAG_ZSCORE,
     build_report,
@@ -58,6 +58,20 @@ def encode_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Record the shape of every ``linalg.eigh`` argument."""
+    calls = []
+    eigh = linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigh", counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def six_qubit_records():
     # Bell(0,1) (x) |0>_2 (x) Bell(3,4) (x) |+>_5
@@ -88,13 +102,21 @@ class TestResolveReference:
         assert np.allclose(ref.matrix, np.outer(expected, expected.conj()), atol=1e-15)
         assert np.allclose(ref.pure_vector, expected)
 
-    def test_mixed_pair_composes_matrices(self):
+    @pytest.mark.parametrize(
+        "spec", [SubsystemSpec(PAIR, (0, 1)), SubsystemSpec(PAIR_PAIR, (3, 4, 0, 1))],
+        ids=["pair", "second-pair"],
+    )
+    def test_mixed_reference_is_rejected(self, spec):
         mixed = DensityOperator.from_matrix(np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex))
         refs = {(0, 1): mixed, (3, 4): pure(BELL)}
-        ref = resolve_reference(SubsystemSpec(PAIR_PAIR, (0, 1, 3, 4)), refs)
-        assert ref.pure_vector is None
-        assert ref.validated
-        assert np.allclose(ref.matrix, np.kron(mixed.matrix, np.outer(BELL, BELL.conj())))
+        with pytest.raises(MissingReferenceError, match=r"\(0, 1\) is not a pure state"):
+            resolve_reference(spec, refs)
+
+    def test_mixed_exact_entry_is_rejected(self):
+        mixed = DensityOperator.from_matrix(np.eye(8, dtype=complex) / 8)
+        refs = {(0, 1): pure(BELL), (0, 1, 2): mixed}
+        with pytest.raises(MissingReferenceError, match="not a pure state"):
+            resolve_reference(SubsystemSpec(PAIR_PLUS_IDLE, (0, 1, 2)), refs)
 
     @pytest.mark.parametrize("refs", [{}, {(0, 1): pure(BELL)}], ids=["first", "second"])
     def test_missing_pair_raises(self, refs):
@@ -225,6 +247,24 @@ class TestBuildReport:
         build_report(six_qubit_records, self.SPECS, references)
         assert encode_calls == [len(six_qubit_records)]
 
+    def test_one_stacked_spectrum_per_kind(self, six_qubit_records, references, eigh_calls):
+        build_report(six_qubit_records, self.SPECS, references)
+        # Per kind: the reconstructions, then the trace distances, then (with a
+        # bipartition) the marginals; never more than 3 calls per subsystem size.
+        assert eigh_calls == [(2, 4, 4), (2, 4, 4), (1, 8, 8), (1, 8, 8), (1, 4, 4),
+                              (2, 16, 16), (2, 16, 16), (2, 4, 4)]
+
+    def test_rows_respect_the_clamped_bounds(self, references):
+        # Few records leave the reconstructions strongly indefinite, so the
+        # clamped operator's fidelity can exceed 1 by up to the clamp magnitude.
+        state = StateVector(6, kron_all(BELL, ZERO, BELL, PLUS))
+        rows = build_report(sample_shadow(state, 150, seed=7), self.SPECS, references).subsystems
+        assert any(row.infidelity_cs < 0.0 for row in rows)
+        for row in rows:
+            assert row.clamp_magnitude > 0.0
+            assert row.infidelity_cs >= -row.clamp_magnitude - 1e-9
+            assert 0.0 <= row.infidelity_zecs <= 1.0 + 1e-12
+
     def test_ragged_stream_names_the_short_record(self, six_qubit_records, references):
         records = list(six_qubit_records[:5]) + [SnapshotRecord("XYZ", "010")]
         with pytest.raises(CoverageError, match=r"^record 5 covers qubits 0\.\.2, subset asks"):
@@ -302,6 +342,10 @@ class TestNonlocalScan:
         results = nonlocal_scan(records, [(0, 1), (8, 9)], self.CANDIDATES, self.LINE)
         assert {r.target for r in results} == {(0, 1), (8, 9)}
         assert encode_calls == [len(records)]
+
+    def test_two_stacked_spectra_per_target(self, records, eigh_calls):
+        nonlocal_scan(records, [(0, 1), (8, 9)], self.CANDIDATES, self.LINE)
+        assert eigh_calls == [(6, 16, 16), (6, 4, 4), (5, 16, 16), (5, 4, 4)]
 
     def test_conflicting_candidate_rejected_without_auto_exclude(self, records):
         with pytest.raises(AdjacencyError):

@@ -290,6 +290,14 @@ class TestPartialTrace:
         right = alpha * linalg.partial_trace(a, [2], 3) + beta * linalg.partial_trace(b, [2], 3)
         assert np.allclose(left, right, atol=1e-12)
 
+    @pytest.mark.parametrize("keep", [[0, 1], [3, 0], [2], []])
+    def test_stack_matches_per_matrix_loop(self, keep):
+        rng = np.random.default_rng(15)
+        stack = np.stack([random_hermitian(rng, 16) for _ in range(5)])
+        out = linalg.partial_trace(stack, keep, 4)
+        assert out.shape == (5, 2 ** len(keep), 2 ** len(keep))
+        assert np.array_equal(out, [linalg.partial_trace(m, keep, 4) for m in stack])
+
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             linalg.partial_trace(np.eye(4, dtype=complex), [2], 2)
@@ -322,6 +330,19 @@ class TestPsdHelpers:
         clamped, magnitude = linalg.clamp_psd(m)
         assert np.allclose(clamped, np.diag([1.2, 0.0]))
         assert magnitude == pytest.approx(0.2, abs=1e-12)
+
+    def test_clamp_spectrum_of_a_stack_matches_per_matrix_loop(self):
+        rng = np.random.default_rng(16)
+        stack = np.stack([random_hermitian(rng, 16) for _ in range(6)])
+        clamped, magnitudes = linalg.clamp_spectrum(linalg.eigh(stack))
+        assert magnitudes.shape == (6,)
+        for m, got_matrix, got_magnitude in zip(stack, clamped, magnitudes):
+            expected_matrix, expected_magnitude = linalg.clamp_psd(m)
+            assert np.array_equal(got_matrix, expected_matrix)
+            # Summed over the negative eigenvalues alone, as one matrix's clamp does.
+            w = np.linalg.eigvalsh(m)
+            assert got_magnitude == expected_magnitude
+            assert got_magnitude == pytest.approx(-w[w < 0].sum(), abs=1e-12)
 
     def test_clamp_ignores_numerical_noise(self):
         m = np.diag([1.0, -1e-12]).astype(complex)

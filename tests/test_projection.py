@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from zecs import linalg
 from zecs.errors import DimensionMismatchError, ValidationError
-from zecs.projection import zecs_project
+from zecs.projection import project_spectra, zecs_project
 from zecs.shadow import reconstruct
 from zecs.simulator import StateVector, sample_shadow
 from zecs.states import DensityOperator
@@ -49,6 +50,18 @@ def test_projection_does_not_depend_on_eigenvector_phase(seed):
     assert pure.validated
     assert np.trace(pure.matrix).real == pytest.approx(1.0, abs=1e-12)
     assert np.abs(pure.matrix @ pure.matrix - pure.matrix).max() <= 1e-12
+
+
+def test_stack_matches_projecting_each_matrix():
+    states = [shadow_estimate(200 + seed, 3) for seed in range(5)]
+    states.append(DensityOperator.from_matrix(np.eye(8, dtype=complex) / 8))
+    top, projectors, degenerate = project_spectra(linalg.eigh(np.stack([s.matrix for s in states])))
+    for i, state in enumerate(states):
+        single = zecs_project(state)
+        assert np.array_equal(top[i], single.rho_zecs.pure_vector)
+        assert np.array_equal(projectors[i], single.rho_zecs.matrix)
+        assert degenerate[i] == single.degenerate_flag
+    assert degenerate.tolist() == [False] * 5 + [True]
 
 
 def test_degenerate_flag():

@@ -15,20 +15,8 @@ import numpy as np
 import pytest
 
 from zecs import linalg
-from zecs.errors import (
-    CoverageError,
-    EmptyAccumulatorError,
-    MergeError,
-    SubsystemError,
-)
-from zecs.shadow import (
-    _FACTORS,
-    ShadowAccumulator,
-    merge,
-    outcome_codes,
-    reconstruct,
-    rho_cs,
-)
+from zecs.errors import CoverageError, EmptyAccumulatorError, SubsystemError
+from zecs.shadow import _FACTORS, ShadowAccumulator, outcome_codes, reconstruct, rho_cs
 from zecs.simulator import BASIS_ROTATIONS, SnapshotRecord, StateVector, sample_shadow
 
 
@@ -222,12 +210,10 @@ class TestCodeMatrix:
             assert by_codes.count == by_records.count == len(records)
             assert np.array_equal(by_codes.sum_matrix, by_records.sum_matrix)
             cut = int(rng.integers(0, len(records) + 1))
-            sharded = merge(
-                ShadowAccumulator(subset).add_codes(codes[:cut]),
-                ShadowAccumulator(subset).add_many(records[cut:]),
-            )
-            assert sharded.count == by_records.count
-            assert np.array_equal(sharded.sum_matrix, by_records.sum_matrix)
+            left = ShadowAccumulator(subset).add_codes(codes[:cut])
+            right = ShadowAccumulator(subset).add_many(records[cut:])
+            assert left.count + right.count == by_records.count
+            assert np.array_equal(left.sum_matrix + right.sum_matrix, by_records.sum_matrix)
 
 
 class TestUnbiasedness:
@@ -263,32 +249,6 @@ class TestAccumulator:
         assert bulk.count == one.count
         assert np.array_equal(bulk.sum_matrix, one.sum_matrix)
         assert np.array_equal(bulk.sum_matrix, oracle_sum(records, [0, 1]))
-
-    def test_merge_equals_concatenation(self):
-        state = StateVector(1, np.array([1, 1]) / math.sqrt(2))
-        records = sample_shadow(state, 100, seed=6)
-        left = ShadowAccumulator([0]).add_many(records[:40])
-        right = ShadowAccumulator([0]).add_many(records[40:])
-        merged = merge(left, right)
-        full = ShadowAccumulator([0]).add_many(records)
-        assert merged.count == full.count
-        assert np.array_equal(merged.sum_matrix, left.sum_matrix + right.sum_matrix)
-        assert np.array_equal(merged.sum_matrix, full.sum_matrix)
-
-    def test_merge_commutes_and_keeps_empty_identity(self):
-        records = [SnapshotRecord(bases="X", bits="0"), SnapshotRecord(bases="Y", bits="1")]
-        filled = ShadowAccumulator([0]).add_many(records)
-        empty = ShadowAccumulator([0])
-        assert np.array_equal(merge(empty, filled).sum_matrix, filled.sum_matrix)
-        assert np.array_equal(merge(filled, empty).sum_matrix, filled.sum_matrix)
-        other = ShadowAccumulator([0]).add_many([SnapshotRecord(bases="Z", bits="1")])
-        ab = merge(filled, other)
-        ba = merge(other, filled)
-        assert np.array_equal(ab.sum_matrix, ba.sum_matrix)
-
-    def test_merge_rejects_subset_mismatch(self):
-        with pytest.raises(MergeError):
-            merge(ShadowAccumulator([0]), ShadowAccumulator([1]))
 
     def test_records_must_cover_subset(self):
         acc = ShadowAccumulator([3])

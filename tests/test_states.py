@@ -12,6 +12,7 @@ from zecs.states import (
     concurrence,
     concurrence_matrix,
     entanglement_entropy,
+    entanglement_entropy_matrix,
     fidelity,
     pure_fidelity_matrix,
     require_physical,
@@ -32,6 +33,20 @@ def random_density(rng, n_qubits):
 def random_pure(rng, n_qubits):
     v = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
     return DensityOperator.from_pure(v / np.linalg.norm(v))
+
+
+def uhlmann_fidelity(a, b):
+    """Oracle: Uhlmann fidelity ``Tr(sqrt(sqrt(a) b sqrt(a)))**2`` of two PSD matrices.
+
+    Taken in the equal form ``||sqrt(a) sqrt(b)||_1 ** 2``, whose singular
+    values stay accurate when an operand is rank-deficient.
+    """
+
+    def sqrt_psd(m):
+        w, v = np.linalg.eigh(m)
+        return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+
+    return float(np.linalg.svd(sqrt_psd(a) @ sqrt_psd(b), compute_uv=False).sum() ** 2)
 
 
 def random_unitary(rng, dim):
@@ -70,8 +85,8 @@ class TestDensityOperator:
 class TestFidelity:
     def test_self_fidelity_is_one(self):
         rng = np.random.default_rng(1)
-        rho = random_density(rng, 2)
-        assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-8)
+        psi = random_pure(rng, 2)
+        assert fidelity(psi, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_pure_states(self):
         zero = DensityOperator.from_pure([1, 0])
@@ -93,19 +108,27 @@ class TestFidelity:
 
     def test_fast_path_matches_general_formula(self):
         rng = np.random.default_rng(3)
-        pure = random_pure(rng, 2)
-        mixed = random_density(rng, 2)
-        fast = fidelity(pure, mixed)
-        # force the general route by dropping the cached vector
-        general_input = DensityOperator.from_matrix(pure.matrix)
-        general = fidelity(general_input, mixed)
-        assert fast == pytest.approx(general, abs=1e-8)
+        for _ in range(5):
+            pure = random_pure(rng, 2)
+            mixed = random_density(rng, 2)
+            general = uhlmann_fidelity(mixed.matrix, pure.matrix)
+            assert fidelity(pure, mixed) == pytest.approx(general, abs=1e-8)
 
     def test_symmetric_for_psd_inputs(self):
         rng = np.random.default_rng(4)
-        a = random_density(rng, 2)
+        a = random_pure(rng, 2)
         b = random_density(rng, 2)
-        assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-6)
+        assert fidelity(a, b) == fidelity(b, a)
+        assert fidelity(a, b) == pytest.approx(uhlmann_fidelity(b.matrix, a.matrix), abs=1e-8)
+
+    def test_two_mixed_states_are_rejected(self):
+        rng = np.random.default_rng(8)
+        a = random_density(rng, 2)
+        with pytest.raises(ValidationError, match="pure operand"):
+            fidelity(a, random_density(rng, 2))
+        # A rank-1 matrix without its state vector is not taken as pure.
+        with pytest.raises(ValidationError, match="pure operand"):
+            fidelity(DensityOperator.from_matrix(random_pure(rng, 2).matrix), a)
 
     def test_clamps_indefinite_reconstructions(self):
         cs_like = DensityOperator.from_matrix(
@@ -151,7 +174,7 @@ class TestTraceDistance:
     def test_fuchs_van_de_graaff_sandwich(self):
         rng = np.random.default_rng(7)
         for _ in range(15):
-            a = random_density(rng, 2)
+            a = random_pure(rng, 2)
             b = random_density(rng, 2)
             f = fidelity(a, b)
             d = trace_distance(a, b)
@@ -184,6 +207,26 @@ class TestStackedKernels:
         vectors = np.stack([s.pure_vector for s in states[5:]])
         assert np.array_equal(pure_fidelity_matrix(vectors, ref.matrix),
                               [fidelity(s, ref) for s in states[5:]])
+
+    def test_entanglement_entropy(self):
+        rng = np.random.default_rng(43)
+        states = [random_pure(rng, 4) for _ in range(3)] + [random_density(rng, 4)]
+        # A product across the cut: its marginal has eigenvalues that clip to 0.
+        states.append(DensityOperator.from_pure(np.kron(BELL, random_pure(rng, 2).pure_vector)))
+        stack = np.stack([s.matrix for s in states])
+
+        def per_matrix(m):
+            """Entropy over the positive marginal eigenvalues only, one matrix at a time."""
+            marginal = linalg.partial_trace(m, [0, 1], 4)
+            probs = np.clip(linalg.eigh(marginal).eigenvalues, 0.0, 1.0)
+            probs = probs / probs.sum()
+            positive = probs[probs > 0.0]
+            return -(positive * np.log2(positive)).sum()
+
+        got = entanglement_entropy_matrix(stack, [0, 1])
+        assert np.array_equal(got, [per_matrix(m) for m in stack])
+        assert np.array_equal(got, [entanglement_entropy(s, [0, 1]) for s in states])
+        assert got[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_require_physical_names_the_failure(self, states):
         stack = np.stack([s.matrix for s in states])
