@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import io
 from .errors import ConfigError, ZecsError
-from .report import PAIR_PAIR
 from .routing import best_chain, edge_scores_from_report
 
 
@@ -76,10 +75,7 @@ def _references_from_specs(specs, circuits, policy: str):
         for spec in specs:
             if spec.qubits in references:
                 continue
-            pairs = [spec.qubits[:2]]
-            if spec.kind == PAIR_PAIR:
-                pairs.append(spec.qubits[2:])
-            for pair in pairs:
+            for pair in spec.pairs():
                 references.setdefault(pair, zero_state(2).to_density())
     elif policy != "require":
         raise ConfigError(f"unknown reference policy {policy!r}")

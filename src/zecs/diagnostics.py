@@ -16,8 +16,9 @@ pair it shares no coupling with, from one code matrix, and flags candidates
 whose cross-partition entropy sits two or more standard deviations above the
 candidate-pool mean.
 
-Both decompose the stacked reconstructions of one kind (of one target) with
-one ``linalg.eigh`` call and score them with the matrix kernels of ``states``.
+Both build the reconstructions of one kind (of one target) as one
+``shadow.rho_cs`` stack, decompose it with one ``linalg.eigh`` call and score
+it with the matrix kernels of ``states``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 from . import linalg, shadow, states
 from .errors import (
     AdjacencyError,
-    CoverageError,
     InsufficientCandidatesError,
     MissingReferenceError,
     SubsystemError,
@@ -52,15 +52,6 @@ from .states import DensityOperator
 FLAG_ZSCORE = 2.0
 
 
-def _check_coverage(codes: np.ndarray, qubits: Sequence[int]) -> None:
-    if not len(codes):
-        raise CoverageError("record stream is empty")
-    width = codes.shape[1]
-    missing = [q for q in qubits if q < 0 or q >= width]
-    if missing:
-        raise CoverageError(f"records cover qubits 0..{width - 1}, need {missing}")
-
-
 def resolve_reference(
     spec: SubsystemSpec, references: Mapping[tuple[int, ...], DensityOperator]
 ) -> DensityOperator:
@@ -74,8 +65,7 @@ def resolve_reference(
     exact = references.get(spec.qubits)
     if exact is not None:
         return _pure(exact, spec.qubits)
-    pairs = [spec.qubits[:2], spec.qubits[2:]] if spec.kind == PAIR_PAIR else [spec.qubits[:2]]
-    refs = [_pure(references.get(pair), pair) for pair in pairs]
+    refs = [_pure(references.get(pair), pair) for pair in spec.pairs()]
     if spec.kind == PAIR:
         return refs[0]
     second = refs[1].pure_vector if spec.kind == PAIR_PAIR else np.array([1.0, 0.0], dtype=complex)
@@ -90,15 +80,11 @@ def _pure(ref: DensityOperator | None, qubits: tuple[int, ...]) -> DensityOperat
     return ref
 
 
-def _rho_cs(codes: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    return shadow.rho_cs(shadow.ShadowAccumulator(qubits).add_codes(codes)).matrix
-
-
 def _diagnose_kind(
-    codes: np.ndarray, specs: Sequence[SubsystemSpec], refs: Sequence[DensityOperator]
+    rho: np.ndarray, specs: Sequence[SubsystemSpec], refs: Sequence[DensityOperator]
 ) -> list[SubsystemDiagnostics]:
-    """Rows for subsystems of one kind, from one ``eigh`` of their stacked ``rho_cs``."""
-    decomp = linalg.eigh(np.stack([_rho_cs(codes, spec.qubits) for spec in specs]))
+    """Rows for subsystems of one kind, from one ``eigh`` of their ``rho_cs`` stack."""
+    decomp = linalg.eigh(rho)
     top, zecs, degenerate = project_spectra(decomp)
     clamped, clamp_magnitude = linalg.clamp_spectrum(decomp)
     psi = np.stack([ref.pure_vector for ref in refs])
@@ -156,14 +142,17 @@ def build_report(
     """
     codes = shadow.outcome_codes(list(records))
     specs = list(subsystems)
-    for spec in specs:
-        _check_coverage(codes, spec.qubits)
+    # Reconstruct before resolving references, so that a stream which does not
+    # cover a subsystem is reported before a missing reference.
+    kinds = {kind: [i for i, spec in enumerate(specs) if spec.kind == kind]
+             for kind in dict.fromkeys(spec.kind for spec in specs)}
+    stacks = {kind: shadow.rho_cs(codes, [specs[i].qubits for i in index])
+              for kind, index in kinds.items()}
     refs = [resolve_reference(spec, references) for spec in specs]
 
     rows: dict[int, SubsystemDiagnostics] = {}
-    for kind in dict.fromkeys(spec.kind for spec in specs):
-        index = [i for i, spec in enumerate(specs) if spec.kind == kind]
-        rows.update(zip(index, _diagnose_kind(codes, [specs[i] for i in index],
+    for kind, index in kinds.items():
+        rows.update(zip(index, _diagnose_kind(stacks[kind], [specs[i] for i in index],
                                               [refs[i] for i in index])))
     return DiagnosticReport(
         subsystems=normalize_entropies([rows[i] for i in range(len(specs))],
@@ -226,8 +215,6 @@ def nonlocal_scan(
     target_pairs = [_as_pair(t) for t in targets]
     candidate_pairs = [_as_pair(c) for c in candidates]
     codes = shadow.outcome_codes(list(records))
-    for pair in target_pairs + candidate_pairs:
-        _check_coverage(codes, pair)
 
     results: list[NonlocalResult] = []
     for target in target_pairs:
@@ -245,7 +232,7 @@ def nonlocal_scan(
             raise InsufficientCandidatesError(
                 f"target {target} retains {len(pool)} candidates after exclusions"
             )
-        joint = np.stack([_rho_cs(codes, target + cand) for cand in pool])
+        joint = shadow.rho_cs(codes, [target + cand for cand in pool])
         _, zecs, _ = project_spectra(linalg.eigh(joint))
         values = list(zip(pool, states.entanglement_entropy_matrix(zecs, (0, 1)).tolist()))
         results.extend(score_candidates(target, values))

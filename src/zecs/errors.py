@@ -39,10 +39,6 @@ class CoverageError(ZecsError):
     """A record does not cover the qubits requested from it."""
 
 
-class EmptyAccumulatorError(ZecsError):
-    """No records absorbed; the mean state is undefined."""
-
-
 class MissingReferenceError(ZecsError):
     """No ideal reference state available for a subsystem."""
 
@@ -53,10 +49,6 @@ class AdjacencyError(ZecsError):
 
 class InsufficientCandidatesError(ZecsError):
     """Too few comparison candidates for a meaningful statistic."""
-
-
-class UnscoredEdgeError(ZecsError):
-    """A chain uses a layout edge that carries no quality score."""
 
 
 class PathError(ZecsError):

@@ -407,27 +407,28 @@ def circuit_from_obj(obj: dict) -> Circuit:
 
     kind = obj.get("kind")
     if kind == "efficient_su2":
-        n = int(obj["n_qubits"])
-        reps = int(obj["reps"])
+        n = _integer(obj["n_qubits"], "n_qubits")
+        reps = _integer(obj["reps"], "reps")
         if "params" in obj:
-            params = [float(p) for p in obj["params"]]
+            params = [_number(p, f"param {i}") for i, p in enumerate(obj["params"])]
         elif "param_seed" in obj:
-            params = random_su2_params(n, reps, int(obj["param_seed"]))
+            params = random_su2_params(n, reps, _integer(obj["param_seed"], "param_seed"))
         else:
             raise ConfigError("efficient_su2 circuit needs 'params' or 'param_seed'")
         return build_efficient_su2(n, reps, params)
     if kind == "gates":
         gates = []
-        for raw in obj["gates"]:
+        for i, raw in enumerate(obj["gates"]):
+            control, angle = raw.get("control"), raw.get("angle")
             gates.append(
                 Gate(
                     kind=str(raw["kind"]),
-                    target=int(raw["target"]),
-                    control=int(raw["control"]) if raw.get("control") is not None else None,
-                    angle=float(raw["angle"]) if raw.get("angle") is not None else None,
+                    target=_integer(raw["target"], f"gate {i}: target"),
+                    control=None if control is None else _integer(control, f"gate {i}: control"),
+                    angle=None if angle is None else _number(angle, f"gate {i}: angle"),
                 )
             )
-        return Circuit(int(obj["n_qubits"]), tuple(gates))
+        return Circuit(_integer(obj["n_qubits"], "n_qubits"), tuple(gates))
     raise ConfigError(f"unknown circuit kind {kind!r}")
 
 
@@ -443,8 +444,10 @@ def subsystems_from_obj(obj: dict) -> Subsystems:
     """Parse subsystem specs plus any inline reference circuits."""
     specs = []
     references: dict[tuple[int, ...], Circuit] = {}
-    for raw in obj["subsystems"]:
-        spec = SubsystemSpec(kind=str(raw["kind"]), qubits=tuple(int(q) for q in raw["qubits"]))
+    for index, raw in enumerate(obj["subsystems"]):
+        kind = str(raw["kind"])
+        qubits = tuple(_integer(q, f"subsystem {index}: qubit") for q in raw["qubits"])
+        spec = SubsystemSpec(kind=kind, qubits=qubits)
         specs.append(spec)
         reference = raw.get("reference")
         if reference is not None:

@@ -40,6 +40,12 @@ class SubsystemSpec:
             raise SubsystemError(f"subsystem qubits {qubits} must be distinct")
         object.__setattr__(self, "qubits", qubits)
 
+    def pairs(self) -> tuple[tuple[int, ...], ...]:
+        """The active pair, then for ``pair_pair`` the second pair."""
+        if self.kind == PAIR_PAIR:
+            return (self.qubits[:2], self.qubits[2:])
+        return (self.qubits[:2],)
+
     def partition_a(self) -> tuple[int, ...] | None:
         """Local positions of the first block of the kind's bipartition."""
         if self.kind == PAIR:

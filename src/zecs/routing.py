@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigError, PathError, SearchBudgetError, UnscoredEdgeError
+from .errors import ConfigError, PathError, SearchBudgetError
 from .layout import DeviceLayout, normalize_edge
 from .report import PAIR, DiagnosticReport
 
@@ -100,23 +100,6 @@ def edge_scores_from_report(
         e: EdgeScore(pair=e, fidelity=f, s_ij=entropy_by_edge.get(e, 0.0))
         for e, f in fidelity_by_edge.items()
     }
-
-
-def score_chain(
-    chain: Sequence[int], scores: Iterable[EdgeScore] | ScoreMap, weight_w: float = 1.0
-) -> float:
-    """Cost of a given chain; lower is better."""
-    smap = score_map(scores)
-    qubits = list(chain)
-    if len(qubits) < 2 or len(set(qubits)) != len(qubits):
-        raise PathError(f"chain {qubits} is not a simple path of >= 2 qubits")
-    terms = []
-    for a, b in zip(qubits, qubits[1:]):
-        edge = normalize_edge(a, b)
-        if edge not in smap:
-            raise UnscoredEdgeError(f"edge {edge} carries no score")
-        terms.append(smap[edge].cost(weight_w))
-    return math.fsum(terms)
 
 
 def _scored_adjacency(

@@ -1,11 +1,12 @@
 """Tests for the diagnostic report, reference resolution and the non-local scan."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zecs import cli, linalg, shadow
+from zecs import cli, io, linalg, shadow
 from zecs.diagnostics import (
     FLAG_ZSCORE,
     build_report,
@@ -20,6 +21,7 @@ from zecs.errors import (
     CoverageError,
     InsufficientCandidatesError,
     MissingReferenceError,
+    RecordError,
     SubsystemError,
 )
 from zecs.layout import DeviceLayout
@@ -27,6 +29,10 @@ from zecs.projection import zecs_project
 from zecs.report import PAIR, PAIR_PAIR, PAIR_PLUS_IDLE, SubsystemDiagnostics, SubsystemSpec
 from zecs.simulator import CNOT, RY, Circuit, Gate, SnapshotRecord, StateVector, sample_shadow
 from zecs.states import DensityOperator, entanglement_entropy, fidelity, trace_distance
+
+#: Canonical output bytes of ``build_report`` and ``nonlocal_scan`` on the seeded
+#: streams below, pinned so that kernel rewrites must keep every byte.
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 ZERO = np.array([1, 0], dtype=complex)
@@ -80,6 +86,11 @@ def six_qubit_records():
 
 
 class TestResolveReference:
+    def test_pairs_of_each_kind(self):
+        assert SubsystemSpec(PAIR, (3, 4)).pairs() == ((3, 4),)
+        assert SubsystemSpec(PAIR_PLUS_IDLE, (0, 1, 2)).pairs() == ((0, 1),)
+        assert SubsystemSpec(PAIR_PAIR, (0, 3, 1, 4)).pairs() == ((0, 3), (1, 4))
+
     def test_exact_entry_wins(self):
         exact = pure(kron_all(PLUS, PLUS, PLUS))
         refs = {(0, 1): pure(BELL), (0, 1, 2): exact}
@@ -243,6 +254,11 @@ class TestBuildReport:
         for row in rows[2:]:
             assert row.s_ab_normalized == row.s_ab / peak
 
+    def test_output_bytes_match_golden(self, six_qubit_records, references):
+        report = build_report(six_qubit_records, self.SPECS, references)
+        golden = (GOLDEN / "report_six_qubit.json").read_text(encoding="ascii")
+        assert io.canonical_dumps(io.report_to_obj(report)) == golden
+
     def test_stream_is_encoded_once(self, six_qubit_records, references, encode_calls):
         build_report(six_qubit_records, self.SPECS, references)
         assert encode_calls == [len(six_qubit_records)]
@@ -267,7 +283,7 @@ class TestBuildReport:
 
     def test_ragged_stream_names_the_short_record(self, six_qubit_records, references):
         records = list(six_qubit_records[:5]) + [SnapshotRecord("XYZ", "010")]
-        with pytest.raises(CoverageError, match=r"^record 5 covers qubits 0\.\.2, subset asks"):
+        with pytest.raises(RecordError, match=r"^record 5 covers 3 qubits, record 0 covers 6$"):
             build_report(records, self.SPECS[:2], references)
 
     def test_uncovered_qubit(self, six_qubit_records, references):
@@ -336,6 +352,11 @@ class TestNonlocalScan:
             values.append((cand, entanglement_entropy(joint, (0, 1))))
         expected = score_candidates((0, 1), values)
         assert nonlocal_scan(records, [(0, 1)], self.CANDIDATES, self.LINE) == expected
+
+    def test_output_bytes_match_golden(self, records):
+        results = nonlocal_scan(records, [(0, 1), (8, 9)], self.CANDIDATES, self.LINE)
+        golden = (GOLDEN / "scan_ten_qubit.json").read_text(encoding="ascii")
+        assert io.canonical_dumps(io.scan_to_obj(results)) == golden
 
     def test_stream_is_encoded_once(self, records, encode_calls):
         # (8, 9) keeps (1, 2)..(5, 6) in its pool: two targets, one encoding.

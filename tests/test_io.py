@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from zecs import datasets, io
-from zecs.errors import RecordError
+from zecs.errors import ConfigError, RecordError
 from zecs.layout import heavy_hex_127
 from zecs.simulator import SnapshotRecord
 
@@ -105,6 +105,66 @@ def test_canonical_numpy_values_match_python_values():
     for value in (np.float64("nan"), np.float32("inf")):
         with pytest.raises(ValueError, match="non-finite"):
             io.canonical_dumps(value)
+
+
+RY_GATE = {"kind": "ry", "target": 0, "angle": 0.5}
+GATES = {"kind": "gates", "n_qubits": 2, "gates": [RY_GATE]}
+SU2 = {"kind": "efficient_su2", "n_qubits": 2, "reps": 1, "param_seed": 3}
+
+
+class TestCircuitAndSubsystemTypes:
+    """Circuit and subsystem fields are typed JSON values; a wrong type names the file."""
+
+    @pytest.mark.parametrize(
+        "circuit, message",
+        [
+            ({**GATES, "gates": [{**RY_GATE, "target": 1.7}]},
+             "gate 0: target must be an integer, got 1.7"),
+            ({**GATES, "gates": [{**RY_GATE, "angle": True}]},
+             "gate 0: angle must be a number, got True"),
+            ({**GATES, "n_qubits": "2"}, "n_qubits must be an integer, got '2'"),
+            ({**SU2, "param_seed": 2.5}, "param_seed must be an integer, got 2.5"),
+        ],
+        ids=["float-target", "bool-angle", "string-n_qubits", "float-param_seed"],
+    )
+    def test_wrong_circuit_field_type(self, tmp_path, circuit, message):
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps(circuit))
+        with pytest.raises(ConfigError, match=rf"circuit\.json: circuit: {message}$"):
+            io.read_circuit(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"kind": "pair", "qubits": [True, 2]},
+             "subsystem 0: qubit must be an integer, got True"),
+            ({"kind": "pair", "qubits": [0, 2.9]},
+             "subsystem 0: qubit must be an integer, got 2.9"),
+            ({"kind": "pair", "qubits": [0, 1], "reference": {**SU2, "n_qubits": 2.0}},
+             "n_qubits must be an integer, got 2.0"),
+        ],
+        ids=["bool-qubit", "float-qubit", "reference-field"],
+    )
+    def test_wrong_subsystem_field_type(self, tmp_path, row, message):
+        path = tmp_path / "subsystems.json"
+        path.write_text(json.dumps({"subsystems": [row]}))
+        with pytest.raises(ConfigError, match=rf"subsystems\.json: subsystems: {message}$"):
+            io.read_subsystems(path)
+
+    def test_integer_angles_and_params_still_load(self, tmp_path):
+        path = tmp_path / "subsystems.json"
+        gates = {**GATES, "gates": [{**RY_GATE, "angle": 1}, {"kind": "cnot", "target": 1,
+                                                              "control": 0}]}
+        su2 = {"kind": "efficient_su2", "n_qubits": 2, "reps": 1, "params": [0, 1] * 4}
+        path.write_text(json.dumps({"subsystems": [
+            {"kind": "pair", "qubits": [0, 1], "reference": gates},
+            {"kind": "pair_pair", "qubits": [2, 3, 4, 5], "reference": su2},
+        ]}))
+        specs, circuits = io.read_subsystems(path)
+        assert [s.qubits for s in specs] == [(0, 1), (2, 3, 4, 5)]
+        assert circuits[(0, 1)].gates[0].angle == 1.0
+        assert isinstance(circuits[(0, 1)].gates[0].angle, float)
+        assert circuits[(2, 3, 4, 5)].n_qubits == 2
 
 
 class TestGoldenRoundTrips:

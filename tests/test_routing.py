@@ -2,6 +2,8 @@
 its non-backtracking walk bound, the node budget, and edge scores derived
 from a report."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,14 @@ from zecs.routing import (
     _walk_bounds,
     best_chain,
     edge_scores_from_report,
-    score_chain,
     score_map,
 )
+
+
+def score_chain(chain, scores, weight_w=1.0):
+    """Oracle: the cost of a given chain, the ``math.fsum`` of its edge costs."""
+    smap = score_map(scores)
+    return math.fsum(smap[normalize_edge(a, b)].cost(weight_w) for a, b in zip(chain, chain[1:]))
 
 
 def brute_force_chains(layout, scores, length_L, weight_w=1.0):

@@ -1,10 +1,10 @@
-"""Tests for snapshot inversion and accumulation.
+"""Tests for snapshot inversion and the stacked ``rho_cs`` kernel.
 
 The central oracle: averaging inverted snapshots over every basis string and
 outcome, weighted by the exact Born probabilities, must reproduce the input
 state to machine precision (the inverted channel is unbiased).  The
-histogram kernel ``ShadowAccumulator.add_codes`` is checked bit for bit
-against a per-record Kronecker-product oracle, through ``add_many``.
+histogram kernel ``rho_cs`` is checked bit for bit against a per-record
+Kronecker-product oracle.
 """
 
 import functools
@@ -15,28 +15,40 @@ import numpy as np
 import pytest
 
 from zecs import linalg
-from zecs.errors import CoverageError, EmptyAccumulatorError, SubsystemError
-from zecs.shadow import _FACTORS, ShadowAccumulator, outcome_codes, reconstruct, rho_cs
+from zecs.errors import CoverageError, RecordError, SubsystemError
+from zecs.shadow import _FACTORS, _unit_trace_diagonal, outcome_codes, reconstruct, rho_cs
 from zecs.simulator import BASIS_ROTATIONS, SnapshotRecord, StateVector, sample_shadow
 
 
+def oracle_snapshots(records, qubit_subset):
+    """Per-record oracle: each record's Kronecker product of its subset factors, in subset order."""
+    out = np.ones((len(records), 1, 1), dtype=complex)
+    for q in qubit_subset:
+        factors = np.stack([_FACTORS["XYZ".index(r.bases[q]), int(r.bits[q])] for r in records])
+        out = np.einsum("nab,ncd->nacbd", out, factors).reshape(len(records), 2 * len(out[0]), -1)
+    return out
+
+
 def invert_snapshot(record, qubit_subset):
-    """Per-record oracle: Kronecker product of the subset's factors, in subset order."""
-    factors = [_FACTORS["XYZ".index(record.bases[q]), int(record.bits[q])] for q in qubit_subset]
-    return functools.reduce(np.kron, factors)
+    return oracle_snapshots([record], qubit_subset)[0]
 
 
 def oracle_sum(records, qubit_subset):
-    dim = 2 ** len(qubit_subset)
-    total = np.zeros((dim, dim), dtype=complex)
-    for record in records:
-        total += invert_snapshot(record, qubit_subset)
-    return total
+    """Exact: every partial sum of the snapshots is a multiple of 2**-k."""
+    return oracle_snapshots(records, qubit_subset).sum(axis=0)
+
+
+def oracle_mean(records, qubit_subset):
+    """``rho_cs`` from the oracle sum, through the kernel's division, hermitization and grid."""
+    mean = oracle_sum(records, qubit_subset) / len(records)
+    mean = (mean + mean.conj().T) / 2.0
+    np.fill_diagonal(mean, _unit_trace_diagonal(mean.diagonal().real[None])[0])
+    return mean
 
 
 def snapshot(record, qubit_subset):
-    """Inverted snapshot of one record, through the accumulator."""
-    return ShadowAccumulator(qubit_subset).add_many([record]).sum_matrix
+    """Inverted snapshot of one record: the ``rho_cs`` of a one-record stream."""
+    return rho_cs(outcome_codes([record]), [qubit_subset])[0]
 
 
 def random_records(rng, n_records, width):
@@ -141,15 +153,15 @@ class TestHistogramKernel:
         rng = np.random.default_rng(100 + k)
         records = random_records(rng, 400, 8)
         subset = [int(q) for q in rng.permutation(8)[:k]]
-        acc = ShadowAccumulator(subset).add_many(iter(records))
-        assert acc.count == len(records)
-        assert np.array_equal(acc.sum_matrix, oracle_sum(records, subset))
+        rho = rho_cs(outcome_codes(records), [subset])
+        assert rho.shape == (1, 2**k, 2**k)
+        assert np.array_equal(rho[0], oracle_mean(records, subset))
 
     @pytest.mark.parametrize("subset", [[3, 0, 2], [2, 1, 0], [4, 1], [0, 4, 2, 3]])
     def test_reversed_and_non_contiguous_subsets(self, subset):
         records = random_records(np.random.default_rng(7), 300, 5)
-        acc = ShadowAccumulator(subset).add_many(records)
-        assert np.array_equal(acc.sum_matrix, oracle_sum(records, subset))
+        rho = rho_cs(outcome_codes(records), [subset])[0]
+        assert np.array_equal(rho, oracle_mean(records, subset))
 
     def test_every_local_outcome_once(self):
         records = [
@@ -157,17 +169,22 @@ class TestHistogramKernel:
             for bases in itertools.product("XYZ", repeat=2)
             for bits in itertools.product("01", repeat=2)
         ]
-        for subset in ([0, 1], [1, 0]):
-            acc = ShadowAccumulator(subset).add_many(records)
-            assert np.array_equal(acc.sum_matrix, oracle_sum(records, subset))
-            assert np.trace(acc.sum_matrix) == len(records)
+        assert np.trace(oracle_sum(records, [0, 1])) == len(records)
+        rho = rho_cs(outcome_codes(records), [[0, 1], [1, 0]])
+        for got, subset in zip(rho, ([0, 1], [1, 0])):
+            assert np.array_equal(got, oracle_mean(records, subset))
+            assert np.trace(got) == 1.0
 
-    def test_mixed_width_batch_reads_no_padding(self):
-        rng = np.random.default_rng(8)
-        records = random_records(rng, 20, 5) + random_records(rng, 20, 3)
-        rng.shuffle(records)
-        acc = ShadowAccumulator([2, 0]).add_many(records)
-        assert np.array_equal(acc.sum_matrix, oracle_sum(records, [2, 0]))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stack_matches_single_subset_calls(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        codes = outcome_codes(random_records(rng, int(rng.integers(1, 400)), 9))
+        for k in range(1, 6):
+            subsets = [[int(q) for q in rng.permutation(9)[:k]] for _ in range(rng.integers(2, 8))]
+            stack = rho_cs(codes, subsets)
+            assert stack.shape == (len(subsets), 2**k, 2**k)
+            for got, subset in zip(stack, subsets):
+                assert got.tobytes() == rho_cs(codes, [subset])[0].tobytes()
 
     def test_mixed_width_batch_with_short_record_later(self):
         records = [
@@ -176,44 +193,38 @@ class TestHistogramKernel:
             SnapshotRecord(bases="XY", bits="11"),
             SnapshotRecord(bases="YYYY", bits="1111"),
         ]
-        acc = ShadowAccumulator([0, 3])
-        with pytest.raises(
-            CoverageError, match=r"^record 2 covers qubits 0\.\.1, subset asks for \[0, 3\]$"
-        ):
-            acc.add_many(records)
-        assert acc.count == 0
-        assert not acc.sum_matrix.any()
+        with pytest.raises(RecordError, match=r"^record 2 covers 2 qubits, record 0 covers 4$"):
+            outcome_codes(records)
+        with pytest.raises(RecordError, match=r"^record 1 covers 4 qubits, record 0 covers 2$"):
+            outcome_codes(records[2:])
+        with pytest.raises(RecordError, match=r"^record 3 covers 4 qubits, record 0 covers 2$"):
+            outcome_codes(records[2:3] * 3 + records[:1])
 
-    def test_empty_batch_changes_nothing(self):
-        acc = ShadowAccumulator([0, 1]).add_many([])
-        assert acc.count == 0
-        assert not acc.sum_matrix.any()
+    def test_subsets_must_share_one_size(self):
+        codes = outcome_codes(random_records(np.random.default_rng(9), 10, 4))
+        with pytest.raises(SubsystemError):
+            rho_cs(codes, [[0, 1], [2]])
+        with pytest.raises(SubsystemError):
+            rho_cs(codes, [])
 
 
 class TestCodeMatrix:
     def test_codes_are_two_basis_plus_bit(self):
-        codes = outcome_codes([SnapshotRecord("XYZ", "011"), SnapshotRecord("ZX", "10")])
+        codes = outcome_codes([SnapshotRecord("XYZ", "011"), SnapshotRecord("ZXY", "100")])
         assert codes.dtype == np.uint8
-        # The short record's uncovered qubit reads 6.
-        assert codes.tolist() == [[0, 3, 5], [5, 0, 6]]
+        assert codes.tolist() == [[0, 3, 5], [5, 0, 2]]
         assert outcome_codes([]).shape == (0, 0)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_add_many_equals_add_codes_and_sharded_merge(self, seed):
+    def test_reconstruct_equals_rho_cs_of_codes(self, seed):
         rng = np.random.default_rng(200 + seed)
         records = random_records(rng, int(rng.integers(1, 400)), 9)
         codes = outcome_codes(records)
         for k in range(1, 6):
             subset = [int(q) for q in rng.permutation(9)[:k]]
-            by_records = ShadowAccumulator(subset).add_many(records)
-            by_codes = ShadowAccumulator(subset).add_codes(codes)
-            assert by_codes.count == by_records.count == len(records)
-            assert np.array_equal(by_codes.sum_matrix, by_records.sum_matrix)
-            cut = int(rng.integers(0, len(records) + 1))
-            left = ShadowAccumulator(subset).add_codes(codes[:cut])
-            right = ShadowAccumulator(subset).add_many(records[cut:])
-            assert left.count + right.count == by_records.count
-            assert np.array_equal(left.sum_matrix + right.sum_matrix, by_records.sum_matrix)
+            rho = reconstruct(records, subset)
+            assert not rho.validated
+            assert rho.matrix.tobytes() == rho_cs(codes, [subset])[0].tobytes()
 
 
 class TestUnbiasedness:
@@ -234,42 +245,32 @@ class TestUnbiasedness:
 
 
 class TestAccumulator:
-    def test_single_record(self):
-        acc = ShadowAccumulator([0]).add_many([SnapshotRecord(bases="Z", bits="0")])
-        assert acc.count == 1
-        assert np.array_equal(acc.sum_matrix, np.diag([2.0, -1.0]).astype(complex))
+    """Records absorbed into one mean: coverage and the one-record case."""
 
-    def test_add_many_matches_sequential(self):
-        state = StateVector(2, np.array([1, 1, 1, 1], dtype=complex) / 2)
-        records = sample_shadow(state, 300, seed=5)
-        one = ShadowAccumulator([0, 1])
-        for rec in records:
-            one.add_many([rec])
-        bulk = ShadowAccumulator([0, 1]).add_many(records)
-        assert bulk.count == one.count
-        assert np.array_equal(bulk.sum_matrix, one.sum_matrix)
-        assert np.array_equal(bulk.sum_matrix, oracle_sum(records, [0, 1]))
+    def test_single_record(self):
+        rho = rho_cs(outcome_codes([SnapshotRecord(bases="Z", bits="0")]), [[0]])
+        assert np.array_equal(rho, np.diag([2.0, -1.0]).astype(complex)[None])
 
     def test_records_must_cover_subset(self):
-        acc = ShadowAccumulator([3])
         with pytest.raises(CoverageError):
-            acc.add_many([SnapshotRecord(bases="XY", bits="01")])
-        with pytest.raises(CoverageError):
-            acc.add_many(
-                [SnapshotRecord(bases="XYZX", bits="0110"), SnapshotRecord(bases="XY", bits="01")]
-            )
+            rho_cs(outcome_codes([SnapshotRecord(bases="XY", bits="01")]), [[3]])
+        codes = outcome_codes([SnapshotRecord(bases="XYZX", bits="0110")])
+        message = r"^records cover qubits 0\.\.3, subset asks for \[1, 4\]$"
+        with pytest.raises(CoverageError, match=message):
+            rho_cs(codes, [[0, 1], [1, 4]])
 
 
 class TestRhoCs:
     def test_single_record_mean(self):
-        acc = ShadowAccumulator([0]).add_many([SnapshotRecord(bases="Z", bits="0")])
-        rho = rho_cs(acc)
+        rho = reconstruct([SnapshotRecord(bases="Z", bits="0")], [0])
         assert not rho.validated
         assert np.array_equal(rho.matrix, np.diag([2.0, -1.0]).astype(complex))
 
     def test_empty_accumulator_rejected(self):
-        with pytest.raises(EmptyAccumulatorError):
-            rho_cs(ShadowAccumulator([0]))
+        with pytest.raises(CoverageError, match="^record stream is empty$"):
+            rho_cs(outcome_codes([]), [[0]])
+        with pytest.raises(CoverageError):
+            reconstruct([], [0])
 
     def test_trace_exactly_one(self):
         state = StateVector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
@@ -279,19 +280,21 @@ class TestRhoCs:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_trace_exact_across_seeds(self, k):
+        subsets = [list(range(k)), list(range(k, 0, -1)), list(range(1, k + 1))]
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            amps = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
-            state = StateVector(k, amps / np.linalg.norm(amps))
+            amps = rng.normal(size=2 ** (k + 1)) + 1j * rng.normal(size=2 ** (k + 1))
+            state = StateVector(k + 1, amps / np.linalg.norm(amps))
             records = sample_shadow(state, int(rng.integers(1, 200)), seed=seed)
-            acc = ShadowAccumulator(range(k)).add_many(records)
-            assert np.trace(acc.sum_matrix) == acc.count
-            rho = rho_cs(acc)
-            assert np.trace(rho.matrix) == 1.0
-            assert sum(rho.matrix.diagonal().real[::-1]) == 1.0
-            mean = acc.sum_matrix / acc.count
-            bound = 2 * (np.abs(mean.diagonal()).sum() + 1) * 2.0**-52
-            assert np.abs(rho.matrix - mean).max() < bound
+            stack = rho_cs(outcome_codes(records), subsets)
+            for rho, subset in zip(stack, subsets):
+                total = oracle_sum(records, subset)
+                assert np.trace(total) == len(records)
+                assert np.trace(rho) == 1.0
+                assert sum(rho.diagonal().real[::-1]) == 1.0
+                mean = total / len(records)
+                bound = 2 * (np.abs(mean.diagonal()).sum() + 1) * 2.0**-52
+                assert np.abs(rho - mean).max() < bound
 
     def test_mean_converges_to_state(self):
         state = StateVector(1, np.array([1, 0], dtype=complex))
