@@ -29,10 +29,13 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = [p.strip() for p in chunk.split(",")]
-        if len(parts) != 2:
-            raise ConfigError(f"expected 'a,b' pairs separated by ';', got {chunk!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            a, b = (int(part) for part in chunk.split(","))
+        except ValueError:
+            raise ConfigError(
+                f"expected integer 'a,b' pairs separated by ';', got {chunk!r}"
+            ) from None
+        pairs.append((a, b))
     if not pairs:
         raise ConfigError("no qubit pairs given")
     return pairs
@@ -85,11 +88,11 @@ def _references_from_specs(specs, circuits, policy: str):
 def cmd_reconstruct(args) -> int:
     from .diagnostics import build_report
 
-    records, _ = io.read_snapshots(args.snapshots, endianness=args.endianness)
+    codes, _ = io.read_snapshots(args.snapshots, endianness=args.endianness)
     specs, circuits = io.read_subsystems(args.subsystems)
     references = _references_from_specs(specs, circuits, args.ref_policy)
     report = build_report(
-        records, specs, references, entropy_normalization=args.entropy_norm
+        codes, specs, references, entropy_normalization=args.entropy_norm
     )
     io.write_report(args.out, report)
     print(f"wrote report with {len(report.subsystems)} subsystem(s) to {args.out}")
@@ -120,10 +123,10 @@ def cmd_nonlocal(args) -> int:
             raise ConfigError(
                 "need --snapshots, --targets, --candidates and --layout (or --values)"
             )
-        records, _ = io.read_snapshots(args.snapshots, endianness=args.endianness)
+        codes, _ = io.read_snapshots(args.snapshots, endianness=args.endianness)
         layout = io.read_layout(args.layout)
         results = nonlocal_scan(
-            records,
+            codes,
             _parse_pairs(args.targets),
             _parse_pairs(args.candidates),
             layout,

@@ -130,17 +130,18 @@ def normalize_entropies(
 
 
 def build_report(
-    records: Sequence[SnapshotRecord],
+    stream: np.ndarray | Sequence[SnapshotRecord],
     subsystems: Sequence[SubsystemSpec],
     references: Mapping[tuple[int, ...], DensityOperator],
     entropy_normalization: str = "per-kind",
 ) -> DiagnosticReport:
     """Reconstruct and score every subsystem against its ideal pure reference.
 
+    ``stream`` is a code matrix or a record list (see ``shadow.outcome_codes``).
     Per kind, three stacked ``linalg.eigh`` calls: the reconstructions, the
     trace distances and (for kinds with a bipartition) the marginal entropies.
     """
-    codes = shadow.outcome_codes(list(records))
+    codes = shadow.outcome_codes(stream)
     specs = list(subsystems)
     # Reconstruct before resolving references, so that a stream which does not
     # cover a subsystem is reported before a missing reference.
@@ -200,7 +201,7 @@ def score_candidates(
 
 
 def nonlocal_scan(
-    records: Sequence[SnapshotRecord],
+    stream: np.ndarray | Sequence[SnapshotRecord],
     targets: Sequence[Sequence[int]],
     candidates: Sequence[Sequence[int]],
     layout: DeviceLayout,
@@ -208,13 +209,15 @@ def nonlocal_scan(
 ) -> list[NonlocalResult]:
     """Scan target pairs against candidate pairs they share no coupling with.
 
+    ``stream`` is a code matrix or a record list (see ``shadow.outcome_codes``).
+
     Candidates that overlap a target or couple to it directly are excluded
     from that target's pool (``auto_exclude=True``, the default) or rejected
     outright (``auto_exclude=False``).
     """
     target_pairs = [_as_pair(t) for t in targets]
     candidate_pairs = [_as_pair(c) for c in candidates]
-    codes = shadow.outcome_codes(list(records))
+    codes = shadow.outcome_codes(stream)
 
     results: list[NonlocalResult] = []
     for target in target_pairs:

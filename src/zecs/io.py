@@ -7,11 +7,15 @@ byte-identical outputs and golden tests can compare raw bytes.
 Snapshot streams are JSON lines with an optional header line; the header
 pins the qubit count and the bit-string endianness.  The internal
 convention is ``q0-leftmost`` (qubit 0 is the leftmost character and the
-most significant bit); ``q0-rightmost`` input is reversed on ingestion.
+most significant bit).  ``write_snapshots`` writes ``SnapshotRecord`` lists;
+``read_snapshots`` returns the stream's code matrix, encoded by
+``shadow.encode_rows``, and reads ``q0-rightmost`` input as a column flip.
+Each record line carries a ``circuit_id``, which is written but never read.
 
 Reports, layouts, chains, scans and canonical JSON need no NumPy, so the
-``route`` command loads none; ``read_snapshots`` and ``circuit_from_obj``
-import the ``simulator`` layer when they build records and circuits.
+``route`` command loads none: ``read_snapshots`` imports the ``shadow`` layer
+(and with it NumPy) when it runs, and ``circuit_from_obj`` the ``simulator``
+layer.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .report import DiagnosticReport, NonlocalResult, SubsystemDiagnostics, Subs
 from .routing import ChainSolution
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .simulator import Circuit, SnapshotRecord
 
 SNAPSHOT_FORMAT = "zecs-snapshots"
@@ -162,70 +168,83 @@ def write_snapshots(
 
 def read_snapshots(
     path: str | Path, endianness: str | None = None
-) -> tuple[list[SnapshotRecord], int]:
-    """Parse a snapshot stream, returning internal-convention records.
+) -> tuple[np.ndarray, int]:
+    """Parse a snapshot stream into its code matrix and qubit count.
 
-    Malformed lines are rejected with their line number; nothing is returned
-    from a partially valid file.  A header may only be the first non-blank
-    line.  ``endianness`` overrides the header (and is required context for
-    headerless files from other tools).
+    The matrix is ``uint8[N, n_qubits]`` of codes ``2 * basis + bit`` in the
+    internal ``q0-leftmost`` order (see :func:`zecs.shadow.encode_rows`).
+    Malformed lines are rejected with their line number, the first in the
+    file if there are several; nothing is returned from a partially valid
+    file.  A header may only be the first non-blank line.  ``endianness``
+    overrides the header (and is required context for headerless files from
+    other tools).
     """
-    from .simulator import SnapshotRecord
+    from .shadow import encode_rows
 
     text = _read_text(path, RecordError)
-    records: list[SnapshotRecord] = []
+    decode = json.JSONDecoder().raw_decode
+    bases: list[str] = []
+    bits: list[str] = []
+    linenos: list[int] = []
     file_endianness = endianness
     n_qubits: int | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-        if not isinstance(obj, dict):
-            raise RecordError(f"{path}: line {lineno}: expected an object")
-        if "format" in obj:
-            if n_qubits is not None:
-                raise RecordError(f"{path}: line {lineno}: a header must be the first non-blank line")
-            if obj.get("format") != SNAPSHOT_FORMAT:
-                raise RecordError(f"{path}: line {lineno}: unknown format {obj.get('format')!r}")
-            if obj.get("version") != FORMAT_VERSION:
-                raise RecordError(f"{path}: line {lineno}: unsupported version {obj.get('version')!r}")
-            n_qubits = obj.get("n_qubits")
-            if type(n_qubits) is not int or n_qubits < 1:
-                raise RecordError(
-                    f"{path}: line {lineno}: header n_qubits must be a positive integer, "
-                    f"got {n_qubits!r}"
-                )
-            if file_endianness is None:
-                declared = obj.get("endianness", Q0_LEFTMOST)
-                if declared not in (Q0_LEFTMOST, Q0_RIGHTMOST):
-                    raise RecordError(f"{path}: line {lineno}: unknown endianness {declared!r}")
-                file_endianness = declared
-            continue
-        try:
-            record = SnapshotRecord(
-                bases=str(obj["bases"]),
-                bits=str(obj["bits"]),
-                circuit_id=str(obj.get("circuit_id", "")),
-            )
-        except KeyError as exc:
-            raise RecordError(f"{path}: line {lineno}: missing field {exc.args[0]!r}") from None
-        except RecordError as exc:
-            raise RecordError(f"{path}: line {lineno}: {exc}") from None
-        if n_qubits is None:
-            n_qubits = record.n_qubits
-        elif record.n_qubits != n_qubits:
-            raise RecordError(
-                f"{path}: line {lineno}: record width {record.n_qubits} != expected {n_qubits}"
-            )
-        if (file_endianness or Q0_LEFTMOST) == Q0_RIGHTMOST:
-            record = _reverse_record(record)
-        records.append(record)
+    failure = None
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                obj, end = decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):  # whitespace around the value, or not one JSON value
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise RecordError(f"invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise RecordError("expected an object")
+            if "format" in obj:
+                if n_qubits is not None:
+                    raise RecordError("a header must be the first non-blank line")
+                if obj.get("format") != SNAPSHOT_FORMAT:
+                    raise RecordError(f"unknown format {obj.get('format')!r}")
+                if obj.get("version") != FORMAT_VERSION:
+                    raise RecordError(f"unsupported version {obj.get('version')!r}")
+                width = obj.get("n_qubits")
+                if type(width) is not int or width < 1:
+                    raise RecordError(f"header n_qubits must be a positive integer, got {width!r}")
+                n_qubits = width
+                if file_endianness is None:
+                    declared = obj.get("endianness", Q0_LEFTMOST)
+                    if declared not in (Q0_LEFTMOST, Q0_RIGHTMOST):
+                        raise RecordError(f"unknown endianness {declared!r}")
+                    file_endianness = declared
+                continue
+            try:
+                row = obj["bases"], obj["bits"]
+            except KeyError as exc:
+                raise RecordError(f"missing field {exc.args[0]!r}") from None
+            if type(row[0]) is not str or type(row[1]) is not str:
+                field = "bases" if type(row[0]) is not str else "bits"
+                raise RecordError(f"{field} must be a string, got {obj[field]!r}")
+            if n_qubits is None:
+                n_qubits = len(row[0])
+            bases.append(row[0])
+            bits.append(row[1])
+            linenos.append(lineno)
+    except RecordError as exc:
+        failure = RecordError(f"{path}: line {lineno}: {exc}")
+    # Rows before a failing line are checked first: a bad one is the earlier error.
+    codes = encode_rows(bases, bits, n_qubits or 0,
+                        where=lambda row: f"{path}: line {linenos[row]}")
+    if failure is not None:
+        raise failure
     if n_qubits is None:
         raise RecordError(f"{path}: no header and no records")
-    return records, n_qubits
+    if file_endianness == Q0_RIGHTMOST:
+        codes = codes[:, ::-1]
+    return codes, n_qubits
 
 
 # ---------------------------------------------------------------------------

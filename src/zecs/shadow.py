@@ -7,13 +7,16 @@ single-qubit factor has unit trace and eigenvalues {2, -1}; the mean is
 Hermitian with unit trace but generally indefinite.
 
 A k-qubit snapshot depends on the record only through its k local outcome
-codes ``2 * basis + bit``.  :func:`outcome_codes` encodes a stream once as a
-``uint8[N, width]`` matrix, and :func:`rho_cs`, the one place codes enter a
-sum, counts each subset's columns into a ``6**k`` histogram and contracts the
-stacked histograms axis by axis with the 6 x 2 x 2 factor table.  The work
-after counting does not depend on the number of records; a histogram takes
-16 * 6**k bytes as complex (27 MB at k = 8).  The full-device operator is
-never formed.
+codes ``2 * basis + bit``.  :func:`encode_rows` is the one encoder: it checks
+rows of basis letters and bits and encodes them as a ``uint8[N, width]``
+matrix in one vectorized pass, for the lines of a stream file
+(``io.read_snapshots``) and for record lists (:func:`outcome_codes`, which
+passes a code matrix through unchanged).  :func:`rho_cs`, the one place codes
+enter a sum, counts each subset's columns into a ``6**k`` histogram and
+contracts the stacked histograms axis by axis with the 6 x 2 x 2 factor
+table.  The work after counting does not depend on the number of records; a
+histogram takes 16 * 6**k bytes as complex (27 MB at k = 8).  The
+full-device operator is never formed.
 
 The factor table is written out exactly: every entry is a multiple of 1/2, so
 each k-qubit snapshot entry is an integer multiple of 2**-k and every sum of
@@ -28,12 +31,12 @@ exactly 1 in any summation order.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import CoverageError, RecordError, SubsystemError
-from .simulator import BASIS_LETTERS, SnapshotRecord
+from .simulator import BASIS_LETTERS, SnapshotRecord, record_problem
 from .states import DensityOperator
 
 #: Inverted-channel factors ``3 U†|bit><bit|U - I`` indexed by [basis, bit].
@@ -47,32 +50,69 @@ _FACTORS = np.array(
     ],
     dtype=complex,
 )
-#: Local outcome code ``2 * basis + bit`` by character code, for rows of
-#: ``_FACTORS.reshape(6, 2, 2)``: basis letters give ``2 * basis``, bits give
-#: ``bit``.
-_CODE = np.zeros(128, dtype=np.uint8)
-_CODE[[ord(letter) for letter in BASIS_LETTERS]] = np.arange(0, 6, 2)
-_CODE[ord("1")] = 1
+#: Local outcome code parts by ASCII byte: ``2 * basis`` for a basis letter,
+#: ``bit`` for a bit character, ``_INVALID`` for every other byte, so a code
+#: ``2 * basis + bit`` above 5 marks a bad character.
+_INVALID = 6
+_BASIS_CODE = np.full(256, _INVALID, dtype=np.uint8)
+_BASIS_CODE[list(BASIS_LETTERS.encode())] = np.arange(0, 6, 2)
+_BIT_CODE = np.full(256, _INVALID, dtype=np.uint8)
+_BIT_CODE[list(b"01")] = (0, 1)
 
 
-def outcome_codes(records: Sequence[SnapshotRecord]) -> np.ndarray:
-    """Encode records as a ``uint8[N, width]`` matrix of codes ``2 * basis + bit``.
+def _ascii(rows: Sequence[str]) -> np.ndarray:
+    """The joined rows as bytes, one per character; a non-ASCII character becomes ``?``."""
+    return np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
 
-    Every record must cover the same qubits as the first, else ``RecordError``
-    names the first that does not.  An empty stream gives a ``(0, 0)`` matrix.
+
+def encode_rows(
+    bases: Sequence[str],
+    bits: Sequence[str],
+    width: int | None = None,
+    where: Callable[[int], str] = "record {}".format,
+) -> np.ndarray:
+    """Check and encode rows as a ``uint8[N, width]`` matrix of codes ``2 * basis + bit``.
+
+    ``bases[i]`` and ``bits[i]`` hold row ``i``'s basis letters and bits,
+    qubit 0 first.  Every row must be a valid record (see
+    :func:`~zecs.simulator.record_problem`) covering ``width`` qubits, or, if
+    ``width`` is None, as many as row 0.  Otherwise ``RecordError`` names the
+    first bad row by ``where(row)``.  No rows and no ``width`` give a
+    ``(0, 0)`` matrix.
     """
-    if not records:
-        return np.zeros((0, 0), dtype=np.uint8)
-    width = len(records[0].bases)
-    chars = np.array([[r.bases for r in records], [r.bits for r in records]])
-    chars = chars.view(np.uint32).reshape(2, len(records), -1)
-    # NumPy pads shorter strings with NUL, so a short record ends in 0.
-    if chars.shape[2] != width or not chars[0, :, -1].all():
-        row = next(i for i, r in enumerate(records) if len(r.bases) != width)
-        raise RecordError(
-            f"record {row} covers {len(records[row].bases)} qubits, record 0 covers {width}"
-        )
-    return _CODE[chars[0]] + _CODE[chars[1]]
+    n_rows = len(bases)
+    expected = width if width is not None else len(bases[0]) if n_rows else 0
+    valid = n_rows  # rows before this one have the right width
+    if expected < 1 or {*map(len, bases), *map(len, bits)} - {expected}:
+        valid = next((row for row in range(n_rows)
+                      if not len(bases[row]) == len(bits[row]) == expected > 0), n_rows)
+    codes = _BASIS_CODE[_ascii(bases[:valid])] + _BIT_CODE[_ascii(bits[:valid])]
+    codes = codes.reshape(valid, expected)
+    bad_characters = (codes >= _INVALID).any(axis=1)
+    bad = int(bad_characters.argmax()) if bad_characters.any() else valid
+    if bad == n_rows:
+        return codes
+    problem = record_problem(bases[bad], bits[bad])
+    if problem is not None:
+        raise RecordError(f"{where(bad)}: {problem}")
+    covers = len(bases[bad])
+    if width is None:
+        raise RecordError(f"{where(bad)} covers {covers} qubits, {where(0)} covers {expected}")
+    raise RecordError(f"{where(bad)}: record width {covers} != expected {width}")
+
+
+def outcome_codes(stream: np.ndarray | Sequence[SnapshotRecord]) -> np.ndarray:
+    """A stream's ``uint8[N, width]`` matrix of codes ``2 * basis + bit``.
+
+    A code matrix, as :func:`zecs.io.read_snapshots` returns, is returned
+    unchanged.  Records are encoded by :func:`encode_rows`: each must cover
+    the same qubits as the first, else ``RecordError`` names the first that
+    does not.  An empty stream gives a ``(0, 0)`` matrix.
+    """
+    if isinstance(stream, np.ndarray):
+        return stream
+    records = list(stream)
+    return encode_rows([r.bases for r in records], [r.bits for r in records])
 
 
 def _unit_trace_diagonal(d: np.ndarray) -> np.ndarray:
@@ -134,8 +174,8 @@ def rho_cs(codes: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def reconstruct(
-    records: Sequence[SnapshotRecord], qubit_subset: Sequence[int]
+    stream: np.ndarray | Sequence[SnapshotRecord], qubit_subset: Sequence[int]
 ) -> DensityOperator:
-    """The :func:`rho_cs` of one subset of a record stream, unvalidated."""
-    mean = rho_cs(outcome_codes(list(records)), [qubit_subset])[0]
+    """The :func:`rho_cs` of one subset of a code matrix or record stream, unvalidated."""
+    mean = rho_cs(outcome_codes(stream), [qubit_subset])[0]
     return DensityOperator.from_matrix(mean, validate=False)

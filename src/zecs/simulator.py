@@ -107,20 +107,28 @@ class SnapshotRecord:
     circuit_id: str = ""
 
     def __post_init__(self):
-        if len(self.bases) != len(self.bits):
-            raise RecordError(f"bases/bits length mismatch: {self.bases!r} vs {self.bits!r}")
-        if not self.bases:
-            raise RecordError("record covers no qubits")
-        bad = set(self.bases) - set("XYZ")
-        if bad:
-            raise RecordError(f"invalid basis character(s) {sorted(bad)}")
-        bad = set(self.bits) - set("01")
-        if bad:
-            raise RecordError(f"invalid bit character(s) {sorted(bad)}")
+        problem = record_problem(self.bases, self.bits)
+        if problem:
+            raise RecordError(problem)
 
     @property
     def n_qubits(self) -> int:
         return len(self.bases)
+
+
+def record_problem(bases: str, bits: str) -> str | None:
+    """Why per-qubit basis letters and bits do not form a record, or None if they do."""
+    if len(bases) != len(bits):
+        return f"bases/bits length mismatch: {bases!r} vs {bits!r}"
+    if not bases:
+        return "record covers no qubits"
+    bad = set(bases) - set(BASIS_LETTERS)
+    if bad:
+        return f"invalid basis character(s) {sorted(bad)}"
+    bad = set(bits) - set("01")
+    if bad:
+        return f"invalid bit character(s) {sorted(bad)}"
+    return None
 
 
 def zero_state(n_qubits: int) -> StateVector:

@@ -81,6 +81,67 @@ def test_invalid_json_line_exits_2(tmp_path, capsys):
     assert "line 2: invalid JSON" in capsys.readouterr().err
 
 
+def simulate(stream, endianness=io.Q0_LEFTMOST, qubits=8):
+    argv = ["simulate", "--qubits", str(qubits), "--reps", "1", "--snapshots", "400",
+            "--seed", "3", "--endianness", endianness, "--out", str(stream)]
+    assert cli.main(argv) == 0
+
+
+#: Target pair and candidate pairs on an eight-qubit line.
+LINE_TARGETS = "0,1"
+LINE_CANDIDATES = "3,4;4,5;5,6;6,7"
+
+
+def line_layout(tmp_path, n_qubits=8):
+    path = tmp_path / "line.json"
+    edges = [[q, q + 1] for q in range(n_qubits - 1)]
+    path.write_text(json.dumps({"edges": edges, "num_qubits": n_qubits}))
+    return path
+
+
+def scan(stream, layout, out, targets=LINE_TARGETS):
+    return cli.main(["nonlocal", "--snapshots", str(stream), "--targets", targets,
+                     "--candidates", LINE_CANDIDATES, "--layout", str(layout),
+                     "--out", str(out)])
+
+
+@pytest.mark.parametrize("targets", ["19,x", "0,1;2", "0,1;1,2,3", "a,b"])
+def test_nonlocal_non_integer_pair_exits_2(tmp_path, capsys, targets):
+    stream = tmp_path / "snapshots.jsonl"
+    simulate(stream)
+    assert scan(stream, line_layout(tmp_path), tmp_path / "scan.json", targets) == 2
+    err = capsys.readouterr().err
+    bad = [chunk for chunk in targets.split(";") if chunk != "0,1"][0]
+    assert err.startswith("error: expected integer 'a,b' pairs")
+    assert f"got {bad!r}" in err
+    assert not (tmp_path / "scan.json").exists()
+
+
+def test_q0_rightmost_copy_gives_the_same_bytes(tmp_path):
+    """A stream and its q0-rightmost copy give byte-identical reports and scans."""
+    subsystems = tmp_path / "subsystems.json"
+    subsystems.write_text(json.dumps({"subsystems": [
+        {"kind": "pair", "qubits": [0, 1]},
+        {"kind": "pair", "qubits": [6, 2]},
+        {"kind": "pair_plus_idle", "qubits": [3, 4, 7]},
+        {"kind": "pair_pair", "qubits": [0, 5, 2, 7]},
+    ]}))
+    layout = line_layout(tmp_path)
+    outputs = {}
+    for endianness in (io.Q0_LEFTMOST, io.Q0_RIGHTMOST):
+        stream = tmp_path / f"{endianness}.jsonl"
+        simulate(stream, endianness)
+        report = tmp_path / f"report-{endianness}.json"
+        scan_out = tmp_path / f"scan-{endianness}.json"
+        assert cli.main(["reconstruct", "--snapshots", str(stream), "--subsystems",
+                         str(subsystems), "--ref-policy", "zero", "--out", str(report)]) == 0
+        assert scan(stream, layout, scan_out) == 0
+        outputs[endianness] = (stream.read_bytes(), report.read_bytes(), scan_out.read_bytes())
+    left, right = outputs[io.Q0_LEFTMOST], outputs[io.Q0_RIGHTMOST]
+    assert left[0] != right[0]
+    assert left[1:] == right[1:]
+
+
 def route_files(tmp_path, report_obj=None, layout_obj=None):
     report = tmp_path / "report.json"
     layout = tmp_path / "layout.json"
@@ -342,6 +403,15 @@ def test_route_loads_no_numpy(tmp_path):
         report, layout, out,
     )
     assert json.loads(out.read_text())["cost"] == pytest.approx(0.757)
+
+
+def test_io_loads_no_numpy():
+    """``zecs.io`` imports NumPy only when a stream or circuit is read."""
+    run_python(
+        "import sys\n"
+        "import zecs.io\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)[:5]\n"
+    )
 
 
 #: Layer modules perfbench/tracer.py looks up in sys.modules after its imports.

@@ -263,6 +263,14 @@ class TestBuildReport:
         build_report(six_qubit_records, self.SPECS, references)
         assert encode_calls == [len(six_qubit_records)]
 
+    def test_code_matrix_gives_the_same_bytes(self, six_qubit_records, references, encode_calls):
+        codes = shadow.outcome_codes(six_qubit_records)
+        report = build_report(codes, self.SPECS, references)
+        golden = (GOLDEN / "report_six_qubit.json").read_text(encoding="ascii")
+        assert io.canonical_dumps(io.report_to_obj(report)) == golden
+        # The encoding above, then one pass-through call in build_report.
+        assert encode_calls == [len(six_qubit_records)] * 2
+
     def test_one_stacked_spectrum_per_kind(self, six_qubit_records, references, eigh_calls):
         build_report(six_qubit_records, self.SPECS, references)
         # Per kind: the reconstructions, then the trace distances, then (with a
@@ -363,6 +371,13 @@ class TestNonlocalScan:
         results = nonlocal_scan(records, [(0, 1), (8, 9)], self.CANDIDATES, self.LINE)
         assert {r.target for r in results} == {(0, 1), (8, 9)}
         assert encode_calls == [len(records)]
+
+    def test_code_matrix_gives_the_same_bytes(self, records, encode_calls):
+        codes = shadow.outcome_codes(records)
+        results = nonlocal_scan(codes, [(0, 1), (8, 9)], self.CANDIDATES, self.LINE)
+        golden = (GOLDEN / "scan_ten_qubit.json").read_text(encoding="ascii")
+        assert io.canonical_dumps(io.scan_to_obj(results)) == golden
+        assert encode_calls == [len(records)] * 2
 
     def test_two_stacked_spectra_per_target(self, records, eigh_calls):
         nonlocal_scan(records, [(0, 1), (8, 9)], self.CANDIDATES, self.LINE)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from zecs import datasets, io
 from zecs.errors import ConfigError, RecordError
 from zecs.layout import heavy_hex_127
+from zecs.shadow import outcome_codes
 from zecs.simulator import SnapshotRecord
 
 RECORD_LINE = '{"bases":"XZ","bits":"01","circuit_id":"c"}\n'
@@ -27,13 +29,129 @@ def write_stream(tmp_path, header):
     return path
 
 
+def random_records(rng, n_records, n_qubits):
+    return [
+        SnapshotRecord("".join(rng.choice(list("XYZ"), n_qubits)),
+                       "".join(rng.choice(list("01"), n_qubits)), "c")
+        for _ in range(n_records)
+    ]
+
+
 class TestReadSnapshots:
     def test_round_trip_both_endiannesses(self, tmp_path):
         records = [SnapshotRecord("XYZ", "011", "a"), SnapshotRecord("ZZX", "100", "b")]
         for endianness in (io.Q0_LEFTMOST, io.Q0_RIGHTMOST):
             path = tmp_path / f"{endianness}.jsonl"
             io.write_snapshots(path, records, 3, endianness=endianness)
-            assert io.read_snapshots(path) == (records, 3)
+            codes, n_qubits = io.read_snapshots(path)
+            assert n_qubits == 3
+            assert codes.dtype == np.uint8
+            assert codes.tolist() == [[0, 3, 5], [5, 4, 0]]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_round_trip_equals_outcome_codes(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n_qubits = int(rng.integers(1, 40))
+        records = random_records(rng, int(rng.integers(1, 300)), n_qubits)
+        for endianness in (io.Q0_LEFTMOST, io.Q0_RIGHTMOST):
+            path = tmp_path / f"{endianness}.jsonl"
+            io.write_snapshots(path, records, n_qubits, endianness=endianness)
+            codes, width = io.read_snapshots(path)
+            assert width == n_qubits
+            assert np.array_equal(codes, outcome_codes(records))
+            # An overriding endianness reads the other file's bit order.
+            other = io.Q0_LEFTMOST if endianness == io.Q0_RIGHTMOST else io.Q0_RIGHTMOST
+            codes, _ = io.read_snapshots(path, endianness=other)
+            assert np.array_equal(codes, outcome_codes(records)[:, ::-1])
+
+    def test_header_only_gives_empty_matrix(self, tmp_path):
+        path = tmp_path / "snapshots.jsonl"
+        path.write_text(io.canonical_dumps(io.snapshot_header(4)), encoding="ascii")
+        codes, n_qubits = io.read_snapshots(path)
+        assert codes.shape == (0, 4) and n_qubits == 4
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{not json", "invalid JSON (Expecting property name enclosed in double quotes)"),
+            ('{"bases": "XZ", "bits": "01"} {}', "invalid JSON (Extra data)"),
+            ('["XZ", "01"]', "expected an object"),
+            ('{"bits": "01"}', "missing field 'bases'"),
+            ('{"bases": "XZ"}', "missing field 'bits'"),
+            ('{"bases": "XZ", "bits": 10}', "bits must be a string, got 10"),
+            ('{"bases": ["X", "Z"], "bits": "01"}', "bases must be a string, got ['X', 'Z']"),
+            ('{"bases": null, "bits": "01"}', "bases must be a string, got None"),
+            ('{"bases": "XQ", "bits": "01"}', "invalid basis character(s) ['Q']"),
+            ('{"bases": "xz", "bits": "01"}', "invalid basis character(s) ['x', 'z']"),
+            ('{"bases": "XZ", "bits": "02"}', "invalid bit character(s) ['2']"),
+            (r'{"bases": "X\u00e9", "bits": "01"}', "invalid basis character(s) ['\u00e9']"),
+            (r'{"bases": "XZ", "bits": "0\u0661"}', "invalid bit character(s) ['\u0661']"),
+            (r'{"bases": "XZ", "bits": "0\u0000"}', r"invalid bit character(s) ['\x00']"),
+            ('{"bases": "XZY", "bits": "01"}', "bases/bits length mismatch: 'XZY' vs '01'"),
+            ('{"bases": "", "bits": ""}', "record covers no qubits"),
+            ('{"bases": "XZY", "bits": "010"}', "record width 3 != expected 2"),
+            ('{"bases": "X", "bits": "0"}', "record width 1 != expected 2"),
+            (json.dumps(io.snapshot_header(2)), "a header must be the first non-blank line"),
+        ],
+    )
+    @pytest.mark.parametrize("header", [True, False])
+    def test_bad_line_names_its_own_line(self, tmp_path, line, message, header):
+        """Every malformed line is named by its number, after blank lines and good records."""
+        good = ['{"bases": "XZ", "bits": "01"}', '{"bases":"YY","bits":"11"}']
+        lines = [json.dumps(io.snapshot_header(2))] if header else []
+        lines += ["", good[0], "   ", good[1], ""]
+        bad_line = len(lines) + 1
+        lines += [line, "", good[0], '{"bases": "Q", "bits": "9"}']
+        path = tmp_path / "snapshots.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        expected = rf"snapshots\.jsonl: line {bad_line}: {re.escape(message)}$"
+        for endianness in (None, io.Q0_RIGHTMOST):
+            with pytest.raises(RecordError, match=expected):
+                io.read_snapshots(path, endianness=endianness)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (['{"bases": "", "bits": ""}', '{"bases": "X", "bits": "0"}'],
+             "line 1: record covers no qubits"),
+            (['{"bases": "XZ", "bits": "0"}', '{"bases": "X", "bits": "0"}'],
+             "line 1: bases/bits length mismatch: 'XZ' vs '0'"),
+            (["", '{"bases": "XZ", "bits": "01"}', '{"bases": "XYZ", "bits": "011"}'],
+             "line 3: record width 3 != expected 2"),
+            (['  {"bases": "XZ", "bits": "01"}\t', '{"bases": "XZ", "bits": "0"}'],
+             "line 2: bases/bits length mismatch"),
+        ],
+    )
+    def test_headerless_width_is_the_first_record(self, tmp_path, lines, message):
+        path = tmp_path / "snapshots.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(RecordError, match=rf"snapshots\.jsonl: {message}"):
+            io.read_snapshots(path)
+
+    def test_earliest_bad_line_wins(self, tmp_path):
+        """A bad record character is reported before a later structural error."""
+        lines = [json.dumps(io.snapshot_header(2)), '{"bases": "XZ", "bits": "01"}',
+                 '{"bases": "XZ", "bits": "0x"}', "{not json", '{"bits": "01"}']
+        path = tmp_path / "snapshots.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        with pytest.raises(RecordError, match=r"line 3: invalid bit character"):
+            io.read_snapshots(path)
+
+    def test_value_split_across_lines_is_invalid(self, tmp_path):
+        """Each non-blank line is one JSON value, even where the joined lines would parse."""
+        lines = ['{"bases": "XZ", "bits": "01", "note": [{}', '{}]}',
+                 '{"bases": "XZ", "bits": "01"}, {"bases": "ZZ", "bits": "00"}']
+        path = tmp_path / "snapshots.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        with pytest.raises(RecordError, match=r"line 1: invalid JSON"):
+            io.read_snapshots(path)
+
+    def test_circuit_id_is_not_read(self, tmp_path):
+        path = tmp_path / "snapshots.jsonl"
+        path.write_text('{"bases": "XZ", "bits": "01", "circuit_id": [1, {}]}\n',
+                        encoding="ascii")
+        codes, n_qubits = io.read_snapshots(path)
+        assert codes.tolist() == [[0, 5]] and n_qubits == 2
 
     def test_header_without_n_qubits(self, tmp_path):
         header = io.snapshot_header(2)

@@ -10,13 +10,21 @@ Kronecker-product oracle.
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from zecs import linalg
 from zecs.errors import CoverageError, RecordError, SubsystemError
-from zecs.shadow import _FACTORS, _unit_trace_diagonal, outcome_codes, reconstruct, rho_cs
+from zecs.shadow import (
+    _FACTORS,
+    _unit_trace_diagonal,
+    encode_rows,
+    outcome_codes,
+    reconstruct,
+    rho_cs,
+)
 from zecs.simulator import BASIS_ROTATIONS, SnapshotRecord, StateVector, sample_shadow
 
 
@@ -225,6 +233,53 @@ class TestCodeMatrix:
             rho = reconstruct(records, subset)
             assert not rho.validated
             assert rho.matrix.tobytes() == rho_cs(codes, [subset])[0].tobytes()
+            assert reconstruct(codes, subset).matrix.tobytes() == rho.matrix.tobytes()
+
+    def test_code_matrix_passes_through(self):
+        codes = outcome_codes([SnapshotRecord("XYZ", "011")])
+        assert outcome_codes(codes) is codes
+        flipped = codes[:, ::-1]
+        assert outcome_codes(flipped) is flipped
+
+
+class TestEncodeRows:
+    """``encode_rows`` checks every row in one pass and names the first bad one."""
+
+    def test_matches_the_per_character_table(self):
+        rng = np.random.default_rng(4)
+        records = random_records(rng, 50, 7)
+        codes = encode_rows([r.bases for r in records], [r.bits for r in records], 7)
+        expected = [[2 * "XYZ".index(b) + int(t) for b, t in zip(r.bases, r.bits)]
+                    for r in records]
+        assert codes.dtype == np.uint8 and codes.tolist() == expected
+
+    def test_empty(self):
+        assert encode_rows([], [], 5).shape == (0, 5)
+        assert encode_rows([], []).shape == (0, 0)
+
+    @pytest.mark.parametrize(
+        "bases, bits, message",
+        [
+            (["XY", "ZQ", "X"], ["01", "01", "0"], "row 1: invalid basis character(s) ['Q']"),
+            (["XY", "ZZ", "XQ"], ["01", "01", "0"], "row 2: bases/bits length mismatch"),
+            (["XY", "XYZ", "XQ"], ["01", "012", "01"], "row 1: invalid bit character(s) ['2']"),
+            (["XY", "XYZ", "XQ"], ["01", "011", "01"], "row 1: record width 3 != expected 2"),
+            (["XY", "X\u00e9", "XYZ"], ["01", "01", "010"],
+             "row 1: invalid basis character(s) ['\u00e9']"),
+            (["XY", "X?"], ["01", "01"], "row 1: invalid basis character(s) ['?']"),
+            (["XY", "ZZ"], ["01", "0\u00b9"], "row 1: invalid bit character(s) ['\u00b9']"),
+            (["XY", ""], ["01", ""], "row 1: record covers no qubits"),
+        ],
+    )
+    def test_first_bad_row_is_named(self, bases, bits, message):
+        with pytest.raises(RecordError, match=rf"^{re.escape(message)}"):
+            encode_rows(bases, bits, 2, where="row {}".format)
+
+    def test_zero_width_rows_are_rejected(self):
+        with pytest.raises(RecordError, match=r"^record 0: record covers no qubits$"):
+            encode_rows([""], [""])
+        with pytest.raises(RecordError, match=r"^record 0: record covers no qubits$"):
+            encode_rows([""], [""], 0)
 
 
 class TestUnbiasedness:
