@@ -181,8 +181,9 @@ def read_snapshots(
     """
     from .shadow import encode_rows
 
+    if endianness not in (None, Q0_LEFTMOST, Q0_RIGHTMOST):
+        raise ConfigError(f"unknown endianness {endianness!r}")
     text = _read_text(path, RecordError)
-    decode = json.JSONDecoder().raw_decode
     bases: list[str] = []
     bits: list[str] = []
     linenos: list[int] = []
@@ -194,14 +195,9 @@ def read_snapshots(
             if not line.strip():
                 continue
             try:
-                obj, end = decode(line)
-            except json.JSONDecodeError:
-                end = -1
-            if end != len(line):  # whitespace around the value, or not one JSON value
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise RecordError(f"invalid JSON ({exc.msg})") from None
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RecordError(f"invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict):
                 raise RecordError("expected an object")
             if "format" in obj:

@@ -105,11 +105,18 @@ def outcome_codes(stream: np.ndarray | Sequence[SnapshotRecord]) -> np.ndarray:
     """A stream's ``uint8[N, width]`` matrix of codes ``2 * basis + bit``.
 
     A code matrix, as :func:`zecs.io.read_snapshots` returns, is returned
-    unchanged.  Records are encoded by :func:`encode_rows`: each must cover
-    the same qubits as the first, else ``RecordError`` names the first that
-    does not.  An empty stream gives a ``(0, 0)`` matrix.
+    unchanged once its shape, dtype and range are checked.  Records are
+    encoded by :func:`encode_rows`: each must cover the same qubits as the
+    first, else ``RecordError`` names the first that does not.  An empty
+    stream gives a ``(0, 0)`` matrix.
     """
     if isinstance(stream, np.ndarray):
+        if stream.ndim != 2 or stream.dtype != np.uint8:
+            raise RecordError(
+                f"a code matrix must be 2-D uint8, got {stream.ndim}-D {stream.dtype}"
+            )
+        if stream.size and int(stream.max()) >= _INVALID:
+            raise RecordError(f"a code matrix holds codes 0..5, got {int(stream.max())}")
         return stream
     records = list(stream)
     return encode_rows([r.bases for r in records], [r.bits for r in records])

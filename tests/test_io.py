@@ -64,6 +64,11 @@ class TestReadSnapshots:
             codes, _ = io.read_snapshots(path, endianness=other)
             assert np.array_equal(codes, outcome_codes(records)[:, ::-1])
 
+    def test_unknown_endianness_argument_is_rejected(self, tmp_path):
+        path = write_stream(tmp_path, io.snapshot_header(2))
+        with pytest.raises(ConfigError, match="unknown endianness 'q0-sideways'"):
+            io.read_snapshots(path, endianness="q0-sideways")
+
     def test_header_only_gives_empty_matrix(self, tmp_path):
         path = tmp_path / "snapshots.jsonl"
         path.write_text(io.canonical_dumps(io.snapshot_header(4)), encoding="ascii")

@@ -240,6 +240,20 @@ class TestCodeMatrix:
         assert outcome_codes(codes) is codes
         flipped = codes[:, ::-1]
         assert outcome_codes(flipped) is flipped
+        empty = np.zeros((0, 0), dtype=np.uint8)
+        assert outcome_codes(empty) is empty
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.array([[7, 0]], dtype=np.uint8), "codes 0..5, got 7"),
+        (np.array([[6]], dtype=np.uint8), "codes 0..5, got 6"),
+        (np.array([0, 1], dtype=np.uint8), "2-D uint8, got 1-D uint8"),
+        (np.array([[0, 1]]), "2-D uint8, got 2-D int64"),
+    ])
+    def test_invalid_code_matrix_is_rejected(self, matrix, message):
+        with pytest.raises(RecordError, match=re.escape(message)):
+            outcome_codes(matrix)
+        with pytest.raises(RecordError, match=re.escape(message)):
+            reconstruct(matrix, [0])
 
 
 class TestEncodeRows:
