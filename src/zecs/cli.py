@@ -64,8 +64,9 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--snapshots must be >= 1, got {args.snapshots}")
     circuit, circuit_id = _load_circuit(args)
     state = run(circuit)
-    records = sample_shadow(state, args.snapshots, args.seed, circuit_id=circuit_id)
-    io.write_snapshots(args.out, records, circuit.n_qubits, endianness=args.endianness)
+    records = sample_shadow(state, args.snapshots, args.seed)
+    io.write_snapshots(args.out, records, circuit.n_qubits, endianness=args.endianness,
+                       circuit_id=circuit_id)
     print(f"wrote {len(records)} snapshots of {circuit.n_qubits} qubit(s) to {args.out}")
     return 0
 
@@ -140,7 +141,10 @@ def cmd_nonlocal(args) -> int:
 def cmd_perturb_study(args) -> int:
     from .study import perturbation_study
 
-    sigmas = [float(s) for s in args.sigmas.split(",") if s.strip()]
+    try:
+        sigmas = [float(s) for s in args.sigmas.split(",") if s.strip()]
+    except ValueError as exc:  # names the value: "could not convert string to float: 'abc'"
+        raise ConfigError(f"--sigmas: {exc}") from None
     rows = perturbation_study(sigmas, args.trials, args.seed)
     io.write_canonical(args.out, {"format": io.STUDY_FORMAT, "rows": rows, "version": 1})
     print(f"wrote {len(rows)} sigma rows ({args.trials} trials each) to {args.out}")

@@ -29,12 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import linalg, shadow, states
-from .errors import (
-    AdjacencyError,
-    InsufficientCandidatesError,
-    MissingReferenceError,
-    SubsystemError,
-)
+from .errors import InsufficientCandidatesError, MissingReferenceError, SubsystemError
 from .layout import DeviceLayout
 from .projection import project_spectra
 from .report import (
@@ -205,15 +200,14 @@ def nonlocal_scan(
     targets: Sequence[Sequence[int]],
     candidates: Sequence[Sequence[int]],
     layout: DeviceLayout,
-    auto_exclude: bool = True,
 ) -> list[NonlocalResult]:
     """Scan target pairs against candidate pairs they share no coupling with.
 
     ``stream`` is a code matrix or a record list (see ``shadow.outcome_codes``).
 
-    Candidates that overlap a target or couple to it directly are excluded
-    from that target's pool (``auto_exclude=True``, the default) or rejected
-    outright (``auto_exclude=False``).
+    Candidates that overlap a target or couple to it directly are left out
+    of that target's pool: only regions not directly connected to the
+    target are compared.
     """
     target_pairs = [_as_pair(t) for t in targets]
     candidate_pairs = [_as_pair(c) for c in candidates]
@@ -221,16 +215,8 @@ def nonlocal_scan(
 
     results: list[NonlocalResult] = []
     for target in target_pairs:
-        pool = []
-        for cand in candidate_pairs:
-            conflicting = set(cand) & set(target) or layout.groups_adjacent(target, cand)
-            if conflicting:
-                if not auto_exclude:
-                    raise AdjacencyError(
-                        f"candidate {cand} overlaps or couples to target {target}"
-                    )
-                continue
-            pool.append(cand)
+        pool = [cand for cand in candidate_pairs
+                if not (set(cand) & set(target) or layout.groups_adjacent(target, cand))]
         if len(pool) < 3:
             raise InsufficientCandidatesError(
                 f"target {target} retains {len(pool)} candidates after exclusions"

@@ -43,10 +43,6 @@ class MissingReferenceError(ZecsError):
     """No ideal reference state available for a subsystem."""
 
 
-class AdjacencyError(ZecsError):
-    """Subsystems that must be disconnected share a coupling edge."""
-
-
 class InsufficientCandidatesError(ZecsError):
     """Too few comparison candidates for a meaningful statistic."""
 

@@ -10,7 +10,9 @@ convention is ``q0-leftmost`` (qubit 0 is the leftmost character and the
 most significant bit).  ``write_snapshots`` writes ``SnapshotRecord`` lists;
 ``read_snapshots`` returns the stream's code matrix, encoded by
 ``shadow.encode_rows``, and reads ``q0-rightmost`` input as a column flip.
-Each record line carries a ``circuit_id``, which is written but never read.
+A stream comes from one circuit: ``write_snapshots`` takes its
+``circuit_id`` once and writes it on every record line, and
+``read_snapshots`` never reads it.
 
 Reports, layouts, chains, scans and canonical JSON need no NumPy, so the
 ``route`` command loads none: ``read_snapshots`` imports the ``shadow`` layer
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -88,7 +89,15 @@ def canonical_dumps(obj) -> str:
 
 
 def write_canonical(path: str | Path, obj) -> None:
-    Path(path).write_text(canonical_dumps(obj), encoding="ascii")
+    _write_text(path, canonical_dumps(obj))
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ASCII ``text``; a file that cannot be written raises ``ConfigError`` naming it."""
+    try:
+        Path(path).write_text(text, encoding="ascii")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write file ({exc.strerror})") from None
 
 
 def _read_text(path: str | Path, error: type[ZecsError]) -> str:
@@ -134,36 +143,31 @@ def snapshot_header(n_qubits: int, endianness: str = Q0_LEFTMOST) -> dict:
     }
 
 
-def _reverse_record(record: SnapshotRecord) -> SnapshotRecord:
-    return replace(record, bases=record.bases[::-1], bits=record.bits[::-1])
-
-
 def write_snapshots(
     path: str | Path,
     records: Iterable[SnapshotRecord],
     n_qubits: int,
     endianness: str = Q0_LEFTMOST,
+    circuit_id: str = "",
 ) -> None:
-    """Write a header line and one record per line.
+    """Write a header line and one record per line, each tagged with ``circuit_id``.
 
     Records are held internally as ``q0-leftmost``; asking for
     ``q0-rightmost`` reverses the strings on the way out.
     """
     if endianness not in (Q0_LEFTMOST, Q0_RIGHTMOST):
         raise ConfigError(f"unknown endianness {endianness!r}")
+    step = 1 if endianness == Q0_LEFTMOST else -1
     lines = [canonical_dumps(snapshot_header(n_qubits, endianness))]
     for record in records:
         if record.n_qubits != n_qubits:
             raise RecordError(
                 f"record width {record.n_qubits} does not match header n_qubits {n_qubits}"
             )
-        out = record if endianness == Q0_LEFTMOST else _reverse_record(record)
-        lines.append(
-            canonical_dumps(
-                {"bases": out.bases, "bits": out.bits, "circuit_id": out.circuit_id}
-            )
-        )
-    Path(path).write_text("".join(lines), encoding="ascii")
+        lines.append(canonical_dumps(
+            {"bases": record.bases[::step], "bits": record.bits[::step], "circuit_id": circuit_id}
+        ))
+    _write_text(path, "".join(lines))
 
 
 def read_snapshots(

@@ -60,12 +60,14 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - adjoint(m)).max())
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate hermiticity and return the symmetrized stack ``(m + m†)/2``."""
+def require_hermitian(m: np.ndarray) -> np.ndarray:
+    """Validate hermiticity within ``HERMITICITY_TOL``; return the symmetrized ``(m + m†)/2``."""
     a = as_stack(m)
     defect = hermiticity_defect(a)
-    if defect > tol:
-        raise NotHermitianError(f"matrix deviates from its adjoint by {defect:.3e} (tol {tol:.1e})")
+    if defect > HERMITICITY_TOL:
+        raise NotHermitianError(
+            f"matrix deviates from its adjoint by {defect:.3e} (tol {HERMITICITY_TOL:.1e})"
+        )
     return (a + adjoint(a)) / 2.0
 
 
@@ -83,11 +85,11 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def eigh(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
+def eigh(m: np.ndarray) -> EigenDecomposition:
     """Eigendecompose a Hermitian matrix, or a ``(..., d, d)`` stack, with LAPACK.
 
     A stack gives, matrix by matrix, what single calls would.  Raises
-    ``NotHermitianError`` when any matrix fails the hermiticity tolerance,
+    ``NotHermitianError`` when any matrix fails ``HERMITICITY_TOL``,
     ``ValidationError`` for NaN or inf entries and ``DimensionMismatchError``
     above dimension 1024 (the matrix dimension; the stack may be any length).
     """
@@ -95,7 +97,7 @@ def eigh(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
     n = shape[-1] if shape else 0
     if n > _MAX_DIM:
         raise DimensionMismatchError(f"dimension {n} exceeds the supported maximum {_MAX_DIM}")
-    values, v = np.linalg.eigh(require_hermitian(m, tol))
+    values, v = np.linalg.eigh(require_hermitian(m))
     # lexsort is stable and its last key is the primary one.
     order = np.lexsort((-values, -np.abs(values)), axis=-1)
     # Gathered as rows and viewed transposed, so each eigenvector column is contiguous.
@@ -106,18 +108,20 @@ def eigh(m: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
     )
 
 
-def partial_trace(m: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
-    """Trace out all qubits not listed in ``keep`` from an ``n``-qubit operator.
+def partial_trace(m: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """Trace out all qubits not listed in ``keep`` from a qubit operator.
 
-    ``m`` is one matrix or a ``(..., d, d)`` stack, traced matrix by matrix.
-    ``keep`` is an ordered list of distinct qubit indices; the result axes
-    follow that order, so ``keep=[2, 0]`` returns an operator whose most
-    significant qubit is original qubit 2.  ``keep=[]`` yields the 1x1
-    matrix ``[[trace]]``.
+    ``m`` is one matrix or a ``(..., d, d)`` stack, traced matrix by matrix;
+    ``d = 2**n`` gives the qubit count ``n``, and any other ``d`` raises
+    ``DimensionMismatchError``.  ``keep`` is an ordered list of distinct
+    qubit indices; the result axes follow that order, so ``keep=[2, 0]``
+    returns an operator whose most significant qubit is original qubit 2.
+    ``keep=[]`` yields the 1x1 matrix ``[[trace]]``.
     """
     a = as_stack(m)
-    if n < 0 or a.shape[-1] != 2**n:
-        raise DimensionMismatchError(f"matrix of dim {a.shape[-1]} is not a {n}-qubit operator")
+    n = a.shape[-1].bit_length() - 1
+    if a.shape[-1] != 2**n:
+        raise DimensionMismatchError(f"matrix dimension {a.shape[-1]} is not a power of two")
     keep = list(keep)
     if len(set(keep)) != len(keep):
         raise IndexError(f"duplicate qubit indices in keep={keep}")

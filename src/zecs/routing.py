@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import ConfigError, PathError, SearchBudgetError
 from .layout import DeviceLayout, normalize_edge
@@ -52,15 +52,6 @@ class ChainSolution:
     mean_fidelity: float
     mean_entropy: float
     approximate: bool = False
-
-
-ScoreMap = Mapping[tuple[int, int], EdgeScore]
-
-
-def score_map(scores: Iterable[EdgeScore] | ScoreMap) -> dict[tuple[int, int], EdgeScore]:
-    """Normalize a score collection into a dict keyed by sorted qubit pair."""
-    items = scores.values() if isinstance(scores, Mapping) else scores
-    return {s.pair: s for s in items}
 
 
 def _boundary_edges(
@@ -103,13 +94,13 @@ def edge_scores_from_report(
 
 
 def _scored_adjacency(
-    layout: DeviceLayout, smap: dict[tuple[int, int], EdgeScore], weight_w: float
+    layout: DeviceLayout, scores: dict[tuple[int, int], EdgeScore], weight_w: float
 ) -> tuple[dict[int, list[tuple[float, int]]], dict[tuple[int, int], float]]:
     """Adjacency over scored layout edges, neighbor lists sorted by (cost, vertex)."""
     costs: dict[tuple[int, int], float] = {}
     adj: dict[int, list[tuple[float, int]]] = {q: [] for q in range(layout.num_qubits)}
     for edge in layout.edges:
-        score = smap.get(edge)
+        score = scores.get(edge)
         if score is None:
             continue
         c = score.cost(weight_w)
@@ -124,14 +115,14 @@ def _scored_adjacency(
 
 def _solution(
     path: tuple[int, ...],
-    smap: dict[tuple[int, int], EdgeScore],
+    scores: dict[tuple[int, int], EdgeScore],
     weight_w: float,
     approximate: bool,
 ) -> ChainSolution:
     edges = [normalize_edge(a, b) for a, b in zip(path, path[1:])]
-    cost = math.fsum(smap[e].cost(weight_w) for e in edges)
-    mean_f = math.fsum(smap[e].fidelity for e in edges) / len(edges)
-    mean_s = math.fsum(smap[e].s_ij for e in edges) / len(edges)
+    cost = math.fsum(scores[e].cost(weight_w) for e in edges)
+    mean_f = math.fsum(scores[e].fidelity for e in edges) / len(edges)
+    mean_s = math.fsum(scores[e].s_ij for e in edges) / len(edges)
     return ChainSolution(
         qubits=path, cost=cost, mean_fidelity=mean_f, mean_entropy=mean_s, approximate=approximate
     )
@@ -162,13 +153,15 @@ def _walk_bounds(
 
 def best_chain(
     layout: DeviceLayout,
-    scores: Iterable[EdgeScore] | ScoreMap,
+    scores: dict[tuple[int, int], EdgeScore],
     length_L: int,
     weight_w: float = 1.0,
     node_budget: int = 10**8,
 ) -> ChainSolution:
     """Minimum-cost simple path of exactly ``length_L`` vertices.
 
+    ``scores`` maps each sorted qubit pair to its ``EdgeScore``, as
+    ``edge_scores_from_report`` returns them; unscored edges are not used.
     One depth-first branch and bound over all roots, starting from an
     infinite bound and pruned by the non-backtracking walk bound of
     ``_walk_bounds``.  Every expanded node costs one unit of
@@ -180,8 +173,7 @@ def best_chain(
         raise ConfigError(f"entropy weight must be finite, got {weight_w}")
     if length_L < 2:
         raise PathError(f"chain length must be >= 2, got {length_L}")
-    smap = score_map(scores)
-    adj, costs = _scored_adjacency(layout, smap, weight_w)
+    adj, costs = _scored_adjacency(layout, scores, weight_w)
     if not costs:
         raise PathError("no scored edges to route over")
 
@@ -239,4 +231,4 @@ def best_chain(
         raise PathError(f"no simple path of {length_L} qubits exists")
     best_cost = min(c for c, _ in found)
     winners = [p for c, p in found if c <= best_cost + _EPS]
-    return _solution(min(winners), smap, weight_w, approximate)
+    return _solution(min(winners), scores, weight_w, approximate)

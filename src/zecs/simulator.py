@@ -104,7 +104,6 @@ class SnapshotRecord:
 
     bases: str
     bits: str
-    circuit_id: str = ""
 
     def __post_init__(self):
         problem = record_problem(self.bases, self.bits)
@@ -233,9 +232,7 @@ def _chain_rule_bits(amps: np.ndarray, bases: np.ndarray, draws: np.ndarray) -> 
     return bits
 
 
-def sample_shadow(
-    state: StateVector, n_records: int, seed: int, circuit_id: str = ""
-) -> list[SnapshotRecord]:
+def sample_shadow(state: StateVector, n_records: int, seed: int) -> list[SnapshotRecord]:
     """Draw ``n_records`` randomized Pauli-basis measurement records.
 
     Per record each qubit's basis is uniform over {X, Y, Z} and the joint
@@ -259,7 +256,7 @@ def sample_shadow(
     base_text = np.frombuffer(BASIS_LETTERS.encode(), dtype=np.uint8)[bases].tobytes().decode()
     bit_text = (bits + ord("0")).tobytes().decode()
     return [
-        SnapshotRecord(base_text[i:i + n], bit_text[i:i + n], circuit_id)
+        SnapshotRecord(base_text[i:i + n], bit_text[i:i + n])
         for i in range(0, n_records * n, n)
     ]
 

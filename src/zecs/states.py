@@ -1,9 +1,10 @@
 """Density operators and the closeness / entanglement metrics built on them.
 
 Fidelity is taken to a pure state, ``F = <psi| rho |psi>``, trace distance
-is ``D = Tr|r1 - r2| / 2``, concurrence comes from the spin-flipped R-matrix
-spectrum, and entanglement entropy is the base-2 von Neumann entropy of a
-marginal (a Bell pair scores exactly 1).
+is ``D = Tr|r1 - r2| / 2``, concurrence comes from the R-matrix spectrum
+with the ``X (x) X`` flip (see ``concurrence_matrix``; this is not Wootters'
+concurrence in general), and entanglement entropy is the base-2 von Neumann
+entropy of a marginal (a Bell pair scores exactly 1).
 
 Shadow reconstructions are generally indefinite; metric functions clamp
 negative eigenvalues internally instead of rejecting such inputs.
@@ -30,7 +31,8 @@ from .errors import DimensionMismatchError, SubsystemError, ValidationError
 TRACE_TOL = 1e-8
 PSD_TOL = 1e-8
 
-#: The two-qubit spin flip ``X (x) X``: it reverses the computational basis.
+#: The two-qubit flip ``X (x) X``: it reverses the computational basis.  It is
+#: not Wootters' spin flip ``Y (x) Y`` (see ``concurrence_matrix``).
 _SPIN_FLIP = np.eye(4, dtype=complex)[::-1]
 
 
@@ -152,10 +154,11 @@ def trace_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def concurrence(rho: DensityOperator) -> float:
-    """Two-qubit entanglement monotone from the spin-flipped R-matrix.
+    """Two-qubit concurrence-like value from the ``X (x) X``-flipped R-matrix.
 
     Indefinite inputs are clamped to the PSD cone first; see
-    ``concurrence_matrix`` for the formula.
+    ``concurrence_matrix`` for the formula, which is not Wootters'
+    concurrence in general.
     """
     if rho.n_qubits != 2:
         raise DimensionMismatchError("concurrence is defined for exactly 2 qubits")
@@ -164,11 +167,14 @@ def concurrence(rho: DensityOperator) -> float:
 
 
 def concurrence_matrix(m: np.ndarray) -> np.ndarray:
-    """Concurrence of each PSD two-qubit matrix in a ``(..., 4, 4)`` stack.
+    """Wootters' formula with an ``X (x) X`` flip, per PSD matrix of a ``(..., 4, 4)`` stack.
 
     ``R = sqrt(sqrt(rho) rho~ sqrt(rho))`` with
     ``rho~ = (X (x) X) conj(rho) (X (x) X)``; the result is
     ``max(0, l0 - l1 - l2 - l3)`` over the descending eigenvalues of R.
+    Wootters' concurrence flips with ``Y (x) Y`` instead.  The two agree on
+    the Bell pair (1) and on |00> (0) but not in general: the product state
+    |++> gives 1 here, not 0.
     """
     flipped = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
     sqrt_m = linalg.mat_sqrt_psd(m)
@@ -196,7 +202,7 @@ def entanglement_entropy_matrix(m: np.ndarray, subsystem_a: Sequence[int]) -> np
     Marginal eigenvalues are clipped to [0, 1] and renormalized before the
     entropy sum, so slightly unphysical reconstructions are handled.
     """
-    marginals = linalg.partial_trace(m, subsystem_a, m.shape[-1].bit_length() - 1)
+    marginals = linalg.partial_trace(m, subsystem_a)
     probs = np.clip(linalg.eigh(marginals).eigenvalues, 0.0, 1.0)
     total = probs.sum(axis=-1, keepdims=True)
     if (total <= 0.0).any():

@@ -2,9 +2,12 @@
 
 For each noise strength the study perturbs a Bell pair many times, applies
 the rank-1 projection to the perturbed mixed state, and tabulates how close
-each version stays to the ideal state in infidelity, trace distance, and
-concurrence.  The per-sigma mean eigenvalue curve is included so the
-rank-stability of the dominant eigenvalue can be checked downstream.
+each version stays to the ideal state in infidelity, trace distance, and the
+``concurrence_*`` columns.  Those come from ``states.concurrence_matrix``:
+Wootters' formula with an ``X (x) X`` flip in place of ``Y (x) Y``, which is
+not Wootters' concurrence in general (|++> reads 1, not 0).  The per-sigma
+mean eigenvalue curve is included so the rank-stability of the dominant
+eigenvalue can be checked downstream.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ def perturbation_study(
     sigmas = [float(s) for s in sigma_grid]
     if not sigmas:
         raise ConfigError("sigma grid is empty")
+    for sigma in sigmas:
+        if not 0.0 <= sigma <= 0.5:  # also false for NaN
+            raise ConfigError(f"sigma must be a finite number in [0, 0.5], got {sigma!r}")
     ideal = bell_state().matrix
     master = np.random.default_rng(seed)
     trial_seeds = master.integers(0, 2**63 - 1, size=(len(sigmas), trials))

@@ -142,6 +142,28 @@ def test_q0_rightmost_copy_gives_the_same_bytes(tmp_path):
     assert left[1:] == right[1:]
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+#: ``simulate`` arguments of the streams pinned in ``tests/golden``: the default
+#: circuit id in ``q0-leftmost`` order, and a given ``--circuit-id`` in ``q0-rightmost``.
+GOLDEN_STREAMS = {
+    "stream_default_q0_leftmost.jsonl": [
+        "--qubits", "3", "--reps", "1", "--param-seed", "5", "--snapshots", "40", "--seed", "3",
+    ],
+    "stream_circuit_id_q0_rightmost.jsonl": [
+        "--qubits", "4", "--reps", "2", "--param-seed", "1", "--snapshots", "40", "--seed", "2",
+        "--circuit-id", "run-7", "--endianness", io.Q0_RIGHTMOST,
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STREAMS))
+def test_simulate_bytes_match_golden(tmp_path, name):
+    out = tmp_path / name
+    assert cli.main(["simulate", *GOLDEN_STREAMS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def route_files(tmp_path, report_obj=None, layout_obj=None):
     report = tmp_path / "report.json"
     layout = tmp_path / "layout.json"
@@ -377,6 +399,47 @@ def test_circuit_missing_key_exits_2(tmp_path, capsys, obj, key):
             "--out", str(tmp_path / "s.jsonl")]
     assert cli.main(argv) == 2
     assert f"circuit.json: circuit: missing key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigmas, message", [
+    ("0.1,abc", "--sigmas: could not convert string to float: 'abc'"),
+    ("nan", "sigma must be a finite number in [0, 0.5], got nan"),
+    ("0.7", "sigma must be a finite number in [0, 0.5], got 0.7"),
+    ("inf", "sigma must be a finite number in [0, 0.5], got inf"),
+    ("-0.1", "sigma must be a finite number in [0, 0.5], got -0.1"),
+])
+def test_perturb_study_bad_sigma_exits_2(tmp_path, capsys, sigmas, message):
+    out = tmp_path / "study.json"
+    argv = ["perturb-study", "--sigmas", sigmas, "--trials", "2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_out_in_missing_directory_exits_2(tmp_path, capsys):
+    report, layout = route_files(tmp_path)
+    stream = tmp_path / "snapshots.jsonl"
+    simulate(stream)
+    target, values = datasets.brisbane_nonlocal_values()
+    values_file = tmp_path / "values.json"
+    values_file.write_text(json.dumps(
+        {"pairs": [{"candidate": list(c), "s_ij": s} for c, s in values], "target": list(target)}
+    ))
+    commands = [
+        ["simulate", "--qubits", "2", "--reps", "1", "--snapshots", "5"],
+        ["reconstruct", "--snapshots", str(stream), "--subsystems", str(subsystems_file(tmp_path)),
+         "--ref-policy", "zero"],
+        ["route", "--report", str(report), "--layout", str(layout), "--length", "3"],
+        ["nonlocal", "--values", str(values_file)],
+        ["perturb-study", "--sigmas", "0.1", "--trials", "2"],
+    ]
+    out = tmp_path / "missing" / "out.json"
+    capsys.readouterr()
+    for argv in commands:
+        assert cli.main([*argv, "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"error: {out}: cannot write file (No such file or directory)\n", argv
+    assert not out.parent.exists()
 
 
 def run_python(code, *args):

@@ -16,7 +16,6 @@ from zecs.diagnostics import (
     score_candidates,
 )
 from zecs.errors import (
-    AdjacencyError,
     ConfigError,
     CoverageError,
     InsufficientCandidatesError,
@@ -383,9 +382,13 @@ class TestNonlocalScan:
         nonlocal_scan(records, [(0, 1), (8, 9)], self.CANDIDATES, self.LINE)
         assert eigh_calls == [(6, 16, 16), (6, 4, 4), (5, 16, 16), (5, 4, 4)]
 
-    def test_conflicting_candidate_rejected_without_auto_exclude(self, records):
-        with pytest.raises(AdjacencyError):
-            nonlocal_scan(records, [(0, 1)], self.CANDIDATES, self.LINE, auto_exclude=False)
+    def test_overlapping_and_adjacent_candidates_are_dropped(self, records):
+        # (0, 1): (1, 2) overlaps and (2, 3) couples to qubit 1.  (8, 9): (8, 9) and
+        # (3, 8) overlap, and (6, 7) couples to qubit 8 through the edge (7, 8).
+        results = nonlocal_scan(records, [(0, 1), (8, 9)], self.CANDIDATES, self.LINE)
+        pools = {target: [r.candidate for r in results if r.target == target]
+                 for target in [(0, 1), (8, 9)]}
+        assert pools == {(0, 1): self.POOL, (8, 9): [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]}
 
     def test_too_few_candidates_after_exclusion(self, records):
         with pytest.raises(InsufficientCandidatesError):

@@ -32,14 +32,14 @@ def write_stream(tmp_path, header):
 def random_records(rng, n_records, n_qubits):
     return [
         SnapshotRecord("".join(rng.choice(list("XYZ"), n_qubits)),
-                       "".join(rng.choice(list("01"), n_qubits)), "c")
+                       "".join(rng.choice(list("01"), n_qubits)))
         for _ in range(n_records)
     ]
 
 
 class TestReadSnapshots:
     def test_round_trip_both_endiannesses(self, tmp_path):
-        records = [SnapshotRecord("XYZ", "011", "a"), SnapshotRecord("ZZX", "100", "b")]
+        records = [SnapshotRecord("XYZ", "011"), SnapshotRecord("ZZX", "100")]
         for endianness in (io.Q0_LEFTMOST, io.Q0_RIGHTMOST):
             path = tmp_path / f"{endianness}.jsonl"
             io.write_snapshots(path, records, 3, endianness=endianness)

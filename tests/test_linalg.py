@@ -231,15 +231,15 @@ class TestPartialTrace:
         rho_a = random_density(rng, 1)
         rho_b = random_density(rng, 2)
         joint = np.kron(rho_a, rho_b)
-        assert np.allclose(linalg.partial_trace(joint, [0], 3), rho_a, atol=1e-12)
-        assert np.allclose(linalg.partial_trace(joint, [1, 2], 3), rho_b, atol=1e-12)
+        assert np.allclose(linalg.partial_trace(joint, [0]), rho_a, atol=1e-12)
+        assert np.allclose(linalg.partial_trace(joint, [1, 2]), rho_b, atol=1e-12)
 
     def test_bell_marginal_is_maximally_mixed(self):
         bell = np.zeros((4, 4), dtype=complex)
         for i in (0, 3):
             for j in (0, 3):
                 bell[i, j] = 0.5
-        assert np.allclose(linalg.partial_trace(bell, [0], 2), np.eye(2) / 2)
+        assert np.allclose(linalg.partial_trace(bell, [0]), np.eye(2) / 2)
 
     def test_against_brute_force_summation(self):
         rng = np.random.default_rng(33)
@@ -256,7 +256,7 @@ class TestPartialTrace:
                             col = (j0 << 2) | (k << 1) | j2
                             acc += rho[row, col]
                         expected[(i0 << 1) | i2, (j0 << 1) | j2] = acc
-        out = linalg.partial_trace(rho, [0, 2], 3)
+        out = linalg.partial_trace(rho, [0, 2])
         assert np.allclose(out, expected, atol=1e-14)
 
     def test_keep_order_permutes_result(self):
@@ -264,20 +264,20 @@ class TestPartialTrace:
         rho_a = random_density(rng, 1)
         rho_b = random_density(rng, 1)
         joint = np.kron(rho_a, rho_b)
-        swapped = linalg.partial_trace(joint, [1, 0], 2)
+        swapped = linalg.partial_trace(joint, [1, 0])
         assert np.allclose(swapped, np.kron(rho_b, rho_a), atol=1e-12)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(8)
         rho = random_density(rng, 3)
-        out = linalg.partial_trace(rho, [1], 3)
+        out = linalg.partial_trace(rho, [1])
         assert np.trace(out) == pytest.approx(np.trace(rho).real, abs=1e-12)
 
     def test_keep_all_and_keep_none(self):
         rng = np.random.default_rng(2)
         rho = random_density(rng, 2)
-        assert np.allclose(linalg.partial_trace(rho, [0, 1], 2), rho)
-        total = linalg.partial_trace(rho, [], 2)
+        assert np.allclose(linalg.partial_trace(rho, [0, 1]), rho)
+        total = linalg.partial_trace(rho, [])
         assert total.shape == (1, 1)
         assert total[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -286,23 +286,28 @@ class TestPartialTrace:
         a = random_hermitian(rng, 8)
         b = random_hermitian(rng, 8)
         alpha, beta = 0.7, -1.3
-        left = linalg.partial_trace(alpha * a + beta * b, [2], 3)
-        right = alpha * linalg.partial_trace(a, [2], 3) + beta * linalg.partial_trace(b, [2], 3)
+        left = linalg.partial_trace(alpha * a + beta * b, [2])
+        right = alpha * linalg.partial_trace(a, [2]) + beta * linalg.partial_trace(b, [2])
         assert np.allclose(left, right, atol=1e-12)
 
     @pytest.mark.parametrize("keep", [[0, 1], [3, 0], [2], []])
     def test_stack_matches_per_matrix_loop(self, keep):
         rng = np.random.default_rng(15)
         stack = np.stack([random_hermitian(rng, 16) for _ in range(5)])
-        out = linalg.partial_trace(stack, keep, 4)
+        out = linalg.partial_trace(stack, keep)
         assert out.shape == (5, 2 ** len(keep), 2 ** len(keep))
-        assert np.array_equal(out, [linalg.partial_trace(m, keep, 4) for m in stack])
+        assert np.array_equal(out, [linalg.partial_trace(m, keep) for m in stack])
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            linalg.partial_trace(np.eye(4, dtype=complex), [2], 2)
+            linalg.partial_trace(np.eye(4, dtype=complex), [2])
         with pytest.raises(IndexError):
-            linalg.partial_trace(np.eye(4, dtype=complex), [0, 0], 2)
+            linalg.partial_trace(np.eye(4, dtype=complex), [0, 0])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 6, 6)], ids=["3x3", "6x6-stack"])
+    def test_dimension_not_a_power_of_two(self, shape):
+        with pytest.raises(DimensionMismatchError, match="not a power of two"):
+            linalg.partial_trace(np.zeros(shape, dtype=complex), [0])
 
 
 class TestPsdHelpers:

@@ -17,14 +17,14 @@ from zecs.routing import (
     _walk_bounds,
     best_chain,
     edge_scores_from_report,
-    score_map,
 )
 
 
 def score_chain(chain, scores, weight_w=1.0):
     """Oracle: the cost of a given chain, the ``math.fsum`` of its edge costs."""
-    smap = score_map(scores)
-    return math.fsum(smap[normalize_edge(a, b)].cost(weight_w) for a, b in zip(chain, chain[1:]))
+    return math.fsum(
+        scores[normalize_edge(a, b)].cost(weight_w) for a, b in zip(chain, chain[1:])
+    )
 
 
 def brute_force_chains(layout, scores, length_L, weight_w=1.0):
@@ -34,7 +34,7 @@ def brute_force_chains(layout, scores, length_L, weight_w=1.0):
     lexicographically smallest qubit sequence wins.  Raises ``PathError``
     when no such path exists.
     """
-    cost = {s.pair: s.cost(weight_w) for s in scores}
+    cost = {pair: s.cost(weight_w) for pair, s in scores.items()}
     adj = {
         q: [v for v in layout.neighbors(q) if normalize_edge(q, v) in cost]
         for q in range(layout.num_qubits)
@@ -62,7 +62,7 @@ def brute_force_chains(layout, scores, length_L, weight_w=1.0):
 
 
 def random_instance(seed, grid):
-    """Random graph on 5-10 vertices, edge probability 0.35, scored edges.
+    """Random graph on 5-10 vertices, edge probability 0.35, and its edge scores by pair.
 
     With ``grid`` the fidelities and entropies sit on a 0.1 grid, so many
     chains tie in cost and the lexicographic tie-break decides.
@@ -70,13 +70,13 @@ def random_instance(seed, grid):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 11))
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.35]
-    scores = []
+    scores = {}
     for edge in edges:
         if grid:
             fidelity, s_ij = rng.integers(0, 11) / 10, rng.integers(0, 11) / 10
         else:
             fidelity, s_ij = rng.random(), rng.random()
-        scores.append(EdgeScore(pair=edge, fidelity=fidelity, s_ij=s_ij))
+        scores[edge] = EdgeScore(pair=edge, fidelity=fidelity, s_ij=s_ij)
     return DeviceLayout(num_qubits=n, edges=tuple(edges)), scores
 
 
@@ -132,7 +132,7 @@ def test_negative_weight_matches_brute_force():
 
 
 def walk_table(layout, scores, steps, weight_w):
-    adj, _ = _scored_adjacency(layout, score_map(scores), weight_w)
+    adj, _ = _scored_adjacency(layout, scores, weight_w)
     return adj, _walk_bounds(adj, steps)
 
 

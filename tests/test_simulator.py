@@ -58,7 +58,7 @@ def rotated_amplitudes(amps, bases):
     return t.reshape(-1)
 
 
-def inverse_cdf_sampler(state, n_records, seed, circuit_id=""):
+def inverse_cdf_sampler(state, n_records, seed):
     """Oracle: the same seed stream, one cumulative distribution per basis string."""
     n = state.n_qubits
     rng = np.random.default_rng(seed)
@@ -72,7 +72,7 @@ def inverse_cdf_sampler(state, n_records, seed, circuit_id=""):
             probs = np.abs(rotated_amplitudes(state.amplitudes, letters)) ** 2
             cdfs[letters] = np.cumsum(probs / probs.sum())
         outcome = min(int(np.searchsorted(cdfs[letters], draws[r], side="right")), 2**n - 1)
-        records.append(SnapshotRecord(letters, format(outcome, f"0{n}b"), circuit_id))
+        records.append(SnapshotRecord(letters, format(outcome, f"0{n}b")))
     return records
 
 
@@ -288,8 +288,9 @@ class TestSamplerOracle:
     def test_equal_records(self, make_state, n_records, seeds):
         state = make_state()
         for seed in seeds:
-            expected = inverse_cdf_sampler(state, n_records, seed, circuit_id="c")
-            assert sample_shadow(state, n_records, seed, circuit_id="c") == expected
+            assert sample_shadow(state, n_records, seed) == inverse_cdf_sampler(
+                state, n_records, seed
+            )
 
     @pytest.mark.parametrize("make_state", [lambda: ghz(3), lambda: su2_state(6, 8)])
     def test_equal_records_across_chunks(self, make_state):

@@ -108,7 +108,9 @@ def test_reproducible_from_seed():
     assert perturbation_study([0.2], 4, seed=3) != perturbation_study([0.2], 4, seed=4)
 
 
-@pytest.mark.parametrize("sigmas, trials", [([0.1], 1), ([], 5)])
+@pytest.mark.parametrize("sigmas, trials", [
+    ([0.1], 1), ([], 5), ([0.1, float("nan")], 5), ([float("inf")], 5), ([0.7], 5), ([-0.1], 5),
+])
 def test_rejects_bad_arguments(sigmas, trials):
     with pytest.raises(ConfigError):
         perturbation_study(sigmas, trials, seed=0)
