@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import io
 from .errors import ConfigError, ZecsError
+from .report import ENTROPY_NORMALIZATIONS
 from .routing import best_chain, edge_scores_from_report
 
 
@@ -42,19 +43,17 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 
 def _load_circuit(args) -> tuple:
+    from .simulator import build_efficient_su2, random_su2_params
+
     if args.circuit:
-        circuit_id = args.circuit_id or Path(args.circuit).stem
-        return io.read_circuit(args.circuit), circuit_id
-    if args.qubits is None or args.reps is None:
+        circuit, default_id = io.read_circuit(args.circuit), Path(args.circuit).stem
+    elif args.qubits is None or args.reps is None:
         raise ConfigError("give either --circuit FILE or both --qubits and --reps")
-    obj = {
-        "kind": "efficient_su2",
-        "n_qubits": args.qubits,
-        "reps": args.reps,
-        "param_seed": args.param_seed,
-    }
-    circuit_id = args.circuit_id or f"su2-n{args.qubits}-r{args.reps}-p{args.param_seed}"
-    return io.circuit_from_obj(obj), circuit_id
+    else:
+        params = random_su2_params(args.qubits, args.reps, args.param_seed)
+        circuit = build_efficient_su2(args.qubits, args.reps, params)
+        default_id = f"su2-n{args.qubits}-r{args.reps}-p{args.param_seed}"
+    return circuit, default_id if args.circuit_id is None else args.circuit_id
 
 
 def cmd_simulate(args) -> int:
@@ -95,7 +94,7 @@ def cmd_reconstruct(args) -> int:
     report = build_report(
         codes, specs, references, entropy_normalization=args.entropy_norm
     )
-    io.write_report(args.out, report)
+    io.write_canonical(args.out, io.report_to_obj(report))
     print(f"wrote report with {len(report.subsystems)} subsystem(s) to {args.out}")
     return 0
 
@@ -105,7 +104,7 @@ def cmd_route(args) -> int:
     layout = io.read_layout(args.layout)
     scores = edge_scores_from_report(report, layout)
     solution = best_chain(layout, scores, args.length, weight_w=args.weight)
-    io.write_chain(args.out, solution, weight=args.weight)
+    io.write_canonical(args.out, io.chain_to_obj(solution, args.weight))
     marker = " (approximate)" if solution.approximate else ""
     print(
         f"best {args.length}-qubit chain{marker}: cost {solution.cost:.6g}, "
@@ -146,7 +145,7 @@ def cmd_perturb_study(args) -> int:
     except ValueError as exc:  # names the value: "could not convert string to float: 'abc'"
         raise ConfigError(f"--sigmas: {exc}") from None
     rows = perturbation_study(sigmas, args.trials, args.seed)
-    io.write_canonical(args.out, {"format": io.STUDY_FORMAT, "rows": rows, "version": 1})
+    io.write_canonical(args.out, io.study_to_obj(rows))
     print(f"wrote {len(rows)} sigma rows ({args.trials} trials each) to {args.out}")
     return 0
 
@@ -176,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subsystems", required=True, help="subsystem spec JSON file")
     p.add_argument("--endianness", default=None,
                    choices=[io.Q0_LEFTMOST, io.Q0_RIGHTMOST])
-    p.add_argument("--entropy-norm", default="per-kind", choices=["per-kind", "global"])
+    p.add_argument("--entropy-norm", default="per-kind", choices=ENTROPY_NORMALIZATIONS)
     p.add_argument("--ref-policy", default="require", choices=["require", "zero"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)

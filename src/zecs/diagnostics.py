@@ -33,6 +33,7 @@ from .errors import InsufficientCandidatesError, MissingReferenceError, Subsyste
 from .layout import DeviceLayout
 from .projection import project_spectra
 from .report import (
+    ENTROPY_NORMALIZATIONS,
     PAIR,
     PAIR_PAIR,
     DiagnosticReport,
@@ -104,7 +105,7 @@ def normalize_entropies(
 ) -> tuple[SubsystemDiagnostics, ...]:
     """Fill ``s_ab_normalized`` by dividing by the max entropy of the row's
     kind (``per-kind``) or of all entropy-carrying rows (``global``)."""
-    if mode not in ("per-kind", "global"):
+    if mode not in ENTROPY_NORMALIZATIONS:
         raise SubsystemError(f"unknown entropy normalization {mode!r}")
     maxima: dict[str, float] = {}
     for row in rows:

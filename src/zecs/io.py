@@ -1,4 +1,4 @@
-"""File formats: canonical JSON, snapshot streams, reports, chains, scans.
+"""File formats: canonical JSON, snapshot streams, reports, chains, scans, studies.
 
 All files are emitted in a canonical form (sorted keys, floats at 17
 significant digits, newline-terminated) so identical inputs produce
@@ -14,6 +14,12 @@ A stream comes from one circuit: ``write_snapshots`` takes its
 ``circuit_id`` once and writes it on every record line, and
 ``read_snapshots`` never reads it.
 
+The report, scan and chain objects come from their record dataclasses
+(``report.SubsystemDiagnostics``, ``report.NonlocalResult``,
+``routing.ChainSolution``): one key per field, so a field is declared once,
+in its record.  ``simulate`` writes its stream with ``write_snapshots``; every
+other command writes its file as ``write_canonical(path, <kind>_to_obj(...))``.
+
 Reports, layouts, chains, scans and canonical JSON need no NumPy, so the
 ``route`` command loads none: ``read_snapshots`` imports the ``shadow`` layer
 (and with it NumPy) when it runs, and ``circuit_from_obj`` the ``simulator``
@@ -24,12 +30,19 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigError, RecordError, ZecsError
 from .layout import DeviceLayout
-from .report import DiagnosticReport, NonlocalResult, SubsystemDiagnostics, SubsystemSpec
+from .report import (
+    ENTROPY_NORMALIZATIONS,
+    DiagnosticReport,
+    NonlocalResult,
+    SubsystemDiagnostics,
+    SubsystemSpec,
+)
 from .routing import ChainSolution
 
 if TYPE_CHECKING:
@@ -251,26 +264,20 @@ def read_snapshots(
 # diagnostic reports
 
 
+def _record_obj(record) -> dict:
+    """A JSON object with one key per dataclass field; tuples become lists."""
+    obj = {}
+    for field in fields(record):
+        value = getattr(record, field.name)
+        obj[field.name] = list(value) if isinstance(value, tuple) else value
+    return obj
+
+
 def report_to_obj(report: DiagnosticReport) -> dict:
-    rows = []
-    for row in report.subsystems:
-        rows.append(
-            {
-                "clamp_magnitude": row.clamp_magnitude,
-                "degenerate_flag": row.degenerate_flag,
-                "infidelity_cs": row.infidelity_cs,
-                "infidelity_zecs": row.infidelity_zecs,
-                "kind": row.kind,
-                "qubits": list(row.qubits),
-                "s_ab": row.s_ab,
-                "s_ab_normalized": row.s_ab_normalized,
-                "trace_distance": row.trace_distance,
-            }
-        )
     return {
         "entropy_normalization": report.entropy_normalization,
         "format": REPORT_FORMAT,
-        "subsystems": rows,
+        "subsystems": [_record_obj(row) for row in report.subsystems],
         "version": FORMAT_VERSION,
     }
 
@@ -291,44 +298,35 @@ def _integer(value, what: str) -> int:
     return value
 
 
-_REPORT_NUMBERS = (
-    "infidelity_cs",
-    "infidelity_zecs",
-    "trace_distance",
-    "s_ab",
-    "s_ab_normalized",
-    "clamp_magnitude",
-)
+#: The optional number fields of a report row, read from its annotations.
+_REPORT_NUMBERS = tuple(f.name for f in fields(SubsystemDiagnostics) if f.type == "float | None")
 
 
 def report_from_obj(obj: dict) -> DiagnosticReport:
     if obj.get("format") != REPORT_FORMAT:
         raise ConfigError(f"not a report file (format {obj.get('format')!r})")
+    normalization = obj.get("entropy_normalization", "per-kind")
+    if normalization not in ENTROPY_NORMALIZATIONS:
+        raise ConfigError(
+            f"entropy_normalization must be one of {ENTROPY_NORMALIZATIONS}, got {normalization!r}"
+        )
     rows = []
     for index, raw in enumerate(obj["subsystems"]):
         if not isinstance(raw, dict):
             raise TypeError(f"row {index} is not an object")
-        numbers = {key: raw.get(key) for key in _REPORT_NUMBERS}
-        for key, value in numbers.items():
-            if value is not None:
-                _number(value, f"row {index}: {key}")
-        spec = SubsystemSpec(kind=raw["kind"], qubits=tuple(raw["qubits"]))
-        rows.append(
-            SubsystemDiagnostics(
-                kind=spec.kind,
-                qubits=spec.qubits,
-                degenerate_flag=raw.get("degenerate_flag"),
-                **numbers,
-            )
-        )
-    return DiagnosticReport(
-        subsystems=tuple(rows),
-        entropy_normalization=obj.get("entropy_normalization", "per-kind"),
-    )
-
-
-def write_report(path: str | Path, report: DiagnosticReport) -> None:
-    write_canonical(path, report_to_obj(report))
+        kind, flag = raw["kind"], raw.get("degenerate_flag")
+        if type(kind) is not str:
+            raise TypeError(f"row {index}: kind must be a string, got {kind!r}")
+        if flag is not None and type(flag) is not bool:
+            raise TypeError(f"row {index}: degenerate_flag must be a boolean or null, got {flag!r}")
+        qubits = tuple(_integer(q, f"row {index}: qubit") for q in raw["qubits"])
+        numbers = {
+            key: None if raw.get(key) is None else _number(raw[key], f"row {index}: {key}")
+            for key in _REPORT_NUMBERS
+        }
+        spec = SubsystemSpec(kind, qubits)
+        rows.append(SubsystemDiagnostics(spec.kind, spec.qubits, degenerate_flag=flag, **numbers))
+    return DiagnosticReport(subsystems=tuple(rows), entropy_normalization=normalization)
 
 
 def read_report(path: str | Path) -> DiagnosticReport:
@@ -341,20 +339,12 @@ def read_report(path: str | Path) -> DiagnosticReport:
 
 def chain_to_obj(solution: ChainSolution, weight: float) -> dict:
     return {
-        "approximate": solution.approximate,
-        "cost": solution.cost,
+        **_record_obj(solution),
         "format": CHAIN_FORMAT,
         "length": len(solution.qubits),
-        "mean_entropy": solution.mean_entropy,
-        "mean_fidelity": solution.mean_fidelity,
-        "qubits": list(solution.qubits),
         "version": FORMAT_VERSION,
         "weight": weight,
     }
-
-
-def write_chain(path: str | Path, solution: ChainSolution, weight: float) -> None:
-    write_canonical(path, chain_to_obj(solution, weight))
 
 
 #: Target pair and archived (candidate, entropy) values of a non-local scan.
@@ -376,19 +366,13 @@ def read_nonlocal_values(path: str | Path) -> NonlocalValues:
 
 
 def scan_to_obj(results: Sequence[NonlocalResult]) -> dict:
-    rows = []
-    for r in results:
-        rows.append(
-            {
-                "candidate": list(r.candidate),
-                "flagged": r.flagged,
-                "highest": r.highest,
-                "s_ij": r.s_ij,
-                "target": list(r.target),
-                "zscore": r.zscore,
-            }
-        )
+    rows = [_record_obj(result) for result in results]
     return {"format": NONLOCAL_FORMAT, "results": rows, "version": FORMAT_VERSION}
+
+
+def study_to_obj(rows: list[dict]) -> dict:
+    """The ``perturb-study`` file: the rows of ``study.perturbation_study``."""
+    return {"format": STUDY_FORMAT, "rows": rows, "version": FORMAT_VERSION}
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +386,6 @@ def layout_to_obj(layout: DeviceLayout) -> dict:
 def layout_from_obj(obj: dict) -> DeviceLayout:
     edges = [tuple(_integer(q, f"edge {i}: qubit") for q in e) for i, e in enumerate(obj["edges"])]
     return DeviceLayout(_integer(obj["num_qubits"], "num_qubits"), tuple(edges))
-
-
-def write_layout(path: str | Path, layout: DeviceLayout) -> None:
-    write_canonical(path, layout_to_obj(layout))
 
 
 def read_layout(path: str | Path) -> DeviceLayout:
@@ -438,6 +418,8 @@ def circuit_from_obj(obj: dict) -> Circuit:
     if kind == "gates":
         gates = []
         for i, raw in enumerate(obj["gates"]):
+            if not isinstance(raw, dict):
+                raise TypeError(f"gate {i} is not an object")
             control, angle = raw.get("control"), raw.get("angle")
             gates.append(
                 Gate(

@@ -16,6 +16,9 @@ PAIR_PAIR = "pair_pair"
 
 _KIND_SIZES = {PAIR: 2, PAIR_PLUS_IDLE: 3, PAIR_PAIR: 4}
 
+#: How ``s_ab_normalized`` is scaled: by the kind's largest entropy, or by the report's.
+ENTROPY_NORMALIZATIONS = ("per-kind", "global")
+
 
 @dataclass(frozen=True)
 class SubsystemSpec:

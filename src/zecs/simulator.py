@@ -21,7 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import CircuitSpecError, DimensionMismatchError, RecordError, ValidationError
+from .errors import (
+    CircuitSpecError,
+    ConfigError,
+    DimensionMismatchError,
+    RecordError,
+    ValidationError,
+)
 from .states import DensityOperator, require_physical
 
 RY = "ry"
@@ -298,8 +304,8 @@ def _perturb_stack(rho0: np.ndarray, sigma: float, seeds: Sequence[int]) -> np.n
     stack passes the trace and PSD checks of ``DensityOperator.from_matrix``
     or raises its ``ValidationError``.
     """
-    if not 0.0 <= sigma <= 0.5:
-        raise ValueError(f"sigma must lie in [0, 0.5], got {sigma}")
+    if not 0.0 <= sigma <= 0.5:  # also false for NaN
+        raise ConfigError(f"sigma must be a finite number in [0, 0.5], got {sigma}")
     if sigma == 0.0:
         return np.repeat(rho0[None], len(seeds), axis=0)
     eta = np.stack([np.random.default_rng(int(s)).normal(0.0, sigma, size=(4, 4)) for s in seeds])

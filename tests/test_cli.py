@@ -164,6 +164,38 @@ def test_simulate_bytes_match_golden(tmp_path, name):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+BUNDLED = Path(zecs.__file__).resolve().parent / "data"
+
+#: Commands whose output files are pinned in ``tests/golden``: a route over the
+#: bundled report and layout, and a small perturbation study.
+GOLDEN_OUTPUTS = {
+    "chain_brisbane_l20_w0.5.json": [
+        "route", "--report", str(BUNDLED / "brisbane_report.json"),
+        "--layout", str(BUNDLED / "heavy_hex_127.json"), "--length", "20", "--weight", "0.5",
+    ],
+    "study_sigmas_0.1_0.3.json": [
+        "perturb-study", "--sigmas", "0.1,0.3", "--trials", "20", "--seed", "4",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_output_bytes_match_golden(tmp_path, name):
+    out = tmp_path / name
+    assert cli.main([*GOLDEN_OUTPUTS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_simulate_keeps_an_empty_circuit_id(tmp_path):
+    out = tmp_path / "s.jsonl"
+    argv = ["simulate", "--qubits", "2", "--reps", "1", "--snapshots", "3", "--circuit-id", "",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == 3
+    assert all('"circuit_id":""' in line for line in lines)
+
+
 def route_files(tmp_path, report_obj=None, layout_obj=None):
     report = tmp_path / "report.json"
     layout = tmp_path / "layout.json"
@@ -203,6 +235,25 @@ def test_report_row_with_wrong_type_exits_2(tmp_path, capsys, key, value):
     obj["subsystems"][0][key] = value
     assert route(*route_files(tmp_path, report_obj=obj)) == 2
     assert "report.json: report: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("qubits", [13, 12.7], "row 0: qubit must be an integer, got 12.7"),
+        ("qubits", [True, 13], "row 0: qubit must be an integer, got True"),
+        ("kind", 5, "row 0: kind must be a string, got 5"),
+        ("degenerate_flag", "yes", "row 0: degenerate_flag must be a boolean or null, got 'yes'"),
+        ("entropy_normalization", 5,
+         "entropy_normalization must be one of ('per-kind', 'global'), got 5"),
+    ],
+)
+def test_report_value_not_coerced_exits_2(tmp_path, capsys, key, value, message):
+    obj = io.report_to_obj(datasets.brisbane_report())
+    (obj if key == "entropy_normalization" else obj["subsystems"][0])[key] = value
+    assert route(*route_files(tmp_path, report_obj=obj)) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'report.json'}: report: {message}\n"
+    assert not (tmp_path / "chain.json").exists()
 
 
 def test_report_not_an_object_exits_2(tmp_path, capsys):
@@ -361,6 +412,10 @@ def test_values_missing_key_exits_2(tmp_path, capsys, obj, key):
     assert f"values.json: values: missing key {key!r}" in capsys.readouterr().err
 
 
+#: A gate-list circuit whose only gate is not an object.
+NON_OBJECT_GATE = {"kind": "gates", "n_qubits": 2, "gates": [5]}
+
+
 @pytest.mark.parametrize(
     "row, message",
     [
@@ -370,6 +425,8 @@ def test_values_missing_key_exits_2(tmp_path, capsys, obj, key):
          "missing key 'gates'"),
         ({"kind": "pair", "qubits": [0, 1], "reference": [1]},
          "reference of (0, 1) is not an object"),
+        ({"kind": "pair", "qubits": [0, 1], "reference": NON_OBJECT_GATE},
+         "gate 0 is not an object"),
     ],
 )
 def test_malformed_subsystems_file_exits_2(tmp_path, capsys, row, message):
@@ -399,6 +456,16 @@ def test_circuit_missing_key_exits_2(tmp_path, capsys, obj, key):
             "--out", str(tmp_path / "s.jsonl")]
     assert cli.main(argv) == 2
     assert f"circuit.json: circuit: missing key {key!r}" in capsys.readouterr().err
+
+
+def test_non_object_gate_exits_2(tmp_path, capsys):
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps(NON_OBJECT_GATE))
+    stream = tmp_path / "s.jsonl"
+    argv = ["simulate", "--circuit", str(circuit), "--snapshots", "5", "--out", str(stream)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {circuit}: circuit: gate 0 is not an object\n"
+    assert not stream.exists()
 
 
 @pytest.mark.parametrize("sigmas, message", [

@@ -1,5 +1,6 @@
 """Tests for file formats: snapshot-stream parsing errors and golden round-trips."""
 
+import dataclasses
 import importlib.util
 import json
 import re
@@ -11,8 +12,11 @@ import numpy as np
 import pytest
 
 from zecs import datasets, io
+from zecs.diagnostics import score_candidates
 from zecs.errors import ConfigError, RecordError
 from zecs.layout import heavy_hex_127
+from zecs.report import DiagnosticReport, NonlocalResult, SubsystemDiagnostics
+from zecs.routing import ChainSolution, best_chain, edge_scores_from_report
 from zecs.shadow import outcome_codes
 from zecs.simulator import SnapshotRecord
 
@@ -288,6 +292,33 @@ class TestCircuitAndSubsystemTypes:
         assert circuits[(0, 1)].gates[0].angle == 1.0
         assert isinstance(circuits[(0, 1)].gates[0].angle, float)
         assert circuits[(2, 3, 4, 5)].n_qubits == 2
+
+
+def names(record_type):
+    return {field.name for field in dataclasses.fields(record_type)}
+
+
+def test_file_objects_hold_their_record_fields():
+    """Each output object has one key per record field, plus its format keys."""
+    format_keys = {"format", "version"}
+    report = datasets.brisbane_report()
+    obj = io.report_to_obj(report)
+    assert set(obj) == names(DiagnosticReport) | format_keys
+    assert all(set(row) == names(SubsystemDiagnostics) for row in obj["subsystems"])
+    scan = io.scan_to_obj(score_candidates(*datasets.brisbane_nonlocal_values()))
+    assert set(scan) == {"results"} | format_keys
+    assert all(set(row) == names(NonlocalResult) for row in scan["results"])
+    layout = heavy_hex_127()
+    chain = io.chain_to_obj(best_chain(layout, edge_scores_from_report(report, layout), 3), 1.0)
+    assert set(chain) == names(ChainSolution) | format_keys | {"length", "weight"}
+    assert set(io.study_to_obj([])) == {"rows"} | format_keys
+
+
+def test_report_numbers_read_as_floats():
+    obj = io.report_to_obj(datasets.brisbane_report())
+    obj["subsystems"][0]["infidelity_cs"] = 0
+    value = io.report_from_obj(obj).subsystems[0].infidelity_cs
+    assert value == 0.0 and type(value) is float
 
 
 class TestGoldenRoundTrips:

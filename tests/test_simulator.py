@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from zecs import cli
-from zecs.errors import CircuitSpecError, DimensionMismatchError, RecordError, ValidationError
+from zecs.errors import (
+    CircuitSpecError,
+    ConfigError,
+    DimensionMismatchError,
+    RecordError,
+    ValidationError,
+)
 from zecs.simulator import (
     _SAMPLE_CHUNK,
     BASIS_ROTATIONS,
@@ -374,9 +380,9 @@ class TestPerturbState:
             perturb_state(single, 0.1, seed=0)
 
     def test_sigma_range_enforced(self, bell):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             perturb_state(bell, 0.6, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             perturb_state(bell, -0.1, seed=0)
 
     def test_distance_stochastically_increasing(self, bell):

@@ -167,8 +167,8 @@ def build_nonlocal_values() -> dict:
 
 def main() -> None:
     DATA_DIR.mkdir(parents=True, exist_ok=True)
-    io.write_layout(DATA_DIR / "heavy_hex_127.json", heavy_hex_127())
-    io.write_report(DATA_DIR / "brisbane_report.json", build_report())
+    io.write_canonical(DATA_DIR / "heavy_hex_127.json", io.layout_to_obj(heavy_hex_127()))
+    io.write_canonical(DATA_DIR / "brisbane_report.json", io.report_to_obj(build_report()))
     io.write_canonical(DATA_DIR / "brisbane_nonlocal_19_20.json", build_nonlocal_values())
     obj = build_nonlocal_values()
     svals = np.array([row["s_ij"] for row in obj["pairs"]])
