@@ -40,6 +40,7 @@ from .report import (
     NonlocalResult,
     SubsystemDiagnostics,
     SubsystemSpec,
+    qubit_index,
 )
 from .simulator import SnapshotRecord
 from .states import DensityOperator
@@ -159,7 +160,7 @@ def build_report(
 
 
 def _as_pair(qubits: Sequence[int]) -> tuple[int, int]:
-    pair = tuple(int(q) for q in qubits)
+    pair = tuple(qubit_index(q) for q in qubits)
     if len(pair) != 2 or pair[0] == pair[1]:
         raise SubsystemError(f"{pair} is not a qubit pair")
     return pair

@@ -166,20 +166,24 @@ def write_snapshots(
     """Write a header line and one record per line, each tagged with ``circuit_id``.
 
     Records are held internally as ``q0-leftmost``; asking for
-    ``q0-rightmost`` reverses the strings on the way out.
+    ``q0-rightmost`` reverses the strings on the way out.  Every record line
+    is formatted from one template that holds the canonical JSON of
+    ``circuit_id``: a record's ``bases`` and ``bits`` hold only ``XYZ`` and
+    ``01``, which JSON writes unescaped, so each line equals
+    ``canonical_dumps`` of the record's object.
     """
     if endianness not in (Q0_LEFTMOST, Q0_RIGHTMOST):
         raise ConfigError(f"unknown endianness {endianness!r}")
     step = 1 if endianness == Q0_LEFTMOST else -1
+    line = ('{"bases":"%s","bits":"%s","circuit_id":'
+            + _canonical(circuit_id).replace("%", "%%") + "}\n")
     lines = [canonical_dumps(snapshot_header(n_qubits, endianness))]
     for record in records:
         if record.n_qubits != n_qubits:
             raise RecordError(
                 f"record width {record.n_qubits} does not match header n_qubits {n_qubits}"
             )
-        lines.append(canonical_dumps(
-            {"bases": record.bases[::step], "bits": record.bits[::step], "circuit_id": circuit_id}
-        ))
+        lines.append(line % (record.bases[::step], record.bits[::step]))
     _write_text(path, "".join(lines))
 
 

@@ -1,11 +1,14 @@
 """Diagnostic report records: subsystem kinds, report rows and scan results.
 
 Plain frozen dataclasses with no NumPy, so that reading, writing and routing
-over a stored report loads none of the numeric layers.
+over a stored report loads none of the numeric layers.  :func:`qubit_index`
+is the one check that a qubit index given in code is an integer; specs, the
+non-local scan and ``shadow.rho_cs`` use it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import SubsystemError
@@ -15,6 +18,18 @@ PAIR_PLUS_IDLE = "pair_plus_idle"
 PAIR_PAIR = "pair_pair"
 
 _KIND_SIZES = {PAIR: 2, PAIR_PLUS_IDLE: 3, PAIR_PAIR: 4}
+
+
+def qubit_index(q) -> int:
+    """``q`` as a Python int if it is a Python or NumPy integer; anything else,
+    a ``bool`` included, raises ``SubsystemError`` naming it."""
+    if not isinstance(q, bool):
+        try:
+            return operator.index(q)
+        except TypeError:
+            pass
+    raise SubsystemError(f"qubit index must be an integer, got {q!r}")
+
 
 #: How ``s_ab_normalized`` is scaled: by the kind's largest entropy, or by the report's.
 ENTROPY_NORMALIZATIONS = ("per-kind", "global")
@@ -34,7 +49,7 @@ class SubsystemSpec:
     def __post_init__(self):
         if self.kind not in _KIND_SIZES:
             raise SubsystemError(f"unknown subsystem kind {self.kind!r}")
-        qubits = tuple(int(q) for q in self.qubits)
+        qubits = tuple(qubit_index(q) for q in self.qubits)
         if len(qubits) != _KIND_SIZES[self.kind]:
             raise SubsystemError(
                 f"{self.kind} subsystem needs {_KIND_SIZES[self.kind]} qubits, got {qubits}"

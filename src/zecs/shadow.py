@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CoverageError, RecordError, SubsystemError
+from .report import qubit_index
 from .simulator import BASIS_LETTERS, SnapshotRecord, record_problem
 from .states import DensityOperator
 
@@ -151,7 +152,7 @@ def rho_cs(codes: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     :func:`_unit_trace_diagonal`, moving each entry by less than
     ``2 * (sum|diag| + 1) * 2**-52``.
     """
-    subsets = [[int(q) for q in subset] for subset in subsets]
+    subsets = [[qubit_index(q) for q in subset] for subset in subsets]
     n_rows, width = codes.shape
     if not n_rows:
         raise CoverageError("record stream is empty")

@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError
 from .projection import project_spectra
-from .simulator import _perturb_stack
+from .simulator import _generator, _perturb_stack
 from .states import (
     DensityOperator,
     concurrence_matrix,
@@ -51,7 +51,7 @@ def perturbation_study(
     if not sigmas:
         raise ConfigError("sigma grid is empty")
     ideal = bell_state().matrix
-    master = np.random.default_rng(seed)
+    master = _generator(seed)
     trial_seeds = master.integers(0, 2**63 - 1, size=(len(sigmas), trials))
 
     rows = []

@@ -483,6 +483,18 @@ def test_perturb_study_bad_sigma_exits_2(tmp_path, capsys, sigmas, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, seed", [
+    (["simulate", "--qubits", "2", "--reps", "1", "--snapshots", "5", "--seed", "-1"], -1),
+    (["simulate", "--qubits", "2", "--reps", "1", "--snapshots", "5", "--param-seed", "-3"], -3),
+    (["perturb-study", "--sigmas", "0.1", "--trials", "2", "--seed", "-2"], -2),
+], ids=["simulate-seed", "simulate-param-seed", "perturb-study-seed"])
+def test_negative_seed_exits_2(tmp_path, capsys, argv, seed):
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {seed}\n"
+    assert not out.exists()
+
+
 def test_out_in_missing_directory_exits_2(tmp_path, capsys):
     report, layout = route_files(tmp_path)
     stream = tmp_path / "snapshots.jsonl"

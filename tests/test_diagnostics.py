@@ -1,6 +1,7 @@
 """Tests for the diagnostic report, reference resolution and the non-local scan."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,20 @@ class TestResolveReference:
         assert SubsystemSpec(PAIR, (3, 4)).pairs() == ((3, 4),)
         assert SubsystemSpec(PAIR_PLUS_IDLE, (0, 1, 2)).pairs() == ((0, 1),)
         assert SubsystemSpec(PAIR_PAIR, (0, 3, 1, 4)).pairs() == ((0, 3), (1, 4))
+
+    @pytest.mark.parametrize("qubits, bad", [
+        ((0, 1.9), "1.9"), ((True, 2), "True"), ((0, np.float64(1.0)), "np.float64(1.0)"),
+        ((0, "1"), "'1'"),
+    ])
+    def test_spec_rejects_non_integer_qubits(self, qubits, bad):
+        message = f"^qubit index must be an integer, got {re.escape(bad)}$"
+        with pytest.raises(SubsystemError, match=message):
+            SubsystemSpec(PAIR, qubits)
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = SubsystemSpec(PAIR_PLUS_IDLE, (np.int64(3), np.uint8(4), 5))
+        assert spec.qubits == (3, 4, 5)
+        assert all(type(q) is int for q in spec.qubits)
 
     def test_exact_entry_wins(self):
         exact = pure(kron_all(PLUS, PLUS, PLUS))
@@ -401,3 +416,11 @@ class TestNonlocalScan:
     def test_malformed_pair(self, records):
         with pytest.raises(SubsystemError):
             nonlocal_scan(records, [(0, 0)], self.POOL, self.LINE)
+
+    @pytest.mark.parametrize("pair, bad", [((0.7, 1), "0.7"), ((0, True), "True")])
+    def test_non_integer_qubit(self, records, pair, bad):
+        message = f"^qubit index must be an integer, got {bad}$"
+        with pytest.raises(SubsystemError, match=message):
+            nonlocal_scan(records, [pair], self.POOL, self.LINE)
+        with pytest.raises(SubsystemError, match=message):
+            nonlocal_scan(records, [(0, 1)], [*self.POOL, pair], self.LINE)

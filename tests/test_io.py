@@ -41,6 +41,19 @@ def random_records(rng, n_records, n_qubits):
     ]
 
 
+class TestWriteSnapshots:
+    @pytest.mark.parametrize("circuit_id", ["", 'a"b', "c\\d", "50%", "\u00e9"])
+    def test_lines_equal_canonical_dumps(self, tmp_path, circuit_id):
+        records = random_records(np.random.default_rng(5), 20, 7)
+        for endianness, step in ((io.Q0_LEFTMOST, 1), (io.Q0_RIGHTMOST, -1)):
+            path = tmp_path / f"{endianness}.jsonl"
+            io.write_snapshots(path, records, 7, endianness=endianness, circuit_id=circuit_id)
+            objects = [{"bases": r.bases[::step], "bits": r.bits[::step], "circuit_id": circuit_id}
+                       for r in records]
+            expected = [io.snapshot_header(7, endianness), *objects]
+            assert path.read_text(encoding="ascii") == "".join(map(io.canonical_dumps, expected))
+
+
 class TestReadSnapshots:
     def test_round_trip_both_endiannesses(self, tmp_path):
         records = [SnapshotRecord("XYZ", "011"), SnapshotRecord("ZZX", "100")]

@@ -216,6 +216,14 @@ class TestHistogramKernel:
             rho_cs(codes, [])
 
 
+    @pytest.mark.parametrize("subset, bad", [([0.9, 2], "0.9"), ([False, 2], "False")])
+    def test_qubits_must_be_integers(self, subset, bad):
+        codes = outcome_codes(random_records(np.random.default_rng(9), 10, 4))
+        with pytest.raises(SubsystemError, match=rf"^qubit index must be an integer, got {bad}$"):
+            rho_cs(codes, [subset])
+        assert np.array_equal(rho_cs(codes, [np.array([0, 2])]), rho_cs(codes, [[0, 2]]))
+
+
 class TestCodeMatrix:
     def test_codes_are_two_basis_plus_bit(self):
         codes = outcome_codes([SnapshotRecord("XYZ", "011"), SnapshotRecord("ZXY", "100")])

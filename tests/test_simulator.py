@@ -82,6 +82,39 @@ def inverse_cdf_sampler(state, n_records, seed):
     return records
 
 
+def draw_order_sampler(state, n_records, seed):
+    """Oracle: the unsorted sampler, ``_chain_rule_bits`` on 2,048-record chunks in draw order.
+
+    Returns the ``(n_records, n)`` basis-index and bit matrices.
+    """
+    rng = np.random.default_rng(seed)
+    bases = rng.integers(0, 3, size=(n_records, state.n_qubits))
+    draws = rng.random(n_records) * float(np.vdot(state.amplitudes, state.amplitudes).real)
+    bits = np.concatenate([
+        _chain_rule_bits(state.amplitudes, bases[i:i + 2048], draws[i:i + 2048])
+        for i in range(0, n_records, 2048)
+    ])
+    return bases, bits
+
+
+def record_matrices(records):
+    """The basis-index and bit matrices of a record list."""
+    shape = (len(records), records[0].n_qubits)
+    bases = np.array(["XYZ".index(c) for r in records for c in r.bases]).reshape(shape)
+    bits = np.array([int(c) for r in records for c in r.bits]).reshape(shape)
+    return bases, bits
+
+
+def peak_memory(function, *args):
+    """Peak bytes allocated by one call, under ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def ghz(n):
     amps = np.zeros(2**n)
     amps[0] = amps[-1] = 1 / math.sqrt(2)
@@ -268,6 +301,12 @@ class TestSampleShadow:
             if rec.bases[1] == "Z":
                 assert rec.bits[1] == "1"
 
+    def test_bad_count_and_seed_are_config_errors(self):
+        with pytest.raises(ConfigError, match=r"^n_records must be >= 1, got 0$"):
+            sample_shadow(zero_state(1), 0, seed=0)
+        with pytest.raises(ConfigError, match=r"^seed must be a non-negative integer, got -1$"):
+            sample_shadow(zero_state(1), 5, seed=-1)
+
     def test_record_validation(self):
         with pytest.raises(RecordError):
             SnapshotRecord(bases="XQ", bits="00")
@@ -305,6 +344,25 @@ class TestSamplerOracle:
         assert sample_shadow(state, n_records, seed=21) == inverse_cdf_sampler(
             state, n_records, seed=21
         )
+
+    @staticmethod
+    def assert_bits_equal_draw_order_sampler(state, n_records, seed):
+        bases, bits = record_matrices(sample_shadow(state, n_records, seed))
+        expected_bases, expected_bits = draw_order_sampler(state, n_records, seed)
+        assert np.array_equal(bases, expected_bases)
+        assert np.array_equal(bits, expected_bits)
+
+    @pytest.mark.parametrize("n_qubits", range(1, 13))
+    @pytest.mark.parametrize("make_state", [su2_state, lambda n, seed: ghz(n)], ids=["su2", "ghz"])
+    def test_bits_equal_draw_order_sampler(self, make_state, n_qubits):
+        state = make_state(n_qubits, n_qubits)
+        for n_records, seed in [(1, 0), (7, 1), (2 * _SAMPLE_CHUNK + 76, 2)]:
+            self.assert_bits_equal_draw_order_sampler(state, n_records, seed)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_bits_equal_draw_order_sampler_across_many_chunks(self, seed):
+        assert 6000 > 2 * _SAMPLE_CHUNK
+        self.assert_bits_equal_draw_order_sampler(su2_state(12, 2), 6000, seed)
 
     def test_simulate_stream_is_pinned(self, tmp_path, capsys):
         out = tmp_path / "small.jsonl"
@@ -350,14 +408,13 @@ class TestSamplerProperties:
             assert chi2 < _CHI2_P001[int(support.sum()) - 1], (letters, chi2)
 
     def test_peak_memory_is_bounded(self):
-        state = su2_state(12, 1)
-        tracemalloc.start()
-        try:
-            sample_shadow(state, 6000, seed=14)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        # About 3.0 MiB; the draw-order sampler on 2,048-record chunks peaks at 16.5 MiB.
+        assert peak_memory(sample_shadow, su2_state(12, 2), 6000, 14) <= 6 * 2**20
+
+    def test_peak_memory_at_ten_times_the_records(self):
+        # About 16.2 MiB, most of it the records themselves; the draw-order
+        # sampler on 2,048-record chunks, with an int64 basis matrix, peaks at 22.7 MiB.
+        assert peak_memory(sample_shadow, su2_state(12, 2), 60_000, 14) <= 22.2 * 2**20
 
 
 class TestPerturbState:
@@ -423,6 +480,10 @@ class TestPerturbState:
 
 
 class TestRandomParams:
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"^seed must be a non-negative integer, got -3$"):
+            random_su2_params(3, 1, seed=-3)
+
     def test_range_and_shape(self):
         params = random_su2_params(3, 7, seed=0)
         assert params.shape == (84,)
