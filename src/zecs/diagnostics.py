@@ -10,6 +10,8 @@ is a well-defined measure.  ``infidelity_zecs`` lies in [0, 1] up to rounding.
 ``infidelity_cs`` scores the raw reconstruction clamped to the PSD cone and
 not renormalized, so it can fall below 0 by the clamped-away magnitude:
 ``clamp_magnitude`` plus the negatives within ``CLAMP_TOL`` that it ignores.
+References are unit vectors: a reference operator's ``pure_vector``, or the
+Kronecker product of the pair vectors (``resolve_reference``).
 
 ``nonlocal_scan`` reconstructs a target pair jointly with each candidate
 pair it shares no coupling with, from one code matrix, and flags candidates
@@ -29,13 +31,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import linalg, shadow, states
-from .errors import InsufficientCandidatesError, MissingReferenceError, SubsystemError
+from .errors import (DimensionMismatchError, InsufficientCandidatesError, MissingReferenceError,
+                     SubsystemError)
 from .layout import DeviceLayout
 from .projection import project_spectra
 from .report import (
     ENTROPY_NORMALIZATIONS,
-    PAIR,
-    PAIR_PAIR,
     DiagnosticReport,
     NonlocalResult,
     SubsystemDiagnostics,
@@ -43,49 +44,50 @@ from .report import (
     qubit_index,
 )
 from .simulator import SnapshotRecord
-from .states import DensityOperator
 
 #: Candidates at or above this z-score are flagged as non-locally correlated.
 FLAG_ZSCORE = 2.0
 
-
 def resolve_reference(
-    spec: SubsystemSpec, references: Mapping[tuple[int, ...], DensityOperator]
-) -> DensityOperator:
-    """Ideal pure state for a subsystem.
+    spec: SubsystemSpec, references: Mapping[tuple[int, ...], states.DensityOperator]
+) -> np.ndarray:
+    """Ideal pure state of a subsystem, as a unit vector of length ``2**len(spec.qubits)``.
 
     An exact entry for the full qubit tuple wins; otherwise the state is the
     product of the per-pair entries, with idle qubits in |0>.  A missing
     entry, or one that is not a pure state with its vector, raises
-    ``MissingReferenceError``.
+    ``MissingReferenceError``; an entry of the wrong width raises
+    ``DimensionMismatchError``.
     """
     exact = references.get(spec.qubits)
     if exact is not None:
-        return _pure(exact, spec.qubits)
-    refs = [_pure(references.get(pair), pair) for pair in spec.pairs()]
-    if spec.kind == PAIR:
-        return refs[0]
-    second = refs[1].pure_vector if spec.kind == PAIR_PAIR else np.array([1.0, 0.0], dtype=complex)
-    return DensityOperator.from_pure(np.kron(refs[0].pure_vector, second))
+        return _pure(exact, spec.qubits, spec)
+    # A pair's one pair is its exact key, so for a pair ``_pure`` raises here.
+    first, *second = (_pure(references.get(pair), pair, spec) for pair in spec.pairs())
+    return np.kron(first, second[0] if second else np.array([1.0, 0.0], dtype=complex))
 
 
-def _pure(ref: DensityOperator | None, qubits: tuple[int, ...]) -> DensityOperator:
+def _pure(
+    ref: states.DensityOperator | None, qubits: tuple[int, ...], spec: SubsystemSpec
+) -> np.ndarray:
     if ref is None:
         raise MissingReferenceError(f"no reference state for pair {qubits}")
     if ref.pure_vector is None:
         raise MissingReferenceError(f"reference state for {qubits} is not a pure state")
-    return ref
+    if ref.n_qubits != len(qubits):
+        raise DimensionMismatchError(f"subsystem {spec.qubits}: the reference for {qubits} "
+                                     f"has {ref.n_qubits} qubit(s), not {len(qubits)}")
+    return ref.pure_vector
 
 
 def _diagnose_kind(
-    rho: np.ndarray, specs: Sequence[SubsystemSpec], refs: Sequence[DensityOperator]
+    rho: np.ndarray, specs: Sequence[SubsystemSpec], psi: np.ndarray
 ) -> list[SubsystemDiagnostics]:
-    """Rows for subsystems of one kind, from one ``eigh`` of their ``rho_cs`` stack."""
+    """Rows of one kind from their ``rho_cs`` stack (one ``eigh``) and ideal vectors ``psi``."""
     decomp = linalg.eigh(rho)
     top, zecs, degenerate = project_spectra(decomp)
     clamped, clamp_magnitude = linalg.clamp_spectrum(decomp)
-    psi = np.stack([ref.pure_vector for ref in refs])
-    ideal = np.stack([ref.matrix for ref in refs])
+    ideal = psi[:, :, None] * psi.conj()[:, None, :]
     part_a = specs[0].partition_a()
     columns = {
         "infidelity_cs": 1.0 - states.pure_fidelity_matrix(psi, clamped),
@@ -129,7 +131,7 @@ def normalize_entropies(
 def build_report(
     stream: np.ndarray | Sequence[SnapshotRecord],
     subsystems: Sequence[SubsystemSpec],
-    references: Mapping[tuple[int, ...], DensityOperator],
+    references: Mapping[tuple[int, ...], states.DensityOperator],
     entropy_normalization: str = "per-kind",
 ) -> DiagnosticReport:
     """Reconstruct and score every subsystem against its ideal pure reference.
@@ -151,7 +153,7 @@ def build_report(
     rows: dict[int, SubsystemDiagnostics] = {}
     for kind, index in kinds.items():
         rows.update(zip(index, _diagnose_kind(stacks[kind], [specs[i] for i in index],
-                                              [refs[i] for i in index])))
+                                              np.stack([refs[i] for i in index]))))
     return DiagnosticReport(
         subsystems=normalize_entropies([rows[i] for i in range(len(specs))],
                                        entropy_normalization),
@@ -159,11 +161,18 @@ def build_report(
     )
 
 
-def _as_pair(qubits: Sequence[int]) -> tuple[int, int]:
-    pair = tuple(qubit_index(q) for q in qubits)
-    if len(pair) != 2 or pair[0] == pair[1]:
-        raise SubsystemError(f"{pair} is not a qubit pair")
-    return pair
+def _as_pairs(groups: Sequence[Sequence[int]], role: str) -> list[tuple[int, int]]:
+    """Qubit pairs from ``groups``; a pair given twice, in either order, is rejected."""
+    first: dict[frozenset[int], tuple[int, int]] = {}
+    for qubits in groups:
+        pair = tuple(qubit_index(q) for q in qubits)
+        if len(pair) != 2 or pair[0] == pair[1]:
+            raise SubsystemError(f"{pair} is not a qubit pair")
+        key = frozenset(pair)
+        if key in first:
+            raise SubsystemError(f"{role} pair {pair} repeats {role} pair {first[key]}")
+        first[key] = pair
+    return list(first.values())
 
 
 def score_candidates(
@@ -209,10 +218,11 @@ def nonlocal_scan(
 
     Candidates that overlap a target or couple to it directly are left out
     of that target's pool: only regions not directly connected to the
-    target are compared.
+    target are compared.  A target or candidate pair given twice, in either
+    qubit order, raises ``SubsystemError``.
     """
-    target_pairs = [_as_pair(t) for t in targets]
-    candidate_pairs = [_as_pair(c) for c in candidates]
+    target_pairs = _as_pairs(targets, "target")
+    candidate_pairs = _as_pairs(candidates, "candidate")
     codes = shadow.outcome_codes(stream)
 
     results: list[NonlocalResult] = []

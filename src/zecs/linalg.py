@@ -42,33 +42,21 @@ def as_stack(m: np.ndarray | Sequence) -> np.ndarray:
     return a
 
 
-def as_matrix(m: np.ndarray | Sequence) -> np.ndarray:
-    """Coerce input to a square complex matrix, validating shape and finiteness."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    return as_stack(a)
-
-
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a ``(..., d, d)`` stack."""
     return m.conj().swapaxes(-1, -2)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation between ``m`` and its adjoint, over the whole stack."""
-    return float(np.abs(m - adjoint(m)).max())
-
-
-def require_hermitian(m: np.ndarray) -> np.ndarray:
-    """Validate hermiticity within ``HERMITICITY_TOL``; return the symmetrized ``(m + m†)/2``."""
+def require_hermitian(m: np.ndarray | Sequence) -> np.ndarray:
+    """``as_stack`` of ``m``, not symmetrized; ``NotHermitianError`` if an entry of the
+    stack deviates from the adjoint's by more than ``HERMITICITY_TOL``."""
     a = as_stack(m)
-    defect = hermiticity_defect(a)
+    defect = float(np.abs(a - adjoint(a)).max())
     if defect > HERMITICITY_TOL:
         raise NotHermitianError(
             f"matrix deviates from its adjoint by {defect:.3e} (tol {HERMITICITY_TOL:.1e})"
         )
-    return (a + adjoint(a)) / 2.0
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +85,8 @@ def eigh(m: np.ndarray) -> EigenDecomposition:
     n = shape[-1] if shape else 0
     if n > _MAX_DIM:
         raise DimensionMismatchError(f"dimension {n} exceeds the supported maximum {_MAX_DIM}")
-    values, v = np.linalg.eigh(require_hermitian(m))
+    a = require_hermitian(m)
+    values, v = np.linalg.eigh((a + adjoint(a)) / 2.0)
     # lexsort is stable and its last key is the primary one.
     order = np.lexsort((-values, -np.abs(values)), axis=-1)
     # Gathered as rows and viewed transposed, so each eigenvector column is contiguous.
@@ -153,7 +142,9 @@ def clamp_spectrum(decomp: EigenDecomposition) -> tuple[np.ndarray, np.ndarray]:
 
 def clamp_psd(m: np.ndarray) -> tuple[np.ndarray, float]:
     """``clamp_spectrum`` of one Hermitian matrix: its PSD part and the removed magnitude."""
-    clamped, magnitude = clamp_spectrum(eigh(as_matrix(m)))
+    if np.ndim(m) != 2:
+        raise DimensionMismatchError(f"expected one square matrix, got shape {np.shape(m)}")
+    clamped, magnitude = clamp_spectrum(eigh(m))
     return clamped, float(magnitude)
 
 

@@ -149,17 +149,22 @@ def zero_state(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
+def _ansatz_size(n_qubits: int, reps: int) -> int:
+    """Angle count ``4 * reps * n_qubits`` of the ansatz; ``CircuitSpecError`` below 1 of either."""
+    if reps < 1:
+        raise CircuitSpecError(f"reps must be >= 1, got {reps}")
+    if n_qubits < 1:
+        raise CircuitSpecError(f"n_qubits must be >= 1, got {n_qubits}")
+    return 4 * reps * n_qubits
+
+
 def build_efficient_su2(n_qubits: int, reps: int, params: Sequence[float]) -> Circuit:
     """Layered SU(2) ansatz: per repetition RY, RZ, CNOT ladder, RY, RZ.
 
     Consumes exactly ``4 * reps * n_qubits`` angles in that column order;
     the CNOT ladder entangles ``i -> i+1`` down the chain.
     """
-    if reps < 1:
-        raise CircuitSpecError(f"reps must be >= 1, got {reps}")
-    if n_qubits < 1:
-        raise CircuitSpecError(f"n_qubits must be >= 1, got {n_qubits}")
-    expected = 4 * reps * n_qubits
+    expected = _ansatz_size(n_qubits, reps)
     angles = [float(p) for p in params]
     if len(angles) != expected:
         raise CircuitSpecError(
@@ -334,4 +339,4 @@ def _perturb_stack(rho0: np.ndarray, sigma: float, seeds: Sequence[int]) -> np.n
 
 def random_su2_params(n_qubits: int, reps: int, seed: int) -> np.ndarray:
     """Ansatz angles drawn uniformly from [0, pi/2], the protocol's choice."""
-    return _generator(seed).uniform(0.0, math.pi / 2.0, size=4 * reps * n_qubits)
+    return _generator(seed).uniform(0.0, math.pi / 2.0, size=_ansatz_size(n_qubits, reps))

@@ -13,12 +13,13 @@ Trace distance, concurrence, entanglement entropy and the fidelity to a pure
 state each have one matrix-level kernel (``trace_distance_matrix``,
 ``concurrence_matrix``, ``entanglement_entropy_matrix``,
 ``pure_fidelity_matrix``) that takes plain arrays or ``(..., d, d)`` stacks;
-the ``DensityOperator`` functions delegate to them.
+the ``DensityOperator`` functions delegate to them.  The report, the scan and
+the study call the kernels directly, with ideal states as unit vectors.  The
+structure of a ``DensityOperator`` is checked once, by its constructor.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,9 +41,12 @@ _SPIN_FLIP = np.eye(4, dtype=complex)[::-1]
 class DensityOperator:
     """Hermitian unit-trace operator on ``n_qubits`` qubits.
 
-    ``validated`` records whether the PSD and unit-trace checks passed;
-    raw shadow reconstructions carry ``validated=False``.  ``pure_vector``
-    caches the state vector when the operator is a known rank-1 projector.
+    The constructor checks the structure: one square, finite matrix of
+    dimension ``2**n_qubits``, Hermitian within ``linalg.HERMITICITY_TOL``.
+    It stores the matrix as given, without symmetrizing it.  ``validated``
+    records whether the PSD and unit-trace checks passed; raw shadow
+    reconstructions carry ``validated=False``.  ``pure_vector`` caches the
+    state vector when the operator is a known rank-1 projector.
     """
 
     n_qubits: int
@@ -51,42 +55,35 @@ class DensityOperator:
     pure_vector: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.matrix)
-        if self.n_qubits < 1 or m.shape[0] != 2**self.n_qubits:
+        m = linalg.require_hermitian(self.matrix)
+        if m.ndim != 2:
+            raise DimensionMismatchError(f"expected one square matrix, got shape {m.shape}")
+        if self.n_qubits < 1 or len(m) != 2**self.n_qubits:
             raise DimensionMismatchError(
-                f"matrix of dim {m.shape[0]} does not describe {self.n_qubits} qubit(s)"
+                f"matrix of dim {len(m)} does not describe {self.n_qubits} qubit(s)"
             )
-        if linalg.hermiticity_defect(m) > linalg.HERMITICITY_TOL:
-            raise ValidationError("density operator must be Hermitian within 1e-8")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, *, validate: bool = True) -> "DensityOperator":
         """Wrap a matrix; with ``validate`` the trace and PSD checks must pass."""
-        m = linalg.as_matrix(matrix)
-        n = int(round(math.log2(m.shape[0])))
-        if 2**n != m.shape[0]:
-            raise DimensionMismatchError(f"dimension {m.shape[0]} is not a power of two")
-        if not validate:
-            return cls(n_qubits=n, matrix=m, validated=False)
-        require_physical(m)
-        return cls(n_qubits=n, matrix=m, validated=True)
+        m = np.asarray(matrix, dtype=complex)
+        # floor(log2(dim)); the constructor rejects a dimension that is not a power of two.
+        n_qubits = (m.shape[-1] if m.ndim else 0).bit_length() - 1
+        rho = cls(n_qubits=n_qubits, matrix=m, validated=validate)
+        if validate:
+            require_physical(rho.matrix)
+        return rho
 
     @classmethod
     def from_pure(cls, vector: np.ndarray) -> "DensityOperator":
         """Density operator of a pure state, keeping the vector cached."""
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        n = int(round(math.log2(v.shape[0])))
-        if 2**n != v.shape[0]:
-            raise DimensionMismatchError(f"length {v.shape[0]} is not a power of two")
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > 1e-10:
             raise ValidationError(f"state vector norm {norm:.12g} deviates from 1")
-        return cls(n_qubits=n, matrix=np.outer(v, v.conj()), validated=True, pure_vector=v)
+        return cls(n_qubits=len(v).bit_length() - 1, matrix=np.outer(v, v.conj()),
+                   validated=True, pure_vector=v)
 
     def clamped(self) -> tuple[np.ndarray, float]:
         """PSD projection of the matrix plus the removed negative magnitude."""
@@ -111,11 +108,6 @@ def require_physical(m: np.ndarray) -> None:
         raise ValidationError(f"minimum eigenvalue {smallest:.3e} below -{PSD_TOL:.1e}")
 
 
-def _check_same_dim(a: DensityOperator, b: DensityOperator) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"operator dims differ: {a.dim} vs {b.dim}")
-
-
 def fidelity(a: DensityOperator, b: DensityOperator) -> float:
     """Fidelity ``<psi| rho |psi>`` between a pure state and another state.
 
@@ -125,7 +117,8 @@ def fidelity(a: DensityOperator, b: DensityOperator) -> float:
     where m is the total magnitude of its negative eigenvalues: above 1 is
     possible for an indefinite reconstruction, not for a density operator.
     """
-    _check_same_dim(a, b)
+    if a.n_qubits != b.n_qubits:
+        raise DimensionMismatchError(f"operators differ in qubits: {a.n_qubits} vs {b.n_qubits}")
     if a.pure_vector is None:
         a, b = b, a
     if a.pure_vector is None:
@@ -144,7 +137,8 @@ def pure_fidelity_matrix(psi: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Half the trace norm of the difference of the two operators."""
-    _check_same_dim(a, b)
+    if a.n_qubits != b.n_qubits:
+        raise DimensionMismatchError(f"operators differ in qubits: {a.n_qubits} vs {b.n_qubits}")
     return float(trace_distance_matrix(a.matrix, b.matrix))
 
 

@@ -21,18 +21,10 @@ from . import linalg
 from .errors import ConfigError
 from .projection import project_spectra
 from .simulator import _generator, _perturb_stack
-from .states import (
-    DensityOperator,
-    concurrence_matrix,
-    pure_fidelity_matrix,
-    trace_distance_matrix,
-)
+from .states import concurrence_matrix, pure_fidelity_matrix, trace_distance_matrix
 
+#: The study's ideal state (|00> + |11>) / sqrt(2), as a unit vector.
 BELL_VECTOR = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
-
-
-def bell_state() -> DensityOperator:
-    return DensityOperator.from_pure(BELL_VECTOR)
 
 
 def perturbation_study(
@@ -50,7 +42,7 @@ def perturbation_study(
     sigmas = [float(s) for s in sigma_grid]
     if not sigmas:
         raise ConfigError("sigma grid is empty")
-    ideal = bell_state().matrix
+    ideal = np.outer(BELL_VECTOR, BELL_VECTOR.conj())
     master = _generator(seed)
     trial_seeds = master.integers(0, 2**63 - 1, size=(len(sigmas), trials))
 

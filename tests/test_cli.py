@@ -49,7 +49,7 @@ def test_zero_policy_fills_both_pairs_of_a_pair_pair():
     assert set(references) == {(0, 1), (3, 4)}
     zero = np.zeros(16)
     zero[0] = 1.0
-    assert np.array_equal(resolve_reference(spec, references).pure_vector, zero)
+    assert np.array_equal(resolve_reference(spec, references), zero)
 
 
 def test_header_without_n_qubits_exits_2(tmp_path, capsys):
@@ -492,6 +492,57 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv, seed):
     out = tmp_path / "out.json"
     assert cli.main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {seed}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("qubits, reps, message", [
+    ("3", "-1", "reps must be >= 1, got -1"),
+    ("-2", "1", "n_qubits must be >= 1, got -2"),
+    ("3", "0", "reps must be >= 1, got 0"),
+])
+def test_negative_ansatz_size_exits_2(tmp_path, capsys, qubits, reps, message):
+    out = tmp_path / "s.jsonl"
+    argv = ["simulate", "--qubits", qubits, "--reps", reps, "--snapshots", "5", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_circuit_file_with_negative_width_exits_2(tmp_path, capsys):
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps({"kind": "efficient_su2", "n_qubits": -2, "reps": 1,
+                                   "param_seed": 1}))
+    argv = ["simulate", "--circuit", str(circuit), "--snapshots", "5",
+            "--out", str(tmp_path / "s.jsonl")]
+    assert cli.main(argv) == 2
+    assert (capsys.readouterr().err
+            == f"error: {circuit}: circuit: n_qubits must be >= 1, got -2\n")
+
+
+def test_reference_of_the_wrong_width_exits_2(tmp_path, capsys):
+    stream = tmp_path / "snapshots.jsonl"
+    simulate(stream, qubits=4)
+    subsystems = tmp_path / "subsystems.json"
+    reference = {"kind": "efficient_su2", "n_qubits": 3, "reps": 1, "param_seed": 1}
+    subsystems.write_text(json.dumps({"subsystems": [
+        {"kind": "pair", "qubits": [2, 3], "reference": reference}]}))
+    out = tmp_path / "report.json"
+    argv = ["reconstruct", "--snapshots", str(stream), "--subsystems", str(subsystems),
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert (capsys.readouterr().err
+            == "error: subsystem (2, 3): the reference for (2, 3) has 3 qubit(s), not 2\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("candidates", ["3,4;4,5;3,4;6,7", "3,4;4,5;5,6;4,3"])
+def test_nonlocal_repeated_candidate_exits_2(tmp_path, capsys, candidates):
+    stream, out = tmp_path / "snapshots.jsonl", tmp_path / "scan.json"
+    simulate(stream)
+    assert cli.main(["nonlocal", "--snapshots", str(stream), "--targets", LINE_TARGETS,
+                     "--candidates", candidates, "--layout", str(line_layout(tmp_path)),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: candidate pair ")
     assert not out.exists()
 
 

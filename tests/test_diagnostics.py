@@ -19,6 +19,7 @@ from zecs.diagnostics import (
 from zecs.errors import (
     ConfigError,
     CoverageError,
+    DimensionMismatchError,
     InsufficientCandidatesError,
     MissingReferenceError,
     RecordError,
@@ -108,24 +109,23 @@ class TestResolveReference:
     def test_exact_entry_wins(self):
         exact = pure(kron_all(PLUS, PLUS, PLUS))
         refs = {(0, 1): pure(BELL), (0, 1, 2): exact}
-        assert resolve_reference(SubsystemSpec(PAIR_PLUS_IDLE, (0, 1, 2)), refs) is exact
+        spec = SubsystemSpec(PAIR_PLUS_IDLE, (0, 1, 2))
+        assert resolve_reference(spec, refs) is exact.pure_vector
 
     def test_pair_is_its_own_entry(self):
         bell = pure(BELL)
-        assert resolve_reference(SubsystemSpec(PAIR, (3, 4)), {(3, 4): bell}) is bell
+        assert resolve_reference(SubsystemSpec(PAIR, (3, 4)), {(3, 4): bell}) is bell.pure_vector
 
     def test_pair_plus_idle_appends_zero(self):
         ref = resolve_reference(SubsystemSpec(PAIR_PLUS_IDLE, (0, 1, 2)), {(0, 1): pure(BELL)})
-        expected = kron_all(BELL, ZERO)
-        assert np.allclose(ref.matrix, np.outer(expected, expected.conj()), atol=1e-15)
-        assert np.allclose(ref.pure_vector, expected)
+        assert ref.shape == (8,) and ref.dtype == complex
+        assert np.array_equal(ref, kron_all(BELL, ZERO))
 
     def test_pair_pair_composes_both_pairs(self):
         refs = {(0, 1): pure(BELL), (3, 4): pure(kron_all(PLUS, ZERO))}
         ref = resolve_reference(SubsystemSpec(PAIR_PAIR, (0, 1, 3, 4)), refs)
-        expected = kron_all(BELL, PLUS, ZERO)
-        assert np.allclose(ref.matrix, np.outer(expected, expected.conj()), atol=1e-15)
-        assert np.allclose(ref.pure_vector, expected)
+        assert ref.shape == (16,)
+        assert np.array_equal(ref, kron_all(BELL, PLUS, ZERO))
 
     @pytest.mark.parametrize(
         "spec", [SubsystemSpec(PAIR, (0, 1)), SubsystemSpec(PAIR_PAIR, (3, 4, 0, 1))],
@@ -148,6 +148,19 @@ class TestResolveReference:
         with pytest.raises(MissingReferenceError):
             resolve_reference(SubsystemSpec(PAIR_PAIR, (0, 1, 3, 4)), refs)
 
+    @pytest.mark.parametrize("spec, refs, key, width", [
+        (SubsystemSpec(PAIR, (0, 1)), {(0, 1): pure(kron_all(ZERO, ZERO, ZERO))}, (0, 1), 3),
+        (SubsystemSpec(PAIR_PLUS_IDLE, (0, 1, 2)), {(0, 1, 2): pure(BELL)}, (0, 1, 2), 2),
+        (SubsystemSpec(PAIR_PLUS_IDLE, (0, 1, 2)), {(0, 1): pure(ZERO)}, (0, 1), 1),
+        (SubsystemSpec(PAIR_PAIR, (0, 1, 3, 4)), {(0, 1): pure(BELL), (3, 4): pure(ZERO)},
+         (3, 4), 1),
+    ], ids=["exact-pair", "exact-idle", "first-pair", "second-pair"])
+    def test_wrong_width_names_the_subsystem(self, spec, refs, key, width):
+        message = (re.escape(f"subsystem {spec.qubits}: the reference for {key} has {width} ")
+                   + rf"qubit\(s\), not {len(key)}$")
+        with pytest.raises(DimensionMismatchError, match=message):
+            resolve_reference(spec, refs)
+
 
 class TestReferencePolicies:
     SPECS = [SubsystemSpec(PAIR, (0, 1)), SubsystemSpec(PAIR_PLUS_IDLE, (3, 4, 5))]
@@ -156,16 +169,16 @@ class TestReferencePolicies:
     def test_require_keeps_missing_references_missing(self):
         refs = cli._references_from_specs(self.SPECS, {(0, 1): self.BELL_CIRCUIT}, "require")
         assert set(refs) == {(0, 1)}
-        assert fidelity(resolve_reference(self.SPECS[0], refs), pure(BELL)) == pytest.approx(1.0)
+        assert abs(np.vdot(BELL, resolve_reference(self.SPECS[0], refs))) == pytest.approx(1.0)
         with pytest.raises(MissingReferenceError):
             resolve_reference(self.SPECS[1], refs)
 
     def test_zero_fills_missing_pairs_with_zero_state(self):
         refs = cli._references_from_specs(self.SPECS, {(0, 1): self.BELL_CIRCUIT}, "zero")
         assert set(refs) == {(0, 1), (3, 4)}
-        assert fidelity(resolve_reference(self.SPECS[0], refs), pure(BELL)) == pytest.approx(1.0)
+        assert abs(np.vdot(BELL, resolve_reference(self.SPECS[0], refs))) == pytest.approx(1.0)
         idle = resolve_reference(self.SPECS[1], refs)
-        assert np.allclose(idle.pure_vector, kron_all(ZERO, ZERO, ZERO))
+        assert np.allclose(idle, kron_all(ZERO, ZERO, ZERO))
 
     def test_policies_agree_when_every_reference_is_given(self, six_qubit_records):
         circuits = {(0, 1): self.BELL_CIRCUIT, (3, 4): self.BELL_CIRCUIT}
@@ -237,7 +250,7 @@ class TestBuildReport:
             (s.kind, s.qubits) for s in self.SPECS
         ]
         for spec, row in zip(self.SPECS, report.subsystems):
-            ref = resolve_reference(spec, references)
+            ref = pure(resolve_reference(spec, references))
             rho = shadow.reconstruct(six_qubit_records, spec.qubits)
             result = zecs_project(rho)
             assert row.infidelity_cs == 1.0 - fidelity(rho, ref)
@@ -416,6 +429,14 @@ class TestNonlocalScan:
     def test_malformed_pair(self, records):
         with pytest.raises(SubsystemError):
             nonlocal_scan(records, [(0, 0)], self.POOL, self.LINE)
+
+    @pytest.mark.parametrize("twin", [(3, 4), (4, 3)], ids=["same-order", "reversed"])
+    def test_repeated_pair_is_rejected(self, records, twin):
+        with pytest.raises(SubsystemError, match=rf"^candidate pair {re.escape(str(twin))} "
+                                                 r"repeats candidate pair \(3, 4\)$"):
+            nonlocal_scan(records, [(0, 1)], [*self.POOL, twin], self.LINE)
+        with pytest.raises(SubsystemError, match=r"^target pair \(1, 0\) repeats target pair"):
+            nonlocal_scan(records, [(0, 1), (1, 0)], self.POOL, self.LINE)
 
     @pytest.mark.parametrize("pair, bad", [((0.7, 1), "0.7"), ((0, True), "True")])
     def test_non_integer_qubit(self, records, pair, bad):

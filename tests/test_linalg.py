@@ -349,6 +349,11 @@ class TestPsdHelpers:
             assert got_magnitude == expected_magnitude
             assert got_magnitude == pytest.approx(-w[w < 0].sum(), abs=1e-12)
 
+    @pytest.mark.parametrize("m", [np.stack([np.eye(2)] * 2), np.ones(2)], ids=["stack", "vector"])
+    def test_clamp_psd_takes_one_matrix(self, m):
+        with pytest.raises(DimensionMismatchError, match="expected one square matrix"):
+            linalg.clamp_psd(m)
+
     def test_clamp_ignores_numerical_noise(self):
         m = np.diag([1.0, -1e-12]).astype(complex)
         clamped, magnitude = linalg.clamp_psd(m)

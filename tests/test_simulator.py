@@ -179,6 +179,11 @@ class TestCircuitConstruction:
         with pytest.raises(CircuitSpecError):
             build_efficient_su2(3, 0, [])
 
+    @pytest.mark.parametrize("n_qubits, reps", [(3, -1), (-2, 1), (0, 1), (3, 0)])
+    def test_params_need_a_positive_size(self, n_qubits, reps):
+        with pytest.raises(CircuitSpecError, match="must be >= 1"):
+            random_su2_params(n_qubits, reps, seed=0)
+
     def test_parameter_consumption_scales(self):
         circuit = build_efficient_su2(3, 7, [0.0] * (4 * 7 * 3))
         rotations = [g for g in circuit.gates if g.kind != "cnot"]

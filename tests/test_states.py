@@ -81,6 +81,29 @@ class TestDensityOperator:
         assert rho.validated
         assert np.allclose(rho.matrix, np.outer(BELL, BELL.conj()))
 
+    def test_matrix_is_stored_as_given(self):
+        m = np.array([[0.5, 0.1 + 1e-12j], [0.1, 0.5 + 1e-17j]])
+        assert np.array_equal(DensityOperator.from_matrix(m, validate=False).matrix, m)
+        rho = DensityOperator.from_pure(BELL)
+        assert np.array_equal(rho.matrix, np.outer(BELL, BELL.conj()))
+
+    @pytest.mark.parametrize("make", [
+        lambda: DensityOperator.from_matrix(np.eye(3) / 3),
+        lambda: DensityOperator.from_matrix(np.eye(3) / 3, validate=False),
+        lambda: DensityOperator.from_pure(np.ones(3) / math.sqrt(3)),
+        lambda: DensityOperator(1, np.eye(3) / 3),
+    ], ids=["validated", "unvalidated", "pure", "constructor"])
+    def test_dimension_must_be_a_power_of_two(self, make):
+        with pytest.raises(DimensionMismatchError, match="^matrix of dim 3 does not describe 1 qubit"):
+            make()
+
+    @pytest.mark.parametrize("n_qubits, m", [
+        (2, np.eye(2) / 2), (0, np.eye(1)), (1, np.full(2, 0.5)), (1, np.stack([np.eye(2) / 2] * 2)),
+    ], ids=["too-many-qubits", "no-qubits", "vector", "stack"])
+    def test_needs_one_matrix_of_the_qubit_count(self, n_qubits, m):
+        with pytest.raises(DimensionMismatchError):
+            DensityOperator(n_qubits, m)
+
 
 class TestFidelity:
     def test_self_fidelity_is_one(self):

@@ -10,8 +10,8 @@ from zecs import cli, io
 from zecs.errors import ConfigError
 from zecs.projection import zecs_project
 from zecs.simulator import perturb_state
-from zecs.states import concurrence, fidelity, trace_distance
-from zecs.study import bell_state, perturbation_study
+from zecs.states import DensityOperator, concurrence, fidelity, trace_distance
+from zecs.study import BELL_VECTOR, perturbation_study
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 SIGMAS = "0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5"
@@ -35,7 +35,7 @@ def max_abs_err(got, want, where=""):
 
 def loop_study(sigma_grid, trials, seed):
     """Reference study, one trial at a time: perturb_state -> zecs_project -> scalar metrics."""
-    ideal = bell_state()
+    ideal = DensityOperator.from_pure(BELL_VECTOR)
     master = np.random.default_rng(seed)
     trial_seeds = master.integers(0, 2**63 - 1, size=(len(sigma_grid), trials))
     rows = []
