@@ -41,7 +41,7 @@ from .report import (
     NonlocalResult,
     SubsystemDiagnostics,
     SubsystemSpec,
-    qubit_index,
+    as_pairs,
 )
 from .simulator import SnapshotRecord
 
@@ -161,20 +161,6 @@ def build_report(
     )
 
 
-def _as_pairs(groups: Sequence[Sequence[int]], role: str) -> list[tuple[int, int]]:
-    """Qubit pairs from ``groups``; a pair given twice, in either order, is rejected."""
-    first: dict[frozenset[int], tuple[int, int]] = {}
-    for qubits in groups:
-        pair = tuple(qubit_index(q) for q in qubits)
-        if len(pair) != 2 or pair[0] == pair[1]:
-            raise SubsystemError(f"{pair} is not a qubit pair")
-        key = frozenset(pair)
-        if key in first:
-            raise SubsystemError(f"{role} pair {pair} repeats {role} pair {first[key]}")
-        first[key] = pair
-    return list(first.values())
-
-
 def score_candidates(
     target: tuple[int, int], values: Sequence[tuple[tuple[int, int], float]]
 ) -> list[NonlocalResult]:
@@ -221,8 +207,8 @@ def nonlocal_scan(
     target are compared.  A target or candidate pair given twice, in either
     qubit order, raises ``SubsystemError``.
     """
-    target_pairs = _as_pairs(targets, "target")
-    candidate_pairs = _as_pairs(candidates, "candidate")
+    target_pairs = as_pairs(targets, "target")
+    candidate_pairs = as_pairs(candidates, "candidate")
     codes = shadow.outcome_codes(stream)
 
     results: list[NonlocalResult] = []

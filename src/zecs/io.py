@@ -42,6 +42,7 @@ from .report import (
     NonlocalResult,
     SubsystemDiagnostics,
     SubsystemSpec,
+    as_pairs,
 )
 from .routing import ChainSolution
 
@@ -352,17 +353,17 @@ def chain_to_obj(solution: ChainSolution, weight: float) -> dict:
 
 
 #: Target pair and archived (candidate, entropy) values of a non-local scan.
-NonlocalValues = tuple[tuple[int, ...], list[tuple[tuple[int, ...], float]]]
+NonlocalValues = tuple[tuple[int, int], list[tuple[tuple[int, int], float]]]
 
 
 def nonlocal_values_from_obj(obj: dict) -> NonlocalValues:
-    target = tuple(_integer(q, "target qubit") for q in obj["target"])
-    values = []
+    """Target and values, with the pair checks of the live scan (see ``report.as_pairs``)."""
+    [target] = as_pairs([[_integer(q, "target qubit") for q in obj["target"]]], "target")
+    candidates, entropies = [], []
     for index, row in enumerate(obj["pairs"]):
-        s_ij = _number(row["s_ij"], f"row {index}: s_ij")
-        candidate = tuple(_integer(q, f"row {index}: candidate qubit") for q in row["candidate"])
-        values.append((candidate, s_ij))
-    return target, values
+        entropies.append(_number(row["s_ij"], f"row {index}: s_ij"))
+        candidates.append([_integer(q, f"row {index}: candidate qubit") for q in row["candidate"]])
+    return target, list(zip(as_pairs(candidates, "candidate"), entropies))
 
 
 def read_nonlocal_values(path: str | Path) -> NonlocalValues:

@@ -3,13 +3,15 @@
 Plain frozen dataclasses with no NumPy, so that reading, writing and routing
 over a stored report loads none of the numeric layers.  :func:`qubit_index`
 is the one check that a qubit index given in code is an integer; specs, the
-non-local scan and ``shadow.rho_cs`` use it.
+non-local scan and ``shadow.rho_cs`` use it.  :func:`as_pairs` is the one
+check of a scan's target and candidate pairs, live or read from a values file.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import SubsystemError
 
@@ -29,6 +31,20 @@ def qubit_index(q) -> int:
         except TypeError:
             pass
     raise SubsystemError(f"qubit index must be an integer, got {q!r}")
+
+
+def as_pairs(groups: Sequence[Sequence[int]], role: str) -> list[tuple[int, int]]:
+    """Qubit pairs from ``groups``; a pair given twice, in either order, is rejected."""
+    first: dict[frozenset[int], tuple[int, int]] = {}
+    for qubits in groups:
+        pair = tuple(qubit_index(q) for q in qubits)
+        if len(pair) != 2 or pair[0] == pair[1]:
+            raise SubsystemError(f"{pair} is not a qubit pair")
+        key = frozenset(pair)
+        if key in first:
+            raise SubsystemError(f"{role} pair {pair} repeats {role} pair {first[key]}")
+        first[key] = pair
+    return list(first.values())
 
 
 #: How ``s_ab_normalized`` is scaled: by the kind's largest entropy, or by the report's.

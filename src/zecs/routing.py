@@ -6,11 +6,13 @@ a chain's cost is ``sum over its edges of (1 - fidelity) + w * s_ij``.
 A partial chain ending in the step ``u -> v`` with r edges still to go is
 pruned when its cost plus the cheapest walk of r edges from ``v`` that never
 steps straight back to ``u`` cannot beat the best chain so far; every simple
-path is such a walk, so the bound never cuts off an optimum.  Costs within
-1e-12 tie, and the lexicographically smallest qubit sequence wins, so results
-do not depend on traversal order.  If the node-expansion budget runs out, the
-cheapest chain found so far is returned and marked approximate; if none was
-found, ``SearchBudgetError`` is raised.
+path is such a walk, so the bound never cuts off an optimum.  The bounds
+come from one ``(best, via, second)`` triple per vertex and walk length (see
+``_walk_bounds``).  Costs within 1e-12 tie, and the lexicographically
+smallest qubit sequence wins, so results do not depend on traversal order.
+If the node-expansion budget runs out, the cheapest chain found so far is
+returned and marked approximate; if none was found, ``SearchBudgetError`` is
+raised.
 """
 
 from __future__ import annotations
@@ -95,10 +97,10 @@ def edge_scores_from_report(
 
 def _scored_adjacency(
     layout: DeviceLayout, scores: dict[tuple[int, int], EdgeScore], weight_w: float
-) -> tuple[dict[int, list[tuple[float, int]]], dict[tuple[int, int], float]]:
-    """Adjacency over scored layout edges, neighbor lists sorted by (cost, vertex)."""
+) -> tuple[list[list[tuple[float, int]]], dict[tuple[int, int], float]]:
+    """Adjacency lists over scored layout edges by qubit, sorted by (cost, vertex)."""
     costs: dict[tuple[int, int], float] = {}
-    adj: dict[int, list[tuple[float, int]]] = {q: [] for q in range(layout.num_qubits)}
+    adj: list[list[tuple[float, int]]] = [[] for _ in range(layout.num_qubits)]
     for edge in layout.edges:
         score = scores.get(edge)
         if score is None:
@@ -108,8 +110,8 @@ def _scored_adjacency(
         a, b = edge
         adj[a].append((c, b))
         adj[b].append((c, a))
-    for q in adj:
-        adj[q].sort()
+    for nbrs in adj:
+        nbrs.sort()
     return adj, costs
 
 
@@ -129,24 +131,33 @@ def _solution(
 
 
 def _walk_bounds(
-    adj: dict[int, list[tuple[float, int]]], steps: int
-) -> list[dict[tuple[int, int], float]]:
-    """``walk[r][(u, v)]``: cheapest walk of r edges from v that never steps straight back to u.
+    adj: list[list[tuple[float, int]]], steps: int
+) -> list[list[tuple[float, int, float]]]:
+    """``walk[r][v] = (best, via, second)`` for the non-backtracking walks of r edges from v.
 
-    One entry per directed scored edge ``u -> v`` and per root ``(-1, v)``,
-    which has no predecessor; ``inf`` where no such walk exists.
+    ``best`` is the cheapest such walk, ``via`` the neighbor it starts
+    through, and ``second`` the cheapest one that does not start through
+    ``via``; ``inf`` where no such walk exists.  The cheapest walk from v
+    that never steps straight back to u is ``second if via == u else best``,
+    and a root, which has no predecessor, reads ``best``.
     """
-    walk = [{(u, v): 0.0 for v in adj for u in (-1, *(w for _, w in adj[v]))}]
+    walk = [[(0.0, -1, 0.0)] * len(adj)]
     for _ in range(steps):
-        last, row = walk[-1], {}
-        for v, nbrs in adj.items():
+        last = walk[-1]
+        row = []
+        for v, nbrs in enumerate(adj):
             # Only the two cheapest continuations from v matter: a walk that
             # arrived from u takes the cheapest unless it steps back to u.
-            ranked = sorted((c + last[v, w], w) for c, w in nbrs) + [(math.inf, -1)] * 2
-            (best, via), (second, _) = ranked[:2]
-            row[-1, v] = best
-            for _, u in nbrs:
-                row[u, v] = second if u == via else best
+            best = second = math.inf
+            via = -1
+            for c, w in nbrs:
+                w_best, w_via, w_second = last[w]
+                value = c + (w_second if w_via == v else w_best)
+                if value < best:
+                    best, via, second = value, w, best
+                elif value < second:
+                    second = value
+            row.append((best, via, second))
         walk.append(row)
     return walk
 
@@ -163,11 +174,12 @@ def best_chain(
     ``scores`` maps each sorted qubit pair to its ``EdgeScore``, as
     ``edge_scores_from_report`` returns them; unscored edges are not used.
     One depth-first branch and bound over all roots, starting from an
-    infinite bound and pruned by the non-backtracking walk bound of
-    ``_walk_bounds``.  Every expanded node costs one unit of
-    ``node_budget``.  If the budget runs out, the cheapest chain found so
-    far is returned with ``approximate=True``; if none was found yet,
-    ``SearchBudgetError`` is raised.
+    infinite bound and pruned by the ``(best, via, second)`` table of
+    ``_walk_bounds``: a root reads ``best``, a step u -> v reads ``second``
+    if ``via`` is u.  Every expanded node costs one unit of ``node_budget``.
+    If the budget runs out, the cheapest chain found so far is returned with
+    ``approximate=True``; if none was found yet, ``SearchBudgetError`` is
+    raised.
     """
     if not math.isfinite(weight_w):
         raise ConfigError(f"entropy weight must be finite, got {weight_w}")
@@ -183,43 +195,46 @@ def best_chain(
 
     # Every length-L path that survives the bound, as (cost, path).
     found: list[tuple[float, tuple[int, ...]]] = []
-    bound = math.inf
+    bound = limit = math.inf
     budget = node_budget
     path: list[int] = []
-    visited = 0
+    visited = bytearray(len(adj))
 
-    def extend(prev: int, vertex: int, cost: float) -> None:
-        nonlocal visited, bound, budget
-        depth = len(path)
-        if depth == length_L:
-            if cost <= bound + _EPS:
+    def extend(vertex: int, cost: float, remaining: int) -> None:
+        """Expand the chain ``path`` ending at ``vertex``; ``remaining`` vertices still to add."""
+        nonlocal bound, limit, budget
+        if not remaining:
+            if cost <= limit:
                 found.append((cost, tuple(path)))
-                bound = min(bound, cost)
-            return
-        remaining = length_L - depth
-        if cost + walk[remaining][prev, vertex] > bound + _EPS:
+                if cost < bound:
+                    bound = cost
+                    limit = bound + _EPS
             return
         budget -= 1
         if budget < 0:
             raise SearchBudgetError
         tail = walk[remaining - 1]
         for ecost, nxt in adj[vertex]:
-            if visited >> nxt & 1:
+            if visited[nxt]:
                 continue
-            if cost + ecost + tail[vertex, nxt] > bound + _EPS:
+            step = cost + ecost
+            best, via, second = tail[nxt]
+            if step + (second if via == vertex else best) > limit:
                 continue
-            visited |= 1 << nxt
+            visited[nxt] = 1
             path.append(nxt)
-            extend(vertex, nxt, cost + ecost)
+            extend(nxt, step, remaining - 1)
             path.pop()
-            visited &= ~(1 << nxt)
+            visited[nxt] = 0
 
     approximate = False
     try:
-        for root in sorted(adj):
-            if adj[root]:
-                path, visited = [root], 1 << root
-                extend(-1, root, 0.0)
+        for root, (best, _, _) in enumerate(walk[length_L - 1]):
+            if adj[root] and best <= limit:
+                path = [root]
+                visited[root] = 1
+                extend(root, 0.0, length_L - 1)
+                visited[root] = 0
     except SearchBudgetError:
         if not found:
             raise SearchBudgetError(

@@ -342,6 +342,27 @@ def test_scan_value_with_wrong_type_exits_2(tmp_path, capsys, key, value, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "target, candidates, message",
+    [
+        ([19], [[1, 2], [5, 6], [7, 8]], "(19,) is not a qubit pair"),
+        ([19, 20], [[1, 2, 3], [5, 6], [7, 8]], "(1, 2, 3) is not a qubit pair"),
+        ([19, 20], [[4, 4], [5, 6], [7, 8]], "(4, 4) is not a qubit pair"),
+        ([19, 20], [[1, 2], [5, 6], [6, 5]], "candidate pair (6, 5) repeats candidate pair (5, 6)"),
+    ],
+    ids=["short-target", "triple", "repeated-qubit", "reversed-duplicate"],
+)
+def test_scan_values_with_bad_pairs_exit_2(tmp_path, capsys, target, candidates, message):
+    """``--values`` applies the live scan's pair checks instead of scoring bad pairings."""
+    rows = [{"candidate": c, "s_ij": 0.25 * (i + 1)} for i, c in enumerate(candidates)]
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps({"pairs": rows, "target": target}))
+    out = tmp_path / "scan.json"
+    assert cli.main(["nonlocal", "--values", str(path), "--out", str(out)]) == 2
+    assert f"values.json: values: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
 def test_non_finite_weight_exits_2(tmp_path, capsys, weight):
     assert route(*route_files(tmp_path), f"--weight={weight}") == 2

@@ -334,6 +334,37 @@ def test_report_numbers_read_as_floats():
     assert value == 0.0 and type(value) is float
 
 
+class TestNonlocalValuePairs:
+    """A values file gets the pair checks of the live scan, for target and candidates."""
+
+    GOOD = [[1, 2], [3, 4], [5, 6]]
+
+    @pytest.mark.parametrize(
+        "target, candidates, message",
+        [
+            ([19], GOOD, r"\(19,\) is not a qubit pair"),
+            ([19, 19], GOOD, r"\(19, 19\) is not a qubit pair"),
+            ([19, 20], [[1, 2, 3], *GOOD], r"\(1, 2, 3\) is not a qubit pair"),
+            ([19, 20], [[4, 4], *GOOD], r"\(4, 4\) is not a qubit pair"),
+            ([19, 20], [*GOOD, [6, 5]], r"candidate pair \(6, 5\) repeats candidate pair \(5, 6\)"),
+            ([19, 20], [*GOOD, [3, 4]], r"candidate pair \(3, 4\) repeats candidate pair \(3, 4\)"),
+        ],
+        ids=["short-target", "repeated-target-qubit", "triple", "repeated-qubit",
+             "reversed-duplicate", "duplicate"],
+    )
+    def test_bad_pairs_name_the_file(self, tmp_path, target, candidates, message):
+        path = tmp_path / "values.json"
+        rows = [{"candidate": c, "s_ij": 0.1 * i} for i, c in enumerate(candidates)]
+        path.write_text(json.dumps({"pairs": rows, "target": target}))
+        with pytest.raises(ConfigError, match=rf"values\.json: values: {message}$"):
+            io.read_nonlocal_values(path)
+
+    def test_bundled_values_are_51_distinct_pairs(self):
+        target, values = datasets.brisbane_nonlocal_values()
+        assert target == (19, 20)
+        assert len({frozenset(c) for c, _ in values}) == len(values) == 51
+
+
 class TestGoldenRoundTrips:
     def test_report(self):
         text = bundled_text("brisbane_report.json")

@@ -149,13 +149,17 @@ def cheapest_walk(adj, prev, vertex, steps):
 @pytest.mark.parametrize("weight_w", [0.0, 1.0, -1.5])
 @pytest.mark.parametrize("grid", [False, True])
 def test_walk_table_matches_enumerated_walks(grid, weight_w):
+    """Every root reads ``best``; every directed edge u -> v reads ``second`` only via u."""
     for seed in range(8):
         layout, scores = random_instance(seed, grid)
         adj, walk = walk_table(layout, scores, 4, weight_w)
+        assert len(walk) == 5
         for r, row in enumerate(walk):
-            assert row.keys() == walk[0].keys()
-            for (u, v), value in row.items():
-                assert value == pytest.approx(cheapest_walk(adj, u, v, r), abs=1e-12)
+            assert len(row) == len(adj)
+            for v, (best, via, second) in enumerate(row):
+                assert best == cheapest_walk(adj, -1, v, r)
+                for _, u in adj[v]:
+                    assert (second if via == u else best) == cheapest_walk(adj, u, v, r)
 
 
 @pytest.mark.parametrize("weight_w", [0.0, 1.0, -1.5])
@@ -170,7 +174,7 @@ def test_root_walk_bound_never_exceeds_optimum(grid, weight_w):
                 optimum, _ = brute_force_chains(layout, scores, length_L, weight_w)
             except PathError:
                 continue
-            root_bound = min(value for (u, _), value in walk[length_L - 1].items() if u == -1)
+            root_bound = min(best for best, _, _ in walk[length_L - 1])
             assert root_bound <= optimum + 1e-12
             checked += 1
     assert checked > 50
@@ -192,6 +196,18 @@ def test_edge_score_rejects_out_of_range_values(fidelity, s_ij):
         EdgeScore(pair=(0, 1), fidelity=fidelity, s_ij=s_ij)
 
 
+#: The chain a 40-qubit search cut short at each node budget returns; the
+#: traversal order decides it, so these pin that order on the bundled report.
+BUDGET_CHAINS = {
+    100: (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 17, 30, 29, 28, 27, 26, 25,
+          24, 34, 43, 44, 45, 54, 64, 63, 62, 61, 60, 59, 58, 57, 56, 52, 37, 38, 39, 40),
+    1000: (2, 3, 4, 15, 22, 21, 20, 33, 39, 40, 41, 53, 60, 59, 58, 71, 77, 78, 79, 80,
+           81, 82, 83, 84, 85, 73, 66, 65, 64, 54, 45, 46, 47, 35, 28, 29, 30, 17, 12, 13),
+    4000: (12, 17, 30, 29, 28, 35, 47, 46, 45, 54, 64, 65, 66, 73, 85, 84, 83, 82, 81, 72,
+           62, 61, 60, 53, 41, 40, 39, 38, 37, 52, 56, 57, 58, 71, 77, 78, 79, 91, 98, 97),
+}
+
+
 class TestNodeBudget:
     @pytest.fixture(scope="class")
     def brisbane(self):
@@ -206,11 +222,12 @@ class TestNodeBudget:
         layout, scores, _ = brisbane
         assert best_chain(layout, scores, 40, node_budget=20_000).approximate is False
 
-    @pytest.mark.parametrize("budget", [100, 1000, 4000])
+    @pytest.mark.parametrize("budget", sorted(BUDGET_CHAINS))
     def test_exhausted_budget_returns_best_chain_so_far(self, brisbane, budget):
         layout, scores, exact = brisbane
         found = best_chain(layout, scores, 40, node_budget=budget)
         assert found.approximate is True
+        assert found.qubits == BUDGET_CHAINS[budget]
         assert len(found.qubits) == len(set(found.qubits)) == 40
         assert all(layout.has_edge(a, b) for a, b in zip(found.qubits, found.qubits[1:]))
         assert found.cost == pytest.approx(score_chain(found.qubits, scores), abs=1e-12)
@@ -220,6 +237,21 @@ class TestNodeBudget:
         layout, scores, _ = brisbane
         with pytest.raises(SearchBudgetError, match="before any 40-qubit chain"):
             best_chain(layout, scores, 40, node_budget=10)
+
+    @pytest.mark.parametrize(
+        "length_L, weight_w, nodes",
+        [(40, 0.0, 13_607), (40, 0.5, 8_750), (40, 1.0, 8_083), (40, 2.0, 9_839), (20, 1.0, 200)],
+    )
+    def test_node_count_is_pinned(self, brisbane, length_L, weight_w, nodes):
+        """The search expands exactly ``nodes`` nodes: one fewer no longer completes it."""
+        layout, scores, _ = brisbane
+        exact = best_chain(layout, scores, length_L, weight_w, node_budget=nodes)
+        assert exact.approximate is False
+        try:
+            short = best_chain(layout, scores, length_L, weight_w, node_budget=nodes - 1)
+        except SearchBudgetError:
+            return
+        assert short.approximate is True
 
     def test_sixty_qubit_chain_is_exact(self, brisbane):
         layout, scores, _ = brisbane
