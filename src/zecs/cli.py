@@ -43,15 +43,13 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 
 def _load_circuit(args) -> tuple:
-    from .simulator import build_efficient_su2, random_su2_params
-
     if args.circuit:
         circuit, default_id = io.read_circuit(args.circuit), Path(args.circuit).stem
     elif args.qubits is None or args.reps is None:
         raise ConfigError("give either --circuit FILE or both --qubits and --reps")
     else:
-        params = random_su2_params(args.qubits, args.reps, args.param_seed)
-        circuit = build_efficient_su2(args.qubits, args.reps, params)
+        circuit = io.circuit_from_obj({"kind": "efficient_su2", "n_qubits": args.qubits,
+                                       "reps": args.reps, "param_seed": args.param_seed})
         default_id = f"su2-n{args.qubits}-r{args.reps}-p{args.param_seed}"
     return circuit, default_id if args.circuit_id is None else args.circuit_id
 

@@ -2,8 +2,7 @@
 
 Everything derives from :class:`ZecsError` so callers can catch the whole
 family at once.  Plain built-ins are used where they are the natural fit
-(``OverflowError`` for oversized Kronecker products, ``IndexError`` for
-out-of-range qubit indices).
+(``IndexError`` for out-of-range qubit indices).
 """
 
 

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import ConfigError, RecordError, ZecsError
+from .errors import ConfigError, RecordError, SubsystemError, ZecsError
 from .layout import DeviceLayout
 from .report import (
     ENTROPY_NORMALIZATIONS,
@@ -232,6 +233,8 @@ def read_snapshots(
                 width = obj.get("n_qubits")
                 if type(width) is not int or width < 1:
                     raise RecordError(f"header n_qubits must be a positive integer, got {width!r}")
+                if width > sys.maxsize:  # no array dimension holds it
+                    raise RecordError(f"header n_qubits {width} exceeds {sys.maxsize} columns")
                 n_qubits = width
                 if file_endianness is None:
                     declared = obj.get("endianness", Q0_LEFTMOST)
@@ -357,12 +360,16 @@ NonlocalValues = tuple[tuple[int, int], list[tuple[tuple[int, int], float]]]
 
 
 def nonlocal_values_from_obj(obj: dict) -> NonlocalValues:
-    """Target and values, with the pair checks of the live scan (see ``report.as_pairs``)."""
+    """Target and values, with the pair checks of the live scan (see ``report.as_pairs``);
+    a candidate sharing a qubit with the target, left out of a live pool, is rejected."""
     [target] = as_pairs([[_integer(q, "target qubit") for q in obj["target"]]], "target")
     candidates, entropies = [], []
     for index, row in enumerate(obj["pairs"]):
         entropies.append(_number(row["s_ij"], f"row {index}: s_ij"))
         candidates.append([_integer(q, f"row {index}: candidate qubit") for q in row["candidate"]])
+        if set(candidates[-1]) & set(target):
+            raise SubsystemError(f"row {index}: candidate {tuple(candidates[-1])} "
+                                 f"shares a qubit with target {target}")
     return target, list(zip(as_pairs(candidates, "candidate"), entropies))
 
 

@@ -1,10 +1,10 @@
 """Device coupling graphs.
 
 A layout is an undirected graph whose vertices are physical qubits and
-whose edges are native two-qubit couplings.  Includes a builder for the
-127-qubit heavy-hex lattice used by the Eagle-class devices: seven rows of
-qubits joined by four connector qubits per gap, connector columns
-alternating between (0, 4, 8, 12) and (2, 6, 10, 14).
+whose edges are native two-qubit couplings, held as one set of normalized
+edges.  The 127-qubit heavy-hex map of the Eagle-class devices is bundled
+as ``data/heavy_hex_127.json`` (``datasets.brisbane_layout``); the builder
+that writes it is ``tools/make_fixtures.py``.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ def normalize_edge(a: int, b: int) -> tuple[int, int]:
 class DeviceLayout:
     num_qubits: int
     edges: tuple[tuple[int, int], ...]
-    _adjacency: dict[int, tuple[int, ...]] = field(init=False, repr=False)
+    _edge_set: frozenset[tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValidationError("layout needs at least one qubit")
         seen = set()
-        normalized = []
         for a, b in self.edges:
             if a == b:
                 raise ValidationError(f"self-loop on qubit {a}")
@@ -38,49 +37,12 @@ class DeviceLayout:
             if edge in seen:
                 raise ValidationError(f"duplicate edge {edge}")
             seen.add(edge)
-            normalized.append(edge)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
-        adj: dict[int, list[int]] = {q: [] for q in range(self.num_qubits)}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        object.__setattr__(
-            self, "_adjacency", {q: tuple(sorted(vs)) for q, vs in adj.items()}
-        )
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        object.__setattr__(self, "_edge_set", frozenset(seen))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return b in self._adjacency.get(a, ())
-
-    def neighbors(self, q: int) -> tuple[int, ...]:
-        return self._adjacency[q]
+        return normalize_edge(a, b) in self._edge_set
 
     def groups_adjacent(self, group_a, group_b) -> bool:
         """True when any qubit of one group couples to any qubit of the other."""
-        sb = set(group_b)
-        return any(v in sb for a in group_a for v in self._adjacency.get(a, ()))
-
-
-def heavy_hex_127() -> DeviceLayout:
-    """The 127-qubit heavy-hex coupling map (7 rows, 24 connectors, 144 edges)."""
-    row_starts = [0, 18, 37, 56, 75, 94, 113]
-    # Column span per row: the first and last rows are one site short.
-    row_cols = [range(0, 14)] + [range(0, 15)] * 5 + [range(1, 15)]
-    rows = []
-    for start, cols in zip(row_starts, row_cols):
-        rows.append({col: start + i for i, col in enumerate(cols)})
-
-    edges: list[tuple[int, int]] = []
-    for row in rows:
-        cols = sorted(row)
-        for a, b in zip(cols, cols[1:]):
-            edges.append((row[a], row[b]))
-
-    connector_starts = [14, 33, 52, 71, 90, 109]
-    for gap, start in enumerate(connector_starts):
-        cols = (0, 4, 8, 12) if gap % 2 == 0 else (2, 6, 10, 14)
-        for i, col in enumerate(cols):
-            connector = start + i
-            edges.append((rows[gap][col], connector))
-            edges.append((connector, rows[gap + 1][col]))
-
-    return DeviceLayout(num_qubits=127, edges=tuple(edges))
+        return any(self.has_edge(a, b) for a in group_a for b in group_b)

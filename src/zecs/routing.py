@@ -40,8 +40,8 @@ class EdgeScore:
         object.__setattr__(self, "pair", normalize_edge(*self.pair))
         if not 0.0 <= self.fidelity <= 1.0:
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
-        if not self.s_ij >= 0.0:
-            raise ValueError(f"s_ij {self.s_ij} must be non-negative")
+        if not (math.isfinite(self.s_ij) and self.s_ij >= 0.0):
+            raise ValueError(f"s_ij {self.s_ij} must be finite and non-negative")
 
     def cost(self, weight_w: float) -> float:
         return (1.0 - self.fidelity) + weight_w * self.s_ij

@@ -211,18 +211,12 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]], dtype=complex)
 
 
-def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Apply the circuit to ``initial`` (default all-zeros) and return the result."""
+def run(circuit: Circuit) -> StateVector:
+    """Apply the circuit to the all-zeros state and return the result."""
     if circuit.n_qubits > _MAX_SIM_QUBITS:
         raise DimensionMismatchError(f"simulation capped at {_MAX_SIM_QUBITS} qubits")
-    if initial is None:
-        initial = zero_state(circuit.n_qubits)
-    if initial.n_qubits != circuit.n_qubits:
-        raise DimensionMismatchError(
-            f"initial state has {initial.n_qubits} qubits, circuit {circuit.n_qubits}"
-        )
-    amps = initial.amplitudes.copy()
     n = circuit.n_qubits
+    amps = zero_state(n).amplitudes
     for gate in circuit.gates:
         if gate.kind == CNOT:
             amps = _apply_cnot(amps, gate.control, gate.target, n)

@@ -12,7 +12,6 @@ import pytest
 import zecs
 from zecs import cli, datasets, io
 from zecs.diagnostics import resolve_reference
-from zecs.layout import heavy_hex_127
 from zecs.report import SubsystemSpec
 
 
@@ -72,6 +71,16 @@ def test_header_with_non_integer_n_qubits_exits_2(tmp_path, capsys):
     assert reconstruct(tmp_path, stream) == 2
     err = capsys.readouterr().err
     assert "line 1: header n_qubits must be a positive integer, got 'two'" in err
+
+
+def test_header_wider_than_any_code_matrix_exits_2(tmp_path, capsys):
+    stream = tmp_path / "snapshots.jsonl"
+    header = {**io.snapshot_header(2), "n_qubits": 10**30}
+    stream.write_text(json.dumps(header) + '\n{"bases":"XZ","bits":"01"}\n')
+    assert reconstruct(tmp_path, stream) == 2
+    message = f"header n_qubits {10**30} exceeds {sys.maxsize} columns"
+    assert capsys.readouterr().err == f"error: {stream}: line 1: {message}\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_invalid_json_line_exits_2(tmp_path, capsys):
@@ -164,6 +173,19 @@ def test_simulate_bytes_match_golden(tmp_path, name):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_ansatz_flags_and_circuit_file_give_the_same_stream(tmp_path):
+    """``--qubits/--reps/--param-seed`` and the matching ``param_seed`` circuit file agree."""
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps({"kind": "efficient_su2", "n_qubits": 3, "reps": 2,
+                                   "param_seed": 5}))
+    common = ["--snapshots", "60", "--seed", "7", "--circuit-id", "su2"]
+    flags, from_file = tmp_path / "flags.jsonl", tmp_path / "file.jsonl"
+    argv = ["simulate", "--qubits", "3", "--reps", "2", "--param-seed", "5", *common]
+    assert cli.main([*argv, "--out", str(flags)]) == 0
+    assert cli.main(["simulate", "--circuit", str(circuit), *common, "--out", str(from_file)]) == 0
+    assert flags.read_bytes() == from_file.read_bytes()
+
+
 BUNDLED = Path(zecs.__file__).resolve().parent / "data"
 
 #: Commands whose output files are pinned in ``tests/golden``: a route over the
@@ -202,7 +224,7 @@ def route_files(tmp_path, report_obj=None, layout_obj=None):
     if report_obj is None:
         report_obj = io.report_to_obj(datasets.brisbane_report())
     if layout_obj is None:
-        layout_obj = io.layout_to_obj(heavy_hex_127())
+        layout_obj = io.layout_to_obj(datasets.brisbane_layout())
     report.write_text(json.dumps(report_obj))
     layout.write_text(json.dumps(layout_obj))
     return report, layout
@@ -262,14 +284,14 @@ def test_report_not_an_object_exits_2(tmp_path, capsys):
 
 
 def test_layout_without_num_qubits_exits_2(tmp_path, capsys):
-    obj = io.layout_to_obj(heavy_hex_127())
+    obj = io.layout_to_obj(datasets.brisbane_layout())
     del obj["num_qubits"]
     assert route(*route_files(tmp_path, layout_obj=obj)) == 2
     assert "layout.json: layout: missing key 'num_qubits'" in capsys.readouterr().err
 
 
 def test_layout_with_bad_edge_exits_2(tmp_path, capsys):
-    obj = io.layout_to_obj(heavy_hex_127())
+    obj = io.layout_to_obj(datasets.brisbane_layout())
     obj["edges"].append([0])
     assert route(*route_files(tmp_path, layout_obj=obj)) == 2
     assert "layout.json: layout: " in capsys.readouterr().err
@@ -283,7 +305,7 @@ def test_layout_with_bad_edge_exits_2(tmp_path, capsys):
     ],
 )
 def test_layout_with_wrong_type_exits_2(tmp_path, capsys, field, message):
-    obj = io.layout_to_obj(heavy_hex_127())
+    obj = io.layout_to_obj(datasets.brisbane_layout())
     if field == "edges":
         obj["edges"][3][0] = True
     else:
@@ -349,8 +371,10 @@ def test_scan_value_with_wrong_type_exits_2(tmp_path, capsys, key, value, messag
         ([19, 20], [[1, 2, 3], [5, 6], [7, 8]], "(1, 2, 3) is not a qubit pair"),
         ([19, 20], [[4, 4], [5, 6], [7, 8]], "(4, 4) is not a qubit pair"),
         ([19, 20], [[1, 2], [5, 6], [6, 5]], "candidate pair (6, 5) repeats candidate pair (5, 6)"),
+        ([19, 20], [[20, 21], [1, 2], [5, 6]],
+         "row 0: candidate (20, 21) shares a qubit with target (19, 20)"),
     ],
-    ids=["short-target", "triple", "repeated-qubit", "reversed-duplicate"],
+    ids=["short-target", "triple", "repeated-qubit", "reversed-duplicate", "overlaps-target"],
 )
 def test_scan_values_with_bad_pairs_exit_2(tmp_path, capsys, target, candidates, message):
     """``--values`` applies the live scan's pair checks instead of scoring bad pairings."""
@@ -361,6 +385,13 @@ def test_scan_values_with_bad_pairs_exit_2(tmp_path, capsys, target, candidates,
     assert cli.main(["nonlocal", "--values", str(path), "--out", str(out)]) == 2
     assert f"values.json: values: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bundled_scan_values_still_score(tmp_path, capsys):
+    out = tmp_path / "scan.json"
+    values = BUNDLED / "brisbane_nonlocal_19_20.json"
+    assert cli.main(["nonlocal", "--values", str(values), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("scanned 51 pairings, ")
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])

@@ -14,7 +14,6 @@ import pytest
 from zecs import datasets, io
 from zecs.diagnostics import score_candidates
 from zecs.errors import ConfigError, RecordError
-from zecs.layout import heavy_hex_127
 from zecs.report import DiagnosticReport, NonlocalResult, SubsystemDiagnostics
 from zecs.routing import ChainSolution, best_chain, edge_scores_from_report
 from zecs.shadow import outcome_codes
@@ -182,12 +181,18 @@ class TestReadSnapshots:
         with pytest.raises(RecordError, match=r"snapshots\.jsonl: line 1: header n_qubits"):
             io.read_snapshots(path)
 
-    @pytest.mark.parametrize("value", ["two", "2", 2.0, 2.5, None, True, [2], 0, -2])
+    @pytest.mark.parametrize("value", ["two", "2", 2.0, 2.5, None, True, [2], 0, -2, 2**63, 10**30])
     def test_header_with_bad_n_qubits(self, tmp_path, value):
         header = io.snapshot_header(2)
         header["n_qubits"] = value
         path = write_stream(tmp_path, header)
         with pytest.raises(RecordError, match=r"snapshots\.jsonl: line 1: header n_qubits"):
+            io.read_snapshots(path)
+
+    def test_widest_header_still_checks_record_width(self, tmp_path):
+        """Up to ``sys.maxsize`` columns a header is read, and its records checked against it."""
+        path = write_stream(tmp_path, {**io.snapshot_header(2), "n_qubits": sys.maxsize})
+        with pytest.raises(RecordError, match=f"line 2: record width 2 != expected {sys.maxsize}"):
             io.read_snapshots(path)
 
     def test_record_width_checked_against_header(self, tmp_path):
@@ -321,7 +326,7 @@ def test_file_objects_hold_their_record_fields():
     scan = io.scan_to_obj(score_candidates(*datasets.brisbane_nonlocal_values()))
     assert set(scan) == {"results"} | format_keys
     assert all(set(row) == names(NonlocalResult) for row in scan["results"])
-    layout = heavy_hex_127()
+    layout = datasets.brisbane_layout()
     chain = io.chain_to_obj(best_chain(layout, edge_scores_from_report(report, layout), 3), 1.0)
     assert set(chain) == names(ChainSolution) | format_keys | {"length", "weight"}
     assert set(io.study_to_obj([])) == {"rows"} | format_keys
@@ -348,9 +353,13 @@ class TestNonlocalValuePairs:
             ([19, 20], [[4, 4], *GOOD], r"\(4, 4\) is not a qubit pair"),
             ([19, 20], [*GOOD, [6, 5]], r"candidate pair \(6, 5\) repeats candidate pair \(5, 6\)"),
             ([19, 20], [*GOOD, [3, 4]], r"candidate pair \(3, 4\) repeats candidate pair \(3, 4\)"),
+            ([19, 20], [[20, 21], *GOOD], r"row 0: candidate \(20, 21\) shares a qubit with "
+                                          r"target \(19, 20\)"),
+            ([19, 20], [*GOOD, [19, 20]], r"row 3: candidate \(19, 20\) shares a qubit with "
+                                          r"target \(19, 20\)"),
         ],
         ids=["short-target", "repeated-target-qubit", "triple", "repeated-qubit",
-             "reversed-duplicate", "duplicate"],
+             "reversed-duplicate", "duplicate", "overlaps-target", "is-target"],
     )
     def test_bad_pairs_name_the_file(self, tmp_path, target, candidates, message):
         path = tmp_path / "values.json"
@@ -385,23 +394,30 @@ class TestGoldenRoundTrips:
         }
         assert io.canonical_dumps(obj) == text
 
-    def test_heavy_hex_builder_matches_bundled_layout(self):
-        text = bundled_text("heavy_hex_127.json")
-        assert io.layout_to_obj(heavy_hex_127()) == json.loads(text)
-        assert io.canonical_dumps(io.layout_to_obj(heavy_hex_127())) == text
+    def test_heavy_hex_builder_matches_bundled_layout(self, fixture_tool):
+        """The builder of tools/make_fixtures.py gives the layout ``datasets`` reads."""
+        layout = fixture_tool.heavy_hex_127()
+        assert layout.edges == datasets.brisbane_layout().edges
+        assert io.canonical_dumps(io.layout_to_obj(layout)) == bundled_text("heavy_hex_127.json")
 
 
-def test_fixture_tool_rebuilds_bundled_files(monkeypatch):
-    """tools/make_fixtures.py regenerates the three bundled files byte for byte."""
+@pytest.fixture
+def fixture_tool(monkeypatch):
+    """tools/make_fixtures.py, loaded as a module."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/ on import
     script = Path(__file__).resolve().parents[1] / "tools" / "make_fixtures.py"
     spec = importlib.util.spec_from_file_location("make_fixtures", script)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_fixture_tool_rebuilds_bundled_files(fixture_tool):
+    """tools/make_fixtures.py regenerates the three bundled files byte for byte."""
     built = {
-        "brisbane_report.json": io.report_to_obj(tool.build_report()),
-        "brisbane_nonlocal_19_20.json": tool.build_nonlocal_values(),
-        "heavy_hex_127.json": io.layout_to_obj(tool.heavy_hex_127()),
+        "brisbane_report.json": io.report_to_obj(fixture_tool.build_report()),
+        "brisbane_nonlocal_19_20.json": fixture_tool.build_nonlocal_values(),
+        "heavy_hex_127.json": io.layout_to_obj(fixture_tool.heavy_hex_127()),
     }
     for name, obj in built.items():
         assert io.canonical_dumps(obj) == bundled_text(name), name

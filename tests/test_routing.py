@@ -36,7 +36,8 @@ def brute_force_chains(layout, scores, length_L, weight_w=1.0):
     """
     cost = {pair: s.cost(weight_w) for pair, s in scores.items()}
     adj = {
-        q: [v for v in layout.neighbors(q) if normalize_edge(q, v) in cost]
+        q: [v for v in range(layout.num_qubits)
+            if layout.has_edge(q, v) and normalize_edge(q, v) in cost]
         for q in range(layout.num_qubits)
     }
     best = None
@@ -189,7 +190,8 @@ def test_non_finite_weight_rejected(weight):
 
 @pytest.mark.parametrize(
     "fidelity, s_ij",
-    [(-0.1, 0.0), (1.5, 0.0), (float("nan"), 0.0), (0.9, -1.0), (0.9, float("nan"))],
+    [(-0.1, 0.0), (1.5, 0.0), (float("nan"), 0.0), (0.9, -1.0), (0.9, float("nan")),
+     (0.9, float("inf"))],  # at weight 0 an infinite entropy costs 0 * inf = nan
 )
 def test_edge_score_rejects_out_of_range_values(fidelity, s_ij):
     with pytest.raises(ValueError):

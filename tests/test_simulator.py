@@ -209,9 +209,8 @@ class TestCircuitConstruction:
 
 class TestRun:
     def test_empty_circuit_is_identity(self):
-        init = zero_state(2)
-        out = run(Circuit(2, ()), init)
-        assert np.array_equal(out.amplitudes, init.amplitudes)
+        out = run(Circuit(2, ()))
+        assert np.array_equal(out.amplitudes, zero_state(2).amplitudes)
 
     def test_ry_pi_flips(self):
         out = run(Circuit(1, (Gate("ry", 0, angle=math.pi),)))
@@ -232,15 +231,11 @@ class TestRun:
     def test_inverse_circuit_returns_initial(self):
         rng = np.random.default_rng(1)
         circuit = build_efficient_su2(3, 2, rng.uniform(0, math.pi / 2, 24))
-        state = run(circuit)
-        back = run(inverse_circuit(circuit), state)
+        assert not np.allclose(run(circuit).amplitudes, zero_state(3).amplitudes, atol=1e-2)
+        back = run(Circuit(3, circuit.gates + inverse_circuit(circuit).gates))
         expected = np.zeros(8)
         expected[0] = 1.0
         assert np.allclose(back.amplitudes, expected, atol=1e-8)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            run(Circuit(2, ()), zero_state(1))
 
     def test_statevector_norm_validated(self):
         with pytest.raises(ValidationError):

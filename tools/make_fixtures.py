@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from zecs import io  # noqa: E402
 from zecs.diagnostics import normalize_entropies  # noqa: E402
-from zecs.layout import heavy_hex_127  # noqa: E402
+from zecs.layout import DeviceLayout  # noqa: E402
 from zecs.report import (  # noqa: E402
     PAIR,
     PAIR_PAIR,
@@ -32,6 +32,37 @@ from zecs.report import (  # noqa: E402
 )
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "zecs" / "data"
+
+
+def heavy_hex_127() -> DeviceLayout:
+    """The 127-qubit heavy-hex coupling map (7 rows, 24 connectors, 144 edges).
+
+    Seven rows of qubits are joined by four connector qubits per gap, the
+    connector columns alternating between (0, 4, 8, 12) and (2, 6, 10, 14).
+    """
+    row_starts = [0, 18, 37, 56, 75, 94, 113]
+    # Column span per row: the first and last rows are one site short.
+    row_cols = [range(0, 14)] + [range(0, 15)] * 5 + [range(1, 15)]
+    rows = []
+    for start, cols in zip(row_starts, row_cols):
+        rows.append({col: start + i for i, col in enumerate(cols)})
+
+    edges: list[tuple[int, int]] = []
+    for row in rows:
+        cols = sorted(row)
+        for a, b in zip(cols, cols[1:]):
+            edges.append((row[a], row[b]))
+
+    connector_starts = [14, 33, 52, 71, 90, 109]
+    for gap, start in enumerate(connector_starts):
+        cols = (0, 4, 8, 12) if gap % 2 == 0 else (2, 6, 10, 14)
+        for i, col in enumerate(cols):
+            connector = start + i
+            edges.append((rows[gap][col], connector))
+            edges.append((connector, rows[gap + 1][col]))
+
+    return DeviceLayout(num_qubits=127, edges=tuple(edges))
+
 
 # (qubits, 1 - F_cs, 1 - F_zecs)
 TWO_QUBIT = [
