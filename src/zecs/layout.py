@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
+from .errors import SubsystemError, ValidationError
+from .report import qubit_index
 
 
 def normalize_edge(a: int, b: int) -> tuple[int, int]:
@@ -28,7 +29,11 @@ class DeviceLayout:
         if self.num_qubits < 1:
             raise ValidationError("layout needs at least one qubit")
         seen = set()
-        for a, b in self.edges:
+        for edge in self.edges:
+            try:
+                a, b = map(qubit_index, edge)
+            except SubsystemError as exc:
+                raise ValidationError(f"edge {edge}: {exc}") from None
             if a == b:
                 raise ValidationError(f"self-loop on qubit {a}")
             if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):

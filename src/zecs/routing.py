@@ -97,22 +97,20 @@ def edge_scores_from_report(
 
 def _scored_adjacency(
     layout: DeviceLayout, scores: dict[tuple[int, int], EdgeScore], weight_w: float
-) -> tuple[list[list[tuple[float, int]]], dict[tuple[int, int], float]]:
+) -> list[list[tuple[float, int]]]:
     """Adjacency lists over scored layout edges by qubit, sorted by (cost, vertex)."""
-    costs: dict[tuple[int, int], float] = {}
     adj: list[list[tuple[float, int]]] = [[] for _ in range(layout.num_qubits)]
     for edge in layout.edges:
         score = scores.get(edge)
         if score is None:
             continue
         c = score.cost(weight_w)
-        costs[edge] = c
         a, b = edge
         adj[a].append((c, b))
         adj[b].append((c, a))
     for nbrs in adj:
         nbrs.sort()
-    return adj, costs
+    return adj
 
 
 def _solution(
@@ -177,20 +175,22 @@ def best_chain(
     infinite bound and pruned by the ``(best, via, second)`` table of
     ``_walk_bounds``: a root reads ``best``, a step u -> v reads ``second``
     if ``via`` is u.  Every expanded node costs one unit of ``node_budget``.
-    If the budget runs out, the cheapest chain found so far is returned with
-    ``approximate=True``; if none was found yet, ``SearchBudgetError`` is
-    raised.
+    If it runs out, the cheapest chain found so far is returned with
+    ``approximate=True``, or ``SearchBudgetError`` is raised if there is none.
+    Fewer than L scored qubits, or L - 1 scored edges, raise ``PathError`` first.
     """
     if not math.isfinite(weight_w):
         raise ConfigError(f"entropy weight must be finite, got {weight_w}")
     if length_L < 2:
         raise PathError(f"chain length must be >= 2, got {length_L}")
-    adj, costs = _scored_adjacency(layout, scores, weight_w)
-    if not costs:
+    adj = _scored_adjacency(layout, scores, weight_w)
+    n_edges = sum(map(len, adj)) // 2
+    if not n_edges:
         raise PathError("no scored edges to route over")
-
-    if len(costs) < length_L - 1:
+    if n_edges < length_L - 1:
         raise PathError(f"not enough scored edges for a {length_L}-qubit chain")
+    if sum(map(bool, adj)) < length_L:
+        raise PathError(f"no simple path of {length_L} qubits exists")
     walk = _walk_bounds(adj, length_L - 1)
 
     # Every length-L path that survives the bound, as (cost, path).

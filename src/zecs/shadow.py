@@ -69,26 +69,24 @@ def _ascii(rows: Sequence[str]) -> np.ndarray:
 def encode_rows(
     bases: Sequence[str],
     bits: Sequence[str],
-    width: int | None = None,
+    width: int,
     where: Callable[[int], str] = "record {}".format,
 ) -> np.ndarray:
     """Check and encode rows as a ``uint8[N, width]`` matrix of codes ``2 * basis + bit``.
 
     ``bases[i]`` and ``bits[i]`` hold row ``i``'s basis letters and bits,
     qubit 0 first.  Every row must be a valid record (see
-    :func:`~zecs.simulator.record_problem`) covering ``width`` qubits, or, if
-    ``width`` is None, as many as row 0.  Otherwise ``RecordError`` names the
-    first bad row by ``where(row)``.  No rows and no ``width`` give a
-    ``(0, 0)`` matrix.
+    :func:`~zecs.simulator.record_problem`) covering ``width`` qubits, else
+    ``RecordError`` names the first bad row by ``where(row)``.  No rows give
+    a ``(0, width)`` matrix.
     """
     n_rows = len(bases)
-    expected = width if width is not None else len(bases[0]) if n_rows else 0
     valid = n_rows  # rows before this one have the right width
-    if expected < 1 or {*map(len, bases), *map(len, bits)} - {expected}:
+    if width < 1 or {*map(len, bases), *map(len, bits)} - {width}:
         valid = next((row for row in range(n_rows)
-                      if not len(bases[row]) == len(bits[row]) == expected > 0), n_rows)
+                      if not len(bases[row]) == len(bits[row]) == width > 0), n_rows)
     codes = _BASIS_CODE[_ascii(bases[:valid])] + _BIT_CODE[_ascii(bits[:valid])]
-    codes = codes.reshape(valid, expected)
+    codes = codes.reshape(valid, width)
     bad_characters = (codes >= _INVALID).any(axis=1)
     bad = int(bad_characters.argmax()) if bad_characters.any() else valid
     if bad == n_rows:
@@ -96,10 +94,7 @@ def encode_rows(
     problem = record_problem(bases[bad], bits[bad])
     if problem is not None:
         raise RecordError(f"{where(bad)}: {problem}")
-    covers = len(bases[bad])
-    if width is None:
-        raise RecordError(f"{where(bad)} covers {covers} qubits, {where(0)} covers {expected}")
-    raise RecordError(f"{where(bad)}: record width {covers} != expected {width}")
+    raise RecordError(f"{where(bad)}: record width {len(bases[bad])} != expected {width}")
 
 
 def outcome_codes(stream: np.ndarray | Sequence[SnapshotRecord]) -> np.ndarray:
@@ -107,9 +102,9 @@ def outcome_codes(stream: np.ndarray | Sequence[SnapshotRecord]) -> np.ndarray:
 
     A code matrix, as :func:`zecs.io.read_snapshots` returns, is returned
     unchanged once its shape, dtype and range are checked.  Records are
-    encoded by :func:`encode_rows`: each must cover the same qubits as the
-    first, else ``RecordError`` names the first that does not.  An empty
-    stream gives a ``(0, 0)`` matrix.
+    encoded by :func:`encode_rows` at the width of the first record: a record
+    of another width raises ``RecordError`` naming it, as a stream line does.
+    An empty stream gives a ``(0, 0)`` matrix.
     """
     if isinstance(stream, np.ndarray):
         if stream.ndim != 2 or stream.dtype != np.uint8:
@@ -120,7 +115,8 @@ def outcome_codes(stream: np.ndarray | Sequence[SnapshotRecord]) -> np.ndarray:
             raise RecordError(f"a code matrix holds codes 0..5, got {int(stream.max())}")
         return stream
     records = list(stream)
-    return encode_rows([r.bases for r in records], [r.bits for r in records])
+    width = len(records[0].bases) if records else 0
+    return encode_rows([r.bases for r in records], [r.bits for r in records], width)
 
 
 def _unit_trace_diagonal(d: np.ndarray) -> np.ndarray:
@@ -145,12 +141,12 @@ def rho_cs(codes: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     """Snapshot means of equal-size qubit subsets: an ``(S, 2**k, 2**k)`` stack.
 
     One histogram per subset of the rows of an :func:`outcome_codes` matrix,
-    then ``k`` contractions of the stack with the factor table.  Each mean is
-    Hermitian, not necessarily PSD, and has a trace of exactly 1 in floating
-    point, in any summation order, while the sum is exact
-    (``N * 4**k < 2**52``): its diagonal is re-rounded onto a dyadic grid by
-    :func:`_unit_trace_diagonal`, moving each entry by less than
-    ``2 * (sum|diag| + 1) * 2**-52``.
+    then ``k`` contractions of the stack with the factor table.  While the sum
+    is exact (``N * 4**k < 2**52``), each mean is Hermitian bit for bit, as the
+    exact sum is and division by N keeps, with no symmetrizing step; it is not
+    necessarily PSD.  Its diagonal is re-rounded onto a dyadic grid (each entry
+    moves by less than ``2 * (sum|diag| + 1) * 2**-52``; see
+    :func:`_unit_trace_diagonal`), so its trace is exactly 1 in any summation order.
     """
     subsets = [[qubit_index(q) for q in subset] for subset in subsets]
     n_rows, width = codes.shape
@@ -175,7 +171,6 @@ def rho_cs(codes: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
         tensor = np.tensordot(tensor, _FACTORS.reshape(6, 2, 2), axes=(1, 0))
     rows_then_cols = [0] + list(range(1, 2 * k, 2)) + list(range(2, 2 * k + 1, 2))
     mean = tensor.transpose(rows_then_cols).reshape(len(subsets), 2**k, 2**k) / n_rows
-    mean = (mean + mean.conj().swapaxes(-1, -2)) / 2.0
     diagonal = np.arange(2**k)
     mean[:, diagonal, diagonal] = _unit_trace_diagonal(mean[:, diagonal, diagonal].real)
     return mean
@@ -185,5 +180,4 @@ def reconstruct(
     stream: np.ndarray | Sequence[SnapshotRecord], qubit_subset: Sequence[int]
 ) -> DensityOperator:
     """The :func:`rho_cs` of one subset of a code matrix or record stream, unvalidated."""
-    mean = rho_cs(outcome_codes(stream), [qubit_subset])[0]
-    return DensityOperator.from_matrix(mean, validate=False)
+    return DensityOperator(rho_cs(outcome_codes(stream), [qubit_subset])[0])

@@ -88,19 +88,22 @@ class Circuit:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    n_qubits: int
+    """Unit-norm amplitudes, flattened, of ``n_qubits = log2(len(amplitudes))`` qubits."""
+
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape[0] != 2**self.n_qubits:
-            raise DimensionMismatchError(
-                f"{amps.shape[0]} amplitudes do not describe {self.n_qubits} qubit(s)"
-            )
+        object.__setattr__(self, "amplitudes", amps)
+        if len(amps) != 2**self.n_qubits:
+            raise DimensionMismatchError(f"{len(amps)} amplitudes are not 2**n for any n >= 0")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-10:
             raise ValidationError(f"state vector norm {norm:.12g} deviates from 1")
-        object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.amplitudes).bit_length() - 1
 
     def to_density(self) -> DensityOperator:
         return DensityOperator.from_pure(self.amplitudes)
@@ -146,7 +149,7 @@ def _generator(seed: int) -> np.random.Generator:
 def zero_state(n_qubits: int) -> StateVector:
     amps = np.zeros(2**n_qubits, dtype=complex)
     amps[0] = 1.0
-    return StateVector(n_qubits, amps)
+    return StateVector(amps)
 
 
 def _ansatz_size(n_qubits: int, reps: int) -> int:
@@ -223,7 +226,7 @@ def run(circuit: Circuit) -> StateVector:
         else:
             amps = _apply_single(amps, _gate_matrix(gate), gate.target, n)
     norm = np.linalg.norm(amps)
-    return StateVector(n, amps / norm)
+    return StateVector(amps / norm)
 
 
 def _chain_rule_bits(amps: np.ndarray, bases: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -303,7 +306,7 @@ def perturb_state(rho0: DensityOperator, sigma: float, seed: int) -> DensityOper
     (matrix,) = _perturb_stack(rho0.matrix, sigma, [seed])
     if sigma == 0.0:
         return rho0
-    return DensityOperator(n_qubits=2, matrix=matrix, validated=True)
+    return DensityOperator(matrix, validated=True)
 
 
 def _perturb_stack(rho0: np.ndarray, sigma: float, seeds: Sequence[int]) -> np.ndarray:

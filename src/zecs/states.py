@@ -14,8 +14,9 @@ state each have one matrix-level kernel (``trace_distance_matrix``,
 ``concurrence_matrix``, ``entanglement_entropy_matrix``,
 ``pure_fidelity_matrix``) that takes plain arrays or ``(..., d, d)`` stacks;
 the ``DensityOperator`` functions delegate to them.  The report, the scan and
-the study call the kernels directly, with ideal states as unit vectors.  The
-structure of a ``DensityOperator`` is checked once, by its constructor.
+the study call the kernels directly, with ideal states as unit vectors.  A
+``DensityOperator`` reads its qubit count from its matrix; its constructor is
+the one structural check, and ``from_matrix`` always adds the physical one.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, SubsystemError, ValidationError
+from .report import qubit_index
 
 #: Tolerances for deciding that an operator is a physical density operator.
 TRACE_TOL = 1e-8
@@ -39,40 +41,35 @@ _SPIN_FLIP = np.eye(4, dtype=complex)[::-1]
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian unit-trace operator on ``n_qubits`` qubits.
+    """Hermitian unit-trace operator on ``n_qubits = log2(len(matrix))`` qubits.
 
     The constructor checks the structure: one square, finite matrix of
-    dimension ``2**n_qubits``, Hermitian within ``linalg.HERMITICITY_TOL``.
+    dimension ``2**n``, n >= 1, Hermitian within ``linalg.HERMITICITY_TOL``.
     It stores the matrix as given, without symmetrizing it.  ``validated``
     records whether the PSD and unit-trace checks passed; raw shadow
     reconstructions carry ``validated=False``.  ``pure_vector`` caches the
     state vector when the operator is a known rank-1 projector.
     """
 
-    n_qubits: int
     matrix: np.ndarray
     validated: bool = False
     pure_vector: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         m = linalg.require_hermitian(self.matrix)
-        if m.ndim != 2:
-            raise DimensionMismatchError(f"expected one square matrix, got shape {m.shape}")
-        if self.n_qubits < 1 or len(m) != 2**self.n_qubits:
-            raise DimensionMismatchError(
-                f"matrix of dim {len(m)} does not describe {self.n_qubits} qubit(s)"
-            )
         object.__setattr__(self, "matrix", m)
+        if m.ndim != 2 or len(m) < 2 or len(m) != 2**self.n_qubits:
+            raise DimensionMismatchError(f"expected one 2**n x 2**n matrix, n >= 1, not {m.shape}")
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.matrix).bit_length() - 1
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, *, validate: bool = True) -> "DensityOperator":
-        """Wrap a matrix; with ``validate`` the trace and PSD checks must pass."""
-        m = np.asarray(matrix, dtype=complex)
-        # floor(log2(dim)); the constructor rejects a dimension that is not a power of two.
-        n_qubits = (m.shape[-1] if m.ndim else 0).bit_length() - 1
-        rho = cls(n_qubits=n_qubits, matrix=m, validated=validate)
-        if validate:
-            require_physical(rho.matrix)
+    def from_matrix(cls, matrix: np.ndarray) -> "DensityOperator":
+        """Wrap a matrix that must pass the trace and PSD checks of :func:`require_physical`."""
+        rho = cls(matrix, validated=True)
+        require_physical(rho.matrix)
         return rho
 
     @classmethod
@@ -82,8 +79,7 @@ class DensityOperator:
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > 1e-10:
             raise ValidationError(f"state vector norm {norm:.12g} deviates from 1")
-        return cls(n_qubits=len(v).bit_length() - 1, matrix=np.outer(v, v.conj()),
-                   validated=True, pure_vector=v)
+        return cls(np.outer(v, v.conj()), validated=True, pure_vector=v)
 
     def clamped(self) -> tuple[np.ndarray, float]:
         """PSD projection of the matrix plus the removed negative magnitude."""
@@ -180,7 +176,7 @@ def concurrence_matrix(m: np.ndarray) -> np.ndarray:
 
 def entanglement_entropy(rho: DensityOperator, subsystem_a: Sequence[int]) -> float:
     """Base-2 von Neumann entropy of the marginal on ``subsystem_a``; see the matrix kernel."""
-    qubits = list(subsystem_a)
+    qubits = [qubit_index(q) for q in subsystem_a]
     if not qubits or len(set(qubits)) != len(qubits):
         raise SubsystemError(f"subsystem {qubits} must be non-empty without repeats")
     if any(q < 0 or q >= rho.n_qubits for q in qubits):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,18 @@ def route(report, layout, *extra):
 def test_route_on_bundled_report(tmp_path):
     assert route(*route_files(tmp_path)) == 0
     assert json.loads((tmp_path / "chain.json").read_text())["approximate"] is False
+
+
+@pytest.mark.parametrize("length", [127, 128])
+def test_route_longer_than_the_scored_qubits_exits_2_at_once(tmp_path, capsys, length):
+    """126 of the 127 bundled qubits carry a scored edge: no search runs at all."""
+    report, layout = route_files(tmp_path)
+    argv = ["route", "--report", str(report), "--layout", str(layout), "--length", str(length)]
+    start = time.perf_counter()
+    assert cli.main([*argv, "--out", str(tmp_path / "chain.json")]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err == f"error: no simple path of {length} qubits exists\n"
+    assert not (tmp_path / "chain.json").exists()
 
 
 def test_report_row_without_kind_exits_2(tmp_path, capsys):
@@ -624,11 +637,14 @@ def test_out_in_missing_directory_exits_2(tmp_path, capsys):
     assert not out.parent.exists()
 
 
-def run_python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+def run_python(code, *args, **env):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package.
+
+    Keyword arguments are set in its environment.
+    """
     src = str(Path(zecs.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path, **env}
     result = subprocess.run([sys.executable, "-c", code, *map(str, args)],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
@@ -657,6 +673,29 @@ def test_io_loads_no_numpy():
         "import zecs.io\n"
         "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)[:5]\n"
     )
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``reconstruct`` writes the same report with one BLAS thread and with two."""
+    stream = tmp_path / "snapshots.jsonl"
+    simulate(stream)
+    subsystems = tmp_path / "subsystems.json"
+    subsystems.write_text(json.dumps({"subsystems": [
+        {"kind": "pair", "qubits": [0, 1]},
+        {"kind": "pair", "qubits": [5, 2]},
+        {"kind": "pair_plus_idle", "qubits": [3, 4, 7]},
+        {"kind": "pair_pair", "qubits": [0, 1, 6, 7]},
+        {"kind": "pair_pair", "qubits": [2, 3, 4, 5]},
+    ]}))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report_{threads}.json"
+        run_python("import sys, zecs.cli\nsys.exit(zecs.cli.main(sys.argv[1:]))",
+                   "reconstruct", "--snapshots", stream, "--subsystems", subsystems,
+                   "--ref-policy", "zero", "--out", out,
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 #: Layer modules perfbench/tracer.py looks up in sys.modules after its imports.

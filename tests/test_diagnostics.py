@@ -82,7 +82,7 @@ def eigh_calls(monkeypatch):
 @pytest.fixture(scope="module")
 def six_qubit_records():
     # Bell(0,1) (x) |0>_2 (x) Bell(3,4) (x) |+>_5
-    state = StateVector(6, kron_all(BELL, ZERO, BELL, PLUS))
+    state = StateVector(kron_all(BELL, ZERO, BELL, PLUS))
     return sample_shadow(state, 4000, seed=31)
 
 
@@ -308,7 +308,7 @@ class TestBuildReport:
     def test_rows_respect_the_clamped_bounds(self, references):
         # Few records leave the reconstructions strongly indefinite, so the
         # clamped operator's fidelity can exceed 1 by up to the clamp magnitude.
-        state = StateVector(6, kron_all(BELL, ZERO, BELL, PLUS))
+        state = StateVector(kron_all(BELL, ZERO, BELL, PLUS))
         rows = build_report(sample_shadow(state, 150, seed=7), self.SPECS, references).subsystems
         assert any(row.infidelity_cs < 0.0 for row in rows)
         for row in rows:
@@ -318,7 +318,7 @@ class TestBuildReport:
 
     def test_ragged_stream_names_the_short_record(self, six_qubit_records, references):
         records = list(six_qubit_records[:5]) + [SnapshotRecord("XYZ", "010")]
-        with pytest.raises(RecordError, match=r"^record 5 covers 3 qubits, record 0 covers 6$"):
+        with pytest.raises(RecordError, match=r"^record 5: record width 3 != expected 6$"):
             build_report(records, self.SPECS[:2], references)
 
     def test_uncovered_qubit(self, six_qubit_records, references):
@@ -370,7 +370,7 @@ class TestNonlocalScan:
         t = np.zeros([2] * 10)
         for b in (0, 1):
             t[(b,) + (slice(None),) * 6 + (b,)] = 1.0
-        return sample_shadow(StateVector(10, t.reshape(-1) / np.linalg.norm(t)), 4000, seed=41)
+        return sample_shadow(StateVector(t.reshape(-1) / np.linalg.norm(t)), 4000, seed=41)
 
     def test_planted_candidate_is_flagged(self, records):
         results = nonlocal_scan(records, [(0, 1)], self.CANDIDATES, self.LINE)

@@ -1,11 +1,13 @@
 """Tests for device coupling graphs, on small layouts and the bundled heavy-hex map."""
 
 import itertools
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from zecs import datasets
+from zecs import datasets, io
 from zecs.errors import ValidationError
 from zecs.layout import DeviceLayout, normalize_edge
 from zecs.report import PAIR
@@ -102,3 +104,21 @@ def test_groups_adjacent_matches_brute_force_on_bundled_pairs(heavy_hex):
 def test_rejects_malformed_edges(num_qubits, edges):
     with pytest.raises(ValidationError):
         DeviceLayout(num_qubits, edges)
+
+
+@pytest.mark.parametrize(
+    "edge, index",
+    [((True, 2), True), ((0, 1.0), 1.0), ((0.0, 1), 0.0), ((0, "1"), "1")],
+    ids=["bool", "float-second", "float-first", "string"],
+)
+def test_rejects_non_integer_qubits_naming_the_edge(edge, index):
+    message = f"edge {edge}: qubit index must be an integer, got {index!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        DeviceLayout(3, (edge,))
+
+
+def test_numpy_integer_edges_are_stored_as_ints():
+    layout = DeviceLayout(3, ((np.int64(2), np.uint8(1)),))
+    assert layout.edges == ((1, 2),)
+    assert all(type(q) is int for q in layout.edges[0])
+    assert io.layout_to_obj(layout) == {"edges": [[1, 2]], "num_qubits": 3}

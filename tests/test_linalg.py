@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from zecs import linalg
-from zecs.errors import DimensionMismatchError, NotHermitianError, ValidationError
+from zecs.errors import (
+    DimensionMismatchError,
+    NotHermitianError,
+    SubsystemError,
+    ValidationError,
+)
 from zecs.states import DensityOperator
 
 
@@ -197,9 +202,9 @@ class TestNonFinite:
     @pytest.mark.parametrize("m", NON_FINITE)
     def test_density_operator_rejects(self, m):
         with pytest.raises(ValidationError, match="non-finite"):
-            DensityOperator(1, m)
+            DensityOperator(m)
         with pytest.raises(ValidationError, match="non-finite"):
-            DensityOperator.from_matrix(m, validate=False)
+            DensityOperator.from_matrix(m)
 
 
 class TestKron:
@@ -303,6 +308,18 @@ class TestPartialTrace:
             linalg.partial_trace(np.eye(4, dtype=complex), [2])
         with pytest.raises(IndexError):
             linalg.partial_trace(np.eye(4, dtype=complex), [0, 0])
+
+    @pytest.mark.parametrize("keep", [[True], [0, False], [0.0], [1.5], ["1"]])
+    def test_non_integer_index(self, keep):
+        """A ``bool`` or a float is not a qubit index: ``[True]`` does not keep qubit 1."""
+        with pytest.raises(SubsystemError, match="^qubit index must be an integer"):
+            linalg.partial_trace(np.eye(4, dtype=complex) / 4, keep)
+
+    def test_numpy_integer_index(self):
+        rng = np.random.default_rng(16)
+        m = random_hermitian(rng, 8)
+        assert np.array_equal(linalg.partial_trace(m, [np.int64(2), np.uint8(0)]),
+                              linalg.partial_trace(m, [2, 0]))
 
     @pytest.mark.parametrize("shape", [(3, 3), (2, 6, 6)], ids=["3x3", "6x6-stack"])
     def test_dimension_not_a_power_of_two(self, shape):

@@ -133,7 +133,7 @@ def test_negative_weight_matches_brute_force():
 
 
 def walk_table(layout, scores, steps, weight_w):
-    adj, _ = _scored_adjacency(layout, scores, weight_w)
+    adj = _scored_adjacency(layout, scores, weight_w)
     return adj, _walk_bounds(adj, steps)
 
 
@@ -179,6 +179,36 @@ def test_root_walk_bound_never_exceeds_optimum(grid, weight_w):
             assert root_bound <= optimum + 1e-12
             checked += 1
     assert checked > 50
+
+
+def test_too_few_scored_qubits_fail_before_the_search():
+    """Six scored edges on four qubits pass the edge count for five qubits, not the qubit count."""
+    edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    layout = DeviceLayout(num_qubits=6, edges=edges)
+    scores = {e: EdgeScore(pair=e, fidelity=0.5) for e in edges}
+    assert best_chain(layout, scores, 4).qubits == (0, 1, 2, 3)
+    # A budget of one node would run out in any search; the count check comes first.
+    with pytest.raises(PathError, match="^no simple path of 5 qubits exists$"):
+        best_chain(layout, scores, 5, node_budget=1)
+
+
+def test_too_few_scored_edges_fail_before_the_search():
+    """Three disjoint edges score six qubits, but a six-qubit chain needs five edges."""
+    edges = ((0, 1), (2, 3), (4, 5))
+    layout = DeviceLayout(num_qubits=6, edges=edges)
+    scores = {e: EdgeScore(pair=e, fidelity=0.5) for e in edges}
+    with pytest.raises(PathError, match="^not enough scored edges for a 6-qubit chain$"):
+        best_chain(layout, scores, 6, node_budget=1)
+
+
+@pytest.mark.parametrize("length_L", [127, 128])
+def test_bundled_report_has_no_chain_through_every_qubit(length_L):
+    """Only 126 of the 127 qubits carry a scored edge in the bundled report."""
+    layout = datasets.brisbane_layout()
+    scores = edge_scores_from_report(datasets.brisbane_report(), layout)
+    assert len({q for edge in scores for q in edge}) == 126
+    with pytest.raises(PathError, match=f"^no simple path of {length_L} qubits exists$"):
+        best_chain(layout, scores, length_L, node_budget=1)
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])

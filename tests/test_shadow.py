@@ -201,11 +201,11 @@ class TestHistogramKernel:
             SnapshotRecord(bases="XY", bits="11"),
             SnapshotRecord(bases="YYYY", bits="1111"),
         ]
-        with pytest.raises(RecordError, match=r"^record 2 covers 2 qubits, record 0 covers 4$"):
+        with pytest.raises(RecordError, match=r"^record 2: record width 2 != expected 4$"):
             outcome_codes(records)
-        with pytest.raises(RecordError, match=r"^record 1 covers 4 qubits, record 0 covers 2$"):
+        with pytest.raises(RecordError, match=r"^record 1: record width 4 != expected 2$"):
             outcome_codes(records[2:])
-        with pytest.raises(RecordError, match=r"^record 3 covers 4 qubits, record 0 covers 2$"):
+        with pytest.raises(RecordError, match=r"^record 3: record width 4 != expected 2$"):
             outcome_codes(records[2:3] * 3 + records[:1])
 
     def test_subsets_must_share_one_size(self):
@@ -277,7 +277,7 @@ class TestEncodeRows:
 
     def test_empty(self):
         assert encode_rows([], [], 5).shape == (0, 5)
-        assert encode_rows([], []).shape == (0, 0)
+        assert encode_rows([], [], 0).shape == (0, 0)
 
     @pytest.mark.parametrize(
         "bases, bits, message",
@@ -299,9 +299,9 @@ class TestEncodeRows:
 
     def test_zero_width_rows_are_rejected(self):
         with pytest.raises(RecordError, match=r"^record 0: record covers no qubits$"):
-            encode_rows([""], [""])
-        with pytest.raises(RecordError, match=r"^record 0: record covers no qubits$"):
             encode_rows([""], [""], 0)
+        with pytest.raises(RecordError, match=r"^record 0: record covers no qubits$"):
+            encode_rows([""], [""], 1)
 
 
 class TestUnbiasedness:
@@ -350,7 +350,7 @@ class TestRhoCs:
             reconstruct([], [0])
 
     def test_trace_exactly_one(self):
-        state = StateVector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
+        state = StateVector(np.array([1, 0, 0, 1]) / math.sqrt(2))
         records = sample_shadow(state, 777, seed=7)
         rho = reconstruct(records, [0, 1])
         assert np.trace(rho.matrix) == 1.0 + 0.0j
@@ -361,7 +361,7 @@ class TestRhoCs:
         for seed in range(200):
             rng = np.random.default_rng(seed)
             amps = rng.normal(size=2 ** (k + 1)) + 1j * rng.normal(size=2 ** (k + 1))
-            state = StateVector(k + 1, amps / np.linalg.norm(amps))
+            state = StateVector(amps / np.linalg.norm(amps))
             records = sample_shadow(state, int(rng.integers(1, 200)), seed=seed)
             stack = rho_cs(outcome_codes(records), subsets)
             for rho, subset in zip(stack, subsets):
@@ -373,15 +373,27 @@ class TestRhoCs:
                 bound = 2 * (np.abs(mean.diagonal()).sum() + 1) * 2.0**-52
                 assert np.abs(rho - mean).max() < bound
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_hermitian_bit_for_bit(self, k):
+        """The exact sum makes each mean Hermitian with no symmetrizing step (20 streams per k)."""
+        rng = np.random.default_rng(100 + k)
+        for _ in range(20):
+            codes = rng.integers(0, 6, size=(int(rng.integers(1, 2000)), 8), dtype=np.uint8)
+            stack = rho_cs(codes, [rng.permutation(8)[:k].tolist() for _ in range(3)])
+            adjoint = stack.conj().swapaxes(-1, -2)
+            assert np.array_equal(stack, adjoint)
+            # Symmetrizing would change no bit, not even the sign of a zero.
+            assert ((stack + adjoint) / 2.0).tobytes() == stack.tobytes()
+
     def test_mean_converges_to_state(self):
-        state = StateVector(1, np.array([1, 0], dtype=complex))
+        state = StateVector(np.array([1, 0], dtype=complex))
         records = sample_shadow(state, 100_000, seed=8)
         rho = reconstruct(records, [0])
         target = np.diag([1.0, 0.0]).astype(complex)
         assert np.linalg.norm(rho.matrix - target) <= 0.02
 
     def test_frobenius_error_scales_like_inverse_sqrt_n(self):
-        state = StateVector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
+        state = StateVector(np.array([1, 0, 0, 1]) / math.sqrt(2))
         rho_true = np.outer(state.amplitudes, state.amplitudes.conj())
         sizes = [100, 1000, 10_000]
         log_err = []

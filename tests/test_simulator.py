@@ -118,7 +118,7 @@ def peak_memory(function, *args):
 def ghz(n):
     amps = np.zeros(2**n)
     amps[0] = amps[-1] = 1 / math.sqrt(2)
-    return StateVector(n, amps)
+    return StateVector(amps)
 
 
 def product_state():
@@ -131,7 +131,7 @@ def product_state():
     amps = factors[0]
     for f in factors[1:]:
         amps = np.kron(amps, f)
-    return StateVector(4, amps)
+    return StateVector(amps)
 
 
 def su2_state(n, seed):
@@ -141,7 +141,7 @@ def su2_state(n, seed):
 def w_state():
     amps = np.zeros(8, dtype=complex)
     amps[[1, 2, 4]] = np.array([1, 1j, -1]) / math.sqrt(3)
-    return StateVector(3, amps)
+    return StateVector(amps)
 
 
 def spearman(xs, ys):
@@ -239,7 +239,17 @@ class TestRun:
 
     def test_statevector_norm_validated(self):
         with pytest.raises(ValidationError):
-            StateVector(1, np.array([1.0, 1.0]))
+            StateVector(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("size", [0, 3, 6])
+    def test_statevector_length_must_be_a_power_of_two(self, size):
+        with pytest.raises(DimensionMismatchError, match=f"^{size} amplitudes are not 2"):
+            StateVector(np.ones(size) / math.sqrt(max(size, 1)))
+
+    def test_statevector_qubit_count_comes_from_the_amplitudes(self):
+        assert [StateVector(np.eye(2**n)[0]).n_qubits for n in range(1, 4)] == [1, 2, 3]
+        assert StateVector(np.eye(4) / 2).n_qubits == 4  # amplitudes are flattened
+        assert zero_state(5).n_qubits == 5
 
 
 class TestSampleShadow:
@@ -250,7 +260,7 @@ class TestSampleShadow:
                 assert rec.bits == "0"
 
     def test_x_basis_on_plus_state_is_certain(self):
-        plus = StateVector(1, np.array([1, 1]) / math.sqrt(2))
+        plus = StateVector(np.array([1, 1]) / math.sqrt(2))
         records = sample_shadow(plus, 600, seed=1)
         z_bits = []
         for rec in records:
@@ -265,13 +275,13 @@ class TestSampleShadow:
         assert chi2 < _CHI2_1DF_P001
 
     def test_bell_z_outcomes_perfectly_correlated(self):
-        bell = StateVector(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
+        bell = StateVector(np.array([1, 0, 0, 1]) / math.sqrt(2))
         records = sample_shadow(bell, 2000, seed=2)
         zz = {rec.bits for rec in records if rec.bases == "ZZ"}
         assert zz <= {"00", "11"}
 
     def test_reproducible_from_seed(self):
-        state = StateVector(2, np.array([0.5, 0.5, 0.5, 0.5]))
+        state = StateVector(np.array([0.5, 0.5, 0.5, 0.5]))
         a = sample_shadow(state, 50, seed=9)
         b = sample_shadow(state, 50, seed=9)
         assert a == b
@@ -291,7 +301,7 @@ class TestSampleShadow:
     def test_product_state_marginals_match_born(self):
         # |+> (x) |1>: X on qubit 0 certain, Z on qubit 1 certain
         amps = np.kron(np.array([1, 1]) / math.sqrt(2), np.array([0, 1]))
-        state = StateVector(2, amps)
+        state = StateVector(amps)
         records = sample_shadow(state, 10_000, seed=4)
         q0_z = [int(r.bits[0]) for r in records if r.bases[0] == "Z"]
         n, ones = len(q0_z), sum(q0_z)

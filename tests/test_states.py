@@ -69,12 +69,12 @@ class TestDensityOperator:
             DensityOperator.from_matrix(np.diag([1.5, -0.5]).astype(complex))
 
     def test_unvalidated_allows_indefinite(self):
-        rho = DensityOperator.from_matrix(np.diag([2.0, -1.0]).astype(complex), validate=False)
+        rho = DensityOperator(np.diag([2.0, -1.0]).astype(complex))
         assert not rho.validated
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
-            DensityOperator.from_matrix(np.array([[0.5, 1], [0, 0.5]]), validate=False)
+            DensityOperator(np.array([[0.5, 1], [0, 0.5]]))
 
     def test_from_pure_tracks_vector(self):
         rho = DensityOperator.from_pure(BELL)
@@ -83,26 +83,35 @@ class TestDensityOperator:
 
     def test_matrix_is_stored_as_given(self):
         m = np.array([[0.5, 0.1 + 1e-12j], [0.1, 0.5 + 1e-17j]])
-        assert np.array_equal(DensityOperator.from_matrix(m, validate=False).matrix, m)
+        assert np.array_equal(DensityOperator(m).matrix, m)
         rho = DensityOperator.from_pure(BELL)
         assert np.array_equal(rho.matrix, np.outer(BELL, BELL.conj()))
 
     @pytest.mark.parametrize("make", [
         lambda: DensityOperator.from_matrix(np.eye(3) / 3),
-        lambda: DensityOperator.from_matrix(np.eye(3) / 3, validate=False),
+        lambda: DensityOperator(np.eye(3) / 3),
         lambda: DensityOperator.from_pure(np.ones(3) / math.sqrt(3)),
-        lambda: DensityOperator(1, np.eye(3) / 3),
+        lambda: DensityOperator(np.eye(3) / 3, validated=True),
     ], ids=["validated", "unvalidated", "pure", "constructor"])
     def test_dimension_must_be_a_power_of_two(self, make):
-        with pytest.raises(DimensionMismatchError, match="^matrix of dim 3 does not describe 1 qubit"):
+        with pytest.raises(DimensionMismatchError, match=r"n >= 1, not \(3, 3\)$"):
             make()
 
-    @pytest.mark.parametrize("n_qubits, m", [
-        (2, np.eye(2) / 2), (0, np.eye(1)), (1, np.full(2, 0.5)), (1, np.stack([np.eye(2) / 2] * 2)),
-    ], ids=["too-many-qubits", "no-qubits", "vector", "stack"])
-    def test_needs_one_matrix_of_the_qubit_count(self, n_qubits, m):
+    @pytest.mark.parametrize("m", [
+        np.eye(1), np.full(2, 0.5), np.stack([np.eye(2) / 2] * 2),
+    ], ids=["no-qubits", "vector", "stack"])
+    def test_needs_one_matrix_of_the_qubit_count(self, m):
         with pytest.raises(DimensionMismatchError):
-            DensityOperator(n_qubits, m)
+            DensityOperator(m)
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_qubit_count_comes_from_the_matrix(self, n_qubits):
+        m = np.eye(2**n_qubits) / 2**n_qubits
+        assert DensityOperator(m).n_qubits == DensityOperator.from_matrix(m).n_qubits == n_qubits
+        v = np.eye(2**n_qubits)[0]
+        assert DensityOperator.from_pure(v).n_qubits == n_qubits
+        with pytest.raises(AttributeError):
+            DensityOperator(m).n_qubits = n_qubits + 1
 
 
 class TestFidelity:
@@ -154,9 +163,7 @@ class TestFidelity:
             fidelity(DensityOperator.from_matrix(random_pure(rng, 2).matrix), a)
 
     def test_clamps_indefinite_reconstructions(self):
-        cs_like = DensityOperator.from_matrix(
-            np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex), validate=False
-        )
+        cs_like = DensityOperator(np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex))
         ref = DensityOperator.from_pure([1, 0, 0, 0])
         value = fidelity(cs_like, ref)
         assert value == pytest.approx(1.1, abs=1e-10)
@@ -346,3 +353,11 @@ class TestEntanglementEntropy:
             entanglement_entropy(rho, [0, 1])
         with pytest.raises(SubsystemError):
             entanglement_entropy(rho, [3])
+
+    @pytest.mark.parametrize("index", [True, False, 0.0, 1.0, "0"])
+    def test_non_integer_qubit_rejected(self, index):
+        """``True`` is not qubit 1 and ``0.0`` is not qubit 0."""
+        rho = DensityOperator.from_pure(BELL)
+        with pytest.raises(SubsystemError, match=f"^qubit index must be an integer, got {index!r}$"):
+            entanglement_entropy(rho, [index])
+        assert entanglement_entropy(rho, [np.int64(1)]) == entanglement_entropy(rho, [1])
