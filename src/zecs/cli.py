@@ -114,15 +114,15 @@ def cmd_route(args) -> int:
 def cmd_nonlocal(args) -> int:
     from .diagnostics import nonlocal_scan, score_candidates
 
+    layout = io.read_layout(args.layout) if args.layout else None
     if args.values:
-        results = score_candidates(*io.read_nonlocal_values(args.values))
+        results = score_candidates(*io.read_nonlocal_values(args.values, layout))
     else:
-        if not (args.snapshots and args.targets and args.candidates and args.layout):
+        if not (args.snapshots and args.targets and args.candidates and layout):
             raise ConfigError(
                 "need --snapshots, --targets, --candidates and --layout (or --values)"
             )
         codes, _ = io.read_snapshots(args.snapshots, endianness=args.endianness)
-        layout = io.read_layout(args.layout)
         results = nonlocal_scan(
             codes,
             _parse_pairs(args.targets),
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshots")
     p.add_argument("--targets", help="target pairs, e.g. '19,20;67,68'")
     p.add_argument("--candidates", help="candidate pairs, same syntax")
-    p.add_argument("--layout")
+    p.add_argument("--layout", help="device layout JSON; with --values, rejects coupled candidates")
     p.add_argument("--values", help="archived entropy values JSON (skips reconstruction)")
     p.add_argument("--endianness", default=None,
                    choices=[io.Q0_LEFTMOST, io.Q0_RIGHTMOST])

@@ -214,7 +214,7 @@ def nonlocal_scan(
     results: list[NonlocalResult] = []
     for target in target_pairs:
         pool = [cand for cand in candidate_pairs
-                if not (set(cand) & set(target) or layout.groups_adjacent(target, cand))]
+                if not (set(cand) & set(target) or layout.edges_between(target, cand))]
         if len(pool) < 3:
             raise InsufficientCandidatesError(
                 f"target {target} retains {len(pool)} candidates after exclusions"

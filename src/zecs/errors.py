@@ -1,8 +1,7 @@
 """Exception types raised across the toolkit.
 
 Everything derives from :class:`ZecsError` so callers can catch the whole
-family at once.  Plain built-ins are used where they are the natural fit
-(``IndexError`` for out-of-range qubit indices).
+family at once.
 """
 
 

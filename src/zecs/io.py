@@ -306,6 +306,15 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _spec_from_obj(raw, where: str) -> SubsystemSpec:
+    """The ``SubsystemSpec`` of a report or subsystems-file row, which ``where`` names."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"{where} is not an object")
+    if type(raw["kind"]) is not str:
+        raise TypeError(f"{where}: kind must be a string, got {raw['kind']!r}")
+    return SubsystemSpec(raw["kind"], tuple(_integer(q, f"{where}: qubit") for q in raw["qubits"]))
+
+
 #: The optional number fields of a report row, read from its annotations.
 _REPORT_NUMBERS = tuple(f.name for f in fields(SubsystemDiagnostics) if f.type == "float | None")
 
@@ -320,19 +329,13 @@ def report_from_obj(obj: dict) -> DiagnosticReport:
         )
     rows = []
     for index, raw in enumerate(obj["subsystems"]):
-        if not isinstance(raw, dict):
-            raise TypeError(f"row {index} is not an object")
-        kind, flag = raw["kind"], raw.get("degenerate_flag")
-        if type(kind) is not str:
-            raise TypeError(f"row {index}: kind must be a string, got {kind!r}")
+        spec, flag = _spec_from_obj(raw, f"row {index}"), raw.get("degenerate_flag")
         if flag is not None and type(flag) is not bool:
             raise TypeError(f"row {index}: degenerate_flag must be a boolean or null, got {flag!r}")
-        qubits = tuple(_integer(q, f"row {index}: qubit") for q in raw["qubits"])
         numbers = {
             key: None if raw.get(key) is None else _number(raw[key], f"row {index}: {key}")
             for key in _REPORT_NUMBERS
         }
-        spec = SubsystemSpec(kind, qubits)
         rows.append(SubsystemDiagnostics(spec.kind, spec.qubits, degenerate_flag=flag, **numbers))
     return DiagnosticReport(subsystems=tuple(rows), entropy_normalization=normalization)
 
@@ -359,22 +362,26 @@ def chain_to_obj(solution: ChainSolution, weight: float) -> dict:
 NonlocalValues = tuple[tuple[int, int], list[tuple[tuple[int, int], float]]]
 
 
-def nonlocal_values_from_obj(obj: dict) -> NonlocalValues:
+def nonlocal_values_from_obj(obj: dict, layout: DeviceLayout | None = None) -> NonlocalValues:
     """Target and values, with the pair checks of the live scan (see ``report.as_pairs``);
-    a candidate sharing a qubit with the target, left out of a live pool, is rejected."""
+    a candidate that shares a qubit with the target, or couples to it in ``layout``, is rejected."""
     [target] = as_pairs([[_integer(q, "target qubit") for q in obj["target"]]], "target")
     candidates, entropies = [], []
     for index, row in enumerate(obj["pairs"]):
         entropies.append(_number(row["s_ij"], f"row {index}: s_ij"))
         candidates.append([_integer(q, f"row {index}: candidate qubit") for q in row["candidate"]])
-        if set(candidates[-1]) & set(target):
-            raise SubsystemError(f"row {index}: candidate {tuple(candidates[-1])} "
-                                 f"shares a qubit with target {target}")
-    return target, list(zip(as_pairs(candidates, "candidate"), entropies))
+    pairs = as_pairs(candidates, "candidate")
+    for index, pair in enumerate(pairs):
+        if set(pair) & set(target):
+            raise SubsystemError(f"row {index}: candidate {pair} shares a qubit with "
+                                 f"target {target}")
+        if layout is not None and layout.edges_between(target, pair):
+            raise SubsystemError(f"row {index}: candidate {pair} couples to target {target}")
+    return target, list(zip(pairs, entropies))
 
 
-def read_nonlocal_values(path: str | Path) -> NonlocalValues:
-    return _read_object(path, nonlocal_values_from_obj, "values")
+def read_nonlocal_values(path: str | Path, layout: DeviceLayout | None = None) -> NonlocalValues:
+    return _read_object(path, lambda obj: nonlocal_values_from_obj(obj, layout), "values")
 
 
 def scan_to_obj(results: Sequence[NonlocalResult]) -> dict:
@@ -458,9 +465,7 @@ def subsystems_from_obj(obj: dict) -> Subsystems:
     specs = []
     references: dict[tuple[int, ...], Circuit] = {}
     for index, raw in enumerate(obj["subsystems"]):
-        kind = str(raw["kind"])
-        qubits = tuple(_integer(q, f"subsystem {index}: qubit") for q in raw["qubits"])
-        spec = SubsystemSpec(kind=kind, qubits=qubits)
+        spec = _spec_from_obj(raw, f"subsystem {index}")
         specs.append(spec)
         reference = raw.get("reference")
         if reference is not None:

@@ -1,18 +1,20 @@
 """Device coupling graphs.
 
-A layout is an undirected graph whose vertices are physical qubits and
-whose edges are native two-qubit couplings, held as one set of normalized
-edges.  The 127-qubit heavy-hex map of the Eagle-class devices is bundled
-as ``data/heavy_hex_127.json`` (``datasets.brisbane_layout``); the builder
-that writes it is ``tools/make_fixtures.py``.
+A layout is an undirected graph over physical qubits; its edges, the native
+two-qubit couplings, are held as one set of normalized edges.  ``edges_between``
+gives the edges joining two groups of qubits, which the router scores and the
+non-local scan excludes.  The bundled 127-qubit heavy-hex map of the Eagle-class
+devices, ``data/heavy_hex_127.json``, is written by ``tools/make_fixtures.py``.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .errors import SubsystemError, ValidationError
-from .report import qubit_index
+from .report import qubit_subset
 
 
 def normalize_edge(a: int, b: int) -> tuple[int, int]:
@@ -21,23 +23,24 @@ def normalize_edge(a: int, b: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class DeviceLayout:
+    """An integer ``num_qubits`` >= 1 and ``edges``, each a ``qubit_subset`` pair of
+    ``range(num_qubits)`` given once; anything else raises ``ValidationError`` naming it."""
+
     num_qubits: int
     edges: tuple[tuple[int, int], ...]
     _edge_set: frozenset[tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValidationError("layout needs at least one qubit")
+        n = self.num_qubits
+        if isinstance(n, bool) or not hasattr(n, "__index__") or operator.index(n) < 1:
+            raise ValidationError(f"layout needs an integer number of qubits >= 1, got {n!r}")
+        object.__setattr__(self, "num_qubits", operator.index(n))
         seen = set()
         for edge in self.edges:
             try:
-                a, b = map(qubit_index, edge)
-            except SubsystemError as exc:
+                a, b = qubit_subset(edge, self.num_qubits)
+            except (SubsystemError, TypeError, ValueError) as exc:  # the last two: not a pair
                 raise ValidationError(f"edge {edge}: {exc}") from None
-            if a == b:
-                raise ValidationError(f"self-loop on qubit {a}")
-            if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
-                raise ValidationError(f"edge ({a}, {b}) out of range")
             edge = normalize_edge(a, b)
             if edge in seen:
                 raise ValidationError(f"duplicate edge {edge}")
@@ -48,6 +51,8 @@ class DeviceLayout:
     def has_edge(self, a: int, b: int) -> bool:
         return normalize_edge(a, b) in self._edge_set
 
-    def groups_adjacent(self, group_a, group_b) -> bool:
-        """True when any qubit of one group couples to any qubit of the other."""
-        return any(self.has_edge(a, b) for a in group_a for b in group_b)
+    def edges_between(self, group_a, group_b) -> list[tuple[int, int]]:
+        """Sorted normalized edges from one ``qubit_subset`` to the other, else
+        ``SubsystemError``; a qubit outside the layout couples to nothing."""
+        pairs = itertools.product(qubit_subset(group_a), qubit_subset(group_b))
+        return sorted({normalize_edge(a, b) for a, b in pairs} & self._edge_set)

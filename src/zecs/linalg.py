@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError, ValidationError
-from .report import qubit_index
+from .report import qubit_subset
 
 #: Max entrywise deviation of ``m - m.conj().T`` tolerated for Hermitian input.
 HERMITICITY_TOL = 1e-8
@@ -103,8 +103,8 @@ def partial_trace(m: np.ndarray, keep: Sequence[int]) -> np.ndarray:
 
     ``m`` is one matrix or a ``(..., d, d)`` stack, traced matrix by matrix;
     ``d = 2**n`` gives the qubit count ``n``, and any other ``d`` raises
-    ``DimensionMismatchError``.  ``keep`` lists distinct integer qubit
-    indices (:func:`zecs.report.qubit_index`) in the order of the result
+    ``DimensionMismatchError``.  ``keep`` is a :func:`zecs.report.qubit_subset`
+    of ``range(n)``, else ``SubsystemError``, in the order of the result
     axes, so ``keep=[2, 0]`` returns an operator whose most significant
     qubit is original qubit 2.  ``keep=[]`` yields the 1x1 matrix ``[[trace]]``.
     """
@@ -112,12 +112,7 @@ def partial_trace(m: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     n = a.shape[-1].bit_length() - 1
     if a.shape[-1] != 2**n:
         raise DimensionMismatchError(f"matrix dimension {a.shape[-1]} is not a power of two")
-    keep = [qubit_index(q) for q in keep]
-    if len(set(keep)) != len(keep):
-        raise IndexError(f"duplicate qubit indices in keep={keep}")
-    for q in keep:
-        if not 0 <= q < n:
-            raise IndexError(f"qubit index {q} out of range for {n} qubits")
+    keep = list(qubit_subset(keep, n))
 
     lead = a.shape[:-2]
     order = [len(lead) + q for q in keep + [q for q in range(n) if q not in keep]]

@@ -2,9 +2,9 @@
 
 Plain frozen dataclasses with no NumPy, so that reading, writing and routing
 over a stored report loads none of the numeric layers.  :func:`qubit_index`
-is the one check that a qubit index given in code is an integer; specs, the
-non-local scan and ``shadow.rho_cs`` use it.  :func:`as_pairs` is the one
-check of a scan's target and candidate pairs, live or read from a values file.
+checks that a qubit index given in code is an integer, and :func:`qubit_subset`
+is the one check of a set of them, for specs, layouts, circuits, ``partial_trace``
+and ``rho_cs``.  :func:`as_pairs` checks a scan's target and candidate pairs.
 """
 
 from __future__ import annotations
@@ -31,6 +31,17 @@ def qubit_index(q) -> int:
         except TypeError:
             pass
     raise SubsystemError(f"qubit index must be an integer, got {q!r}")
+
+
+def qubit_subset(qubits: Sequence[int], width: int | None = None) -> tuple[int, ...]:
+    """``qubits`` as a tuple of :func:`qubit_index` values, none repeated and, when
+    ``width`` is given, each in ``range(width)``; else ``SubsystemError`` naming them."""
+    subset = tuple(map(qubit_index, qubits))
+    if len(set(subset)) != len(subset):
+        raise SubsystemError(f"qubit subset {subset} repeats a qubit")
+    if width is not None and not all(0 <= q < width for q in subset):
+        raise SubsystemError(f"qubit subset {subset} out of range for {width} qubits")
+    return subset
 
 
 def as_pairs(groups: Sequence[Sequence[int]], role: str) -> list[tuple[int, int]]:
@@ -65,13 +76,11 @@ class SubsystemSpec:
     def __post_init__(self):
         if self.kind not in _KIND_SIZES:
             raise SubsystemError(f"unknown subsystem kind {self.kind!r}")
-        qubits = tuple(qubit_index(q) for q in self.qubits)
+        qubits = qubit_subset(self.qubits)
         if len(qubits) != _KIND_SIZES[self.kind]:
             raise SubsystemError(
                 f"{self.kind} subsystem needs {_KIND_SIZES[self.kind]} qubits, got {qubits}"
             )
-        if len(set(qubits)) != len(qubits):
-            raise SubsystemError(f"subsystem qubits {qubits} must be distinct")
         object.__setattr__(self, "qubits", qubits)
 
     def pairs(self) -> tuple[tuple[int, ...], ...]:

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import ConfigError, PathError, SearchBudgetError
+from .errors import ConfigError, PathError, SearchBudgetError, ValidationError
 from .layout import DeviceLayout, normalize_edge
 from .report import PAIR, DiagnosticReport
 
@@ -30,7 +29,7 @@ _EPS = 1e-12
 
 @dataclass(frozen=True)
 class EdgeScore:
-    """Quality annotations for one coupling edge."""
+    """Quality annotations for one coupling edge; out-of-range values raise ``ValidationError``."""
 
     pair: tuple[int, int]
     fidelity: float
@@ -39,9 +38,9 @@ class EdgeScore:
     def __post_init__(self):
         object.__setattr__(self, "pair", normalize_edge(*self.pair))
         if not 0.0 <= self.fidelity <= 1.0:
-            raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
+            raise ValidationError(f"fidelity {self.fidelity} outside [0, 1]")
         if not (math.isfinite(self.s_ij) and self.s_ij >= 0.0):
-            raise ValueError(f"s_ij {self.s_ij} must be finite and non-negative")
+            raise ValidationError(f"s_ij {self.s_ij} must be finite and non-negative")
 
     def cost(self, weight_w: float) -> float:
         return (1.0 - self.fidelity) + weight_w * self.s_ij
@@ -56,20 +55,13 @@ class ChainSolution:
     approximate: bool = False
 
 
-def _boundary_edges(
-    layout: DeviceLayout, block_a: Sequence[int], block_b: Sequence[int]
-) -> list[tuple[int, int]]:
-    """Layout edges with one endpoint in each block."""
-    return sorted({normalize_edge(a, b) for a in block_a for b in block_b if layout.has_edge(a, b)})
-
-
 def edge_scores_from_report(
     report: DiagnosticReport, layout: DeviceLayout
 ) -> dict[tuple[int, int], EdgeScore]:
     """Derive per-edge scores from a diagnostic report.
 
-    A pair row scores its own edge; 3- and 4-qubit rows score the edge(s)
-    crossing their bipartition boundary.  When several rows touch the same
+    A row scores the ``layout.edges_between`` its first qubit and the rest (a pair),
+    or its first two qubits and the rest (3 and 4 qubits).  When several rows touch the same
     edge the lowest fidelity wins, and the edge's entropy annotation is the
     maximum entropy among the boundary-crossing rows.  Edges no row reaches
     stay unscored and are excluded from routing.
@@ -77,11 +69,8 @@ def edge_scores_from_report(
     fidelity_by_edge: dict[tuple[int, int], float] = {}
     entropy_by_edge: dict[tuple[int, int], float] = {}
     for row in report.subsystems:
-        if row.kind == PAIR:
-            edge = normalize_edge(row.qubits[0], row.qubits[1])
-            edges = [edge] if layout.has_edge(*edge) else []
-        else:
-            edges = _boundary_edges(layout, row.qubits[:2], row.qubits[2:])
+        split = 1 if row.kind == PAIR else 2
+        edges = layout.edges_between(row.qubits[:split], row.qubits[split:])
         if row.infidelity_zecs is not None:
             f = min(1.0, max(0.0, 1.0 - row.infidelity_zecs))
             for e in edges:

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CoverageError, RecordError, SubsystemError
-from .report import qubit_index
+from .report import qubit_subset
 from .simulator import BASIS_LETTERS, SnapshotRecord, record_problem
 from .states import DensityOperator
 
@@ -140,6 +140,7 @@ def _unit_trace_diagonal(d: np.ndarray) -> np.ndarray:
 def rho_cs(codes: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     """Snapshot means of equal-size qubit subsets: an ``(S, 2**k, 2**k)`` stack.
 
+    Each subset is a non-empty ``qubit_subset`` of one size, else ``SubsystemError``.
     One histogram per subset of the rows of an :func:`outcome_codes` matrix,
     then ``k`` contractions of the stack with the factor table.  While the sum
     is exact (``N * 4**k < 2**52``), each mean is Hermitian bit for bit, as the
@@ -148,7 +149,7 @@ def rho_cs(codes: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     moves by less than ``2 * (sum|diag| + 1) * 2**-52``; see
     :func:`_unit_trace_diagonal`), so its trace is exactly 1 in any summation order.
     """
-    subsets = [[qubit_index(q) for q in subset] for subset in subsets]
+    subsets = [list(qubit_subset(subset)) for subset in subsets]
     n_rows, width = codes.shape
     if not n_rows:
         raise CoverageError("record stream is empty")
@@ -156,10 +157,8 @@ def rho_cs(codes: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
         raise SubsystemError("no qubit subsets given")
     k = len(subsets[0])
     for subset in subsets:
-        if not subset or len(set(subset)) != len(subset) or len(subset) != k:
-            raise SubsystemError(
-                f"qubit subset {subset} must be non-empty without repeats and of size {k}"
-            )
+        if not subset or len(subset) != k:
+            raise SubsystemError(f"qubit subset {subset} must be non-empty and of size {k}")
         if min(subset) < 0 or max(subset) >= width:
             raise CoverageError(f"records cover qubits 0..{width - 1}, subset asks for {subset}")
     hist = np.stack([

@@ -28,8 +28,10 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     RecordError,
+    SubsystemError,
     ValidationError,
 )
+from .report import qubit_subset
 from .states import DensityOperator, require_physical
 
 RY = "ry"
@@ -71,17 +73,15 @@ class Circuit:
         if self.n_qubits < 1:
             raise CircuitSpecError("circuit needs at least one qubit")
         for g in self.gates:
-            if not 0 <= g.target < self.n_qubits:
-                raise CircuitSpecError(f"gate target {g.target} out of range")
-            if g.kind == CNOT:
-                if g.control is None or not 0 <= g.control < self.n_qubits:
-                    raise CircuitSpecError("cnot needs an in-range control qubit")
-                if g.control == g.target:
-                    raise CircuitSpecError("cnot control and target must differ")
-            elif g.kind in (RY, RZ):
+            qubits = (g.control, g.target) if g.kind == CNOT else (g.target,)
+            try:
+                qubit_subset(qubits, self.n_qubits)
+            except SubsystemError as exc:
+                raise CircuitSpecError(f"{g.kind} gate: {exc}") from None
+            if g.kind in (RY, RZ):
                 if g.angle is None:
                     raise CircuitSpecError(f"{g.kind} gate needs an angle")
-            else:
+            elif g.kind != CNOT:
                 raise CircuitSpecError(f"unknown gate kind {g.kind!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
 
@@ -265,6 +265,8 @@ def sample_shadow(state: StateVector, n_records: int, seed: int) -> list[Snapsho
     if n_records < 1:
         raise ConfigError(f"n_records must be >= 1, got {n_records}")
     n = state.n_qubits
+    if n < 1:
+        raise DimensionMismatchError("sampling needs a state of at least one qubit")
     rng = _generator(seed)
     bases = rng.integers(0, 3, size=(n_records, n)).astype(np.uint8)
     draws = rng.random(n_records) * float(np.vdot(state.amplitudes, state.amplitudes).real)

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, SubsystemError, ValidationError
-from .report import qubit_index
 
 #: Tolerances for deciding that an operator is a physical density operator.
 TRACE_TOL = 1e-8
@@ -175,15 +174,12 @@ def concurrence_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def entanglement_entropy(rho: DensityOperator, subsystem_a: Sequence[int]) -> float:
-    """Base-2 von Neumann entropy of the marginal on ``subsystem_a``; see the matrix kernel."""
-    qubits = [qubit_index(q) for q in subsystem_a]
-    if not qubits or len(set(qubits)) != len(qubits):
-        raise SubsystemError(f"subsystem {qubits} must be non-empty without repeats")
-    if any(q < 0 or q >= rho.n_qubits for q in qubits):
-        raise SubsystemError(f"subsystem {qubits} out of range for {rho.n_qubits} qubits")
-    if len(qubits) >= rho.n_qubits:
-        raise SubsystemError("subsystem must be a proper subset of the qubits")
-    return float(entanglement_entropy_matrix(rho.matrix, qubits))
+    """Base-2 von Neumann entropy of the marginal on ``subsystem_a``, a non-empty proper
+    subset of the qubits checked by ``linalg.partial_trace``; see the matrix kernel."""
+    if not 0 < len(subsystem_a) < rho.n_qubits:
+        raise SubsystemError(f"subsystem {subsystem_a} must be a non-empty proper subset "
+                             f"of the {rho.n_qubits} qubits")
+    return float(entanglement_entropy_matrix(rho.matrix, subsystem_a))
 
 
 def entanglement_entropy_matrix(m: np.ndarray, subsystem_a: Sequence[int]) -> np.ndarray:

@@ -407,6 +407,34 @@ def test_bundled_scan_values_still_score(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("scanned 51 pairings, ")
 
 
+def test_bundled_scan_values_pass_the_bundled_layout_unchanged(tmp_path):
+    """None of the 51 bundled candidates couples to (19, 20): ``--layout`` changes no byte."""
+    values, layout = BUNDLED / "brisbane_nonlocal_19_20.json", BUNDLED / "heavy_hex_127.json"
+    plain, checked = tmp_path / "plain.json", tmp_path / "checked.json"
+    assert cli.main(["nonlocal", "--values", str(values), "--out", str(plain)]) == 0
+    assert cli.main(["nonlocal", "--values", str(values), "--layout", str(layout),
+                     "--out", str(checked)]) == 0
+    assert checked.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("coupled_row", [0, 3])
+def test_scan_values_with_a_coupled_candidate_and_a_layout_exit_2(tmp_path, capsys, coupled_row):
+    """(21, 22) couples to (19, 20) through the heavy-hex edge 20-21, as the live scan sees."""
+    candidates = [[1, 2], [5, 6], [7, 8]]
+    candidates.insert(coupled_row, [21, 22])
+    rows = [{"candidate": c, "s_ij": 0.25 * (i + 1)} for i, c in enumerate(candidates)]
+    path, out = tmp_path / "values.json", tmp_path / "scan.json"
+    path.write_text(json.dumps({"pairs": rows, "target": [19, 20]}))
+    assert cli.main(["nonlocal", "--values", str(path), "--out", str(out)]) == 0
+    out.unlink()
+    layout = BUNDLED / "heavy_hex_127.json"
+    assert cli.main(["nonlocal", "--values", str(path), "--layout", str(layout),
+                     "--out", str(out)]) == 2
+    message = f"row {coupled_row}: candidate (21, 22) couples to target (19, 20)"
+    assert f"values.json: values: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
 def test_non_finite_weight_exits_2(tmp_path, capsys, weight):
     assert route(*route_files(tmp_path), f"--weight={weight}") == 2

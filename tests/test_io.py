@@ -287,8 +287,9 @@ class TestCircuitAndSubsystemTypes:
              "subsystem 0: qubit must be an integer, got 2.9"),
             ({"kind": "pair", "qubits": [0, 1], "reference": {**SU2, "n_qubits": 2.0}},
              "n_qubits must be an integer, got 2.0"),
+            ([0, 1], "subsystem 0 is not an object"),
         ],
-        ids=["bool-qubit", "float-qubit", "reference-field"],
+        ids=["bool-qubit", "float-qubit", "reference-field", "list-row"],
     )
     def test_wrong_subsystem_field_type(self, tmp_path, row, message):
         path = tmp_path / "subsystems.json"
@@ -310,6 +311,30 @@ class TestCircuitAndSubsystemTypes:
         assert circuits[(0, 1)].gates[0].angle == 1.0
         assert isinstance(circuits[(0, 1)].gates[0].angle, float)
         assert circuits[(2, 3, 4, 5)].n_qubits == 2
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"kind": 5, "qubits": [0, 1]}, "{where}: kind must be a string, got 5"),
+            ({"kind": "pair", "qubits": [0, 1.5]}, "{where}: qubit must be an integer, got 1.5"),
+            ({"kind": "pair", "qubits": [3, 3]}, "qubit subset (3, 3) repeats a qubit"),
+            ({"kind": "triple", "qubits": [0, 1, 2]}, "unknown subsystem kind 'triple'"),
+            ({"kind": "pair", "qubits": [0, 1, 2]}, "pair subsystem needs 2 qubits, got (0, 1, 2)"),
+        ],
+        ids=["int-kind", "float-qubit", "repeat", "unknown-kind", "wrong-size"],
+    )
+    def test_reports_and_subsystem_files_read_a_spec_alike(self, tmp_path, row, message):
+        """One reader for the ``kind`` and ``qubits`` of both files; only the row's name differs."""
+        report = io.report_to_obj(datasets.brisbane_report())
+        report["subsystems"][2] = {**report["subsystems"][2], **row}
+        subsystems = {"subsystems": [{"kind": "pair", "qubits": [0, 1]}] * 2 + [row]}
+        for what, obj, where in [("report", report, "row 2"),
+                                 ("subsystems", subsystems, "subsystem 2")]:
+            path = tmp_path / f"{what}.json"
+            path.write_text(json.dumps(obj))
+            expected = f"{path}: {what}: {message.format(where=where)}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+                getattr(io, f"read_{what}")(path)
 
 
 def names(record_type):

@@ -63,30 +63,31 @@ def test_isolated_qubit_has_no_neighbors():
     assert not layout.has_edge(1, 2)
 
 
-def test_groups_adjacent():
+def test_edges_between():
     line = DeviceLayout(6, tuple((q, q + 1) for q in range(5)))
-    assert line.groups_adjacent((0, 1), (2, 3))
-    assert line.groups_adjacent((2, 3), (0, 1))
-    assert not line.groups_adjacent((0, 1), (3, 4))
-    assert not line.groups_adjacent((0,), (5,))
-    assert not line.groups_adjacent((), (0, 1))
+    assert line.edges_between((0, 1), (2, 3)) == [(1, 2)]
+    assert line.edges_between((2, 3), (0, 1)) == [(1, 2)]
+    assert line.edges_between((1, 3), (2, 0)) == [(0, 1), (1, 2), (2, 3)]
+    assert line.edges_between((0, 1), (3, 4)) == []
+    assert line.edges_between((0,), (5,)) == []
+    assert line.edges_between((), (0, 1)) == []
     # a qubit outside the layout couples to nothing
-    assert not line.groups_adjacent((9,), (0, 1))
+    assert line.edges_between((9,), (0, 1)) == []
 
 
-def test_groups_adjacent_on_heavy_hex(heavy_hex):
-    assert heavy_hex.groups_adjacent((19, 20), (21, 22))
-    assert not heavy_hex.groups_adjacent((19, 20), (2, 3))
+def test_edges_between_on_heavy_hex(heavy_hex):
+    assert heavy_hex.edges_between((19, 20), (21, 22)) == [(20, 21)]
+    assert heavy_hex.edges_between((19, 20), (2, 3)) == []
 
 
-def test_groups_adjacent_matches_brute_force_on_bundled_pairs(heavy_hex):
+def test_edges_between_matches_brute_force_on_bundled_pairs(heavy_hex):
     """For every two of the bundled report's 54 pairs, in both orders, against the edge list."""
     pairs = [row.qubits for row in datasets.brisbane_report().subsystems if row.kind == PAIR]
     assert len(pairs) == 54
     for group_a, group_b in itertools.permutations(pairs, 2):
-        expected = any((a in group_a and b in group_b) or (b in group_a and a in group_b)
-                       for a, b in heavy_hex.edges)
-        assert heavy_hex.groups_adjacent(group_a, group_b) == expected
+        expected = [(a, b) for a, b in heavy_hex.edges
+                    if (a in group_a and b in group_b) or (b in group_a and a in group_b)]
+        assert heavy_hex.edges_between(group_a, group_b) == expected
 
 
 @pytest.mark.parametrize(
@@ -122,3 +123,25 @@ def test_numpy_integer_edges_are_stored_as_ints():
     assert layout.edges == ((1, 2),)
     assert all(type(q) is int for q in layout.edges[0])
     assert io.layout_to_obj(layout) == {"edges": [[1, 2]], "num_qubits": 3}
+
+
+@pytest.mark.parametrize("edge", [(0,), (0, 1, 2), (), 5], ids=["one", "three", "empty", "int"])
+def test_rejects_an_edge_that_is_not_a_pair_naming_it(edge):
+    with pytest.raises(ValidationError, match=f"^edge {re.escape(str(edge))}: "):
+        DeviceLayout(3, (edge,))
+
+
+@pytest.mark.parametrize("num_qubits", [3.0, 2.5, True, "3", 0, -1])
+def test_rejects_a_qubit_count_that_is_not_a_positive_integer(num_qubits):
+    message = f"layout needs an integer number of qubits >= 1, got {num_qubits!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        DeviceLayout(num_qubits, ((0, 1),))
+
+
+def test_numpy_integer_qubit_count_is_stored_as_an_int(tmp_path):
+    layout = DeviceLayout(np.int64(3), ((0, 1),))
+    assert type(layout.num_qubits) is int and layout.num_qubits == 3
+    path = tmp_path / "layout.json"
+    io.write_canonical(path, io.layout_to_obj(layout))
+    assert path.read_text() == '{"edges":[[0,1]],"num_qubits":3}\n'
+    assert io.read_layout(path).num_qubits == 3

@@ -304,9 +304,9 @@ class TestPartialTrace:
         assert np.array_equal(out, [linalg.partial_trace(m, keep) for m in stack])
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(SubsystemError):
             linalg.partial_trace(np.eye(4, dtype=complex), [2])
-        with pytest.raises(IndexError):
+        with pytest.raises(SubsystemError):
             linalg.partial_trace(np.eye(4, dtype=complex), [0, 0])
 
     @pytest.mark.parametrize("keep", [[True], [0, False], [0.0], [1.5], ["1"]])

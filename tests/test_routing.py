@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from zecs import datasets
-from zecs.errors import ConfigError, PathError, SearchBudgetError
+from zecs.errors import ConfigError, PathError, SearchBudgetError, ValidationError
 from zecs.layout import DeviceLayout, normalize_edge
 from zecs.report import PAIR, PAIR_PAIR, PAIR_PLUS_IDLE, DiagnosticReport, SubsystemDiagnostics
 from zecs.routing import (
@@ -224,7 +224,7 @@ def test_non_finite_weight_rejected(weight):
      (0.9, float("inf"))],  # at weight 0 an infinite entropy costs 0 * inf = nan
 )
 def test_edge_score_rejects_out_of_range_values(fidelity, s_ij):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         EdgeScore(pair=(0, 1), fidelity=fidelity, s_ij=s_ij)
 
 

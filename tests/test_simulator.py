@@ -317,6 +317,13 @@ class TestSampleShadow:
         with pytest.raises(ConfigError, match=r"^seed must be a non-negative integer, got -1$"):
             sample_shadow(zero_state(1), 5, seed=-1)
 
+    def test_zero_qubit_state_is_a_dimension_error(self):
+        """A one-amplitude state is a valid ``StateVector`` of no qubits, but nothing to measure."""
+        state = StateVector(np.array([1.0]))
+        assert state.n_qubits == 0
+        with pytest.raises(DimensionMismatchError, match="^sampling needs a state of at least one"):
+            sample_shadow(state, 3, 0)
+
     def test_record_validation(self):
         with pytest.raises(RecordError):
             SnapshotRecord(bases="XQ", bits="00")
