@@ -322,6 +322,8 @@ _REPORT_NUMBERS = tuple(f.name for f in fields(SubsystemDiagnostics) if f.type =
 def report_from_obj(obj: dict) -> DiagnosticReport:
     if obj.get("format") != REPORT_FORMAT:
         raise ConfigError(f"not a report file (format {obj.get('format')!r})")
+    if obj.get("version") != FORMAT_VERSION:
+        raise ConfigError(f"unsupported version {obj.get('version')!r}")
     normalization = obj.get("entropy_normalization", "per-kind")
     if normalization not in ENTROPY_NORMALIZATIONS:
         raise ConfigError(

@@ -10,11 +10,10 @@ devices, ``data/heavy_hex_127.json``, is written by ``tools/make_fixtures.py``.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 from .errors import SubsystemError, ValidationError
-from .report import qubit_subset
+from .report import qubit_count, qubit_subset
 
 
 def normalize_edge(a: int, b: int) -> tuple[int, int]:
@@ -31,15 +30,13 @@ class DeviceLayout:
     _edge_set: frozenset[tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.num_qubits
-        if isinstance(n, bool) or not hasattr(n, "__index__") or operator.index(n) < 1:
-            raise ValidationError(f"layout needs an integer number of qubits >= 1, got {n!r}")
-        object.__setattr__(self, "num_qubits", operator.index(n))
+        n = qubit_count(self.num_qubits, ValidationError, "layout")
+        object.__setattr__(self, "num_qubits", n)
         seen = set()
         for edge in self.edges:
             try:
-                a, b = qubit_subset(edge, self.num_qubits)
-            except (SubsystemError, TypeError, ValueError) as exc:  # the last two: not a pair
+                a, b = qubit_subset(edge, n)
+            except (SubsystemError, ValueError) as exc:  # ValueError: not a pair
                 raise ValidationError(f"edge {edge}: {exc}") from None
             edge = normalize_edge(a, b)
             if edge in seen:
@@ -47,9 +44,6 @@ class DeviceLayout:
             seen.add(edge)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
         object.__setattr__(self, "_edge_set", frozenset(seen))
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return normalize_edge(a, b) in self._edge_set
 
     def edges_between(self, group_a, group_b) -> list[tuple[int, int]]:
         """Sorted normalized edges from one ``qubit_subset`` to the other, else

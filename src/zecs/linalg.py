@@ -10,8 +10,8 @@ the dimensions this package works with (up to 2**10).  ``eigh`` and
 ``mat_sqrt_psd`` also take a stack ``(..., d, d)`` of matrices and treat
 each one as a single call would: one vectorized finiteness check, one
 hermiticity check and one symmetrization cover the whole stack, and one
-LAPACK call decomposes it.  Every matrix entering this module must be
-finite: NaN and inf are rejected, not propagated.
+LAPACK call decomposes it; ``from_spectrum`` is the one rebuild from spectra.
+Every matrix entering this module must be finite: NaN and inf are rejected, not propagated.
 """
 
 from __future__ import annotations
@@ -122,18 +122,23 @@ def partial_trace(m: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     return np.trace(t.reshape(lead + (dk, dr, dk, dr)), axis1=-3, axis2=-1)
 
 
+def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``V diag(w) V†`` of each ``V`` and real ``w`` of a stack, made Hermitian bit for bit."""
+    out = (vectors * values[..., None, :]) @ adjoint(vectors)
+    return (out + adjoint(out)) / 2.0
+
+
 def clamp_spectrum(decomp: EigenDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """PSD part of each decomposed matrix and the negative magnitude removed from it.
 
-    Negative eigenvalues are zeroed; the trace is not renormalized.  The
-    magnitude is minus the sum, matrix by matrix, of just the eigenvalues
-    below ``-CLAMP_TOL`` (0.0 when only numerical-noise negatives are present).
+    Negative eigenvalues are zeroed before :func:`from_spectrum`; the trace is not
+    renormalized.  The magnitude is minus the sum, matrix by matrix, of just the
+    eigenvalues below ``-CLAMP_TOL`` (0.0 when only numerical-noise negatives are present).
     """
-    values, v = decomp.eigenvalues, decomp.eigenvectors
+    values = decomp.eigenvalues
     rows = values.reshape(-1, values.shape[-1])
     magnitudes = np.array([-w[w < -CLAMP_TOL].sum() for w in rows]).reshape(values.shape[:-1])
-    out = (v * np.maximum(values, 0.0)[..., None, :]) @ adjoint(v)
-    return (out + adjoint(out)) / 2.0, magnitudes
+    return from_spectrum(decomp.eigenvectors, np.maximum(values, 0.0)), magnitudes
 
 
 def clamp_psd(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -147,11 +152,8 @@ def clamp_psd(m: np.ndarray) -> tuple[np.ndarray, float]:
 def mat_sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix, or of each matrix in a stack.
 
-    Negative eigenvalues are clamped to zero first, so mildly indefinite
-    inputs (finite-sample shadow reconstructions) are accepted.
+    The :func:`from_spectrum` of the roots of the eigenvalues, clamped to zero first, so
+    mildly indefinite inputs (finite-sample shadow reconstructions) are accepted.
     """
     decomp = eigh(m)
-    roots = np.sqrt(np.maximum(decomp.eigenvalues, 0.0))
-    v = decomp.eigenvectors
-    out = (v * roots[..., None, :]) @ adjoint(v)
-    return (out + adjoint(out)) / 2.0
+    return from_spectrum(decomp.eigenvectors, np.sqrt(np.maximum(decomp.eigenvalues, 0.0)))

@@ -39,18 +39,14 @@ def project_spectra(decomp: linalg.EigenDecomposition) -> tuple[np.ndarray, ...]
 
 @dataclass(frozen=True, eq=False)
 class ZecsResult:
-    """Outcome of the rank-1 projection.
+    """Outcome of the rank-1 projection; ``lambda_top`` keeps the dominant eigenvalue's sign.
 
-    ``lambda_top`` keeps the sign of the dominant eigenvalue; ``spectrum``
-    lists all |eigenvalues| in descending order (singular values).  A
-    negative ``lambda_top`` or a set ``degenerate_flag`` indicates severe
-    sampling noise and downstream consumers may want to exclude the entry.
+    A negative ``lambda_top`` or a set ``degenerate_flag`` indicates severe sampling
+    noise and downstream consumers may want to exclude the entry.
     """
 
     rho_zecs: DensityOperator
     lambda_top: float
-    spectrum: np.ndarray
-    spectral_gap: float
     degenerate_flag: bool
 
 
@@ -66,11 +62,8 @@ def zecs_project(rho_cs: DensityOperator) -> ZecsResult:
         raise ValidationError(f"trace {trace:.8g} deviates from 1 beyond {_TRACE_TOL:.1e}")
     decomp = linalg.eigh(rho_cs.matrix)
     top, _, degenerate = project_spectra(decomp)
-    spectrum = np.abs(decomp.eigenvalues)
     return ZecsResult(
         rho_zecs=DensityOperator.from_pure(top),
         lambda_top=float(decomp.eigenvalues[0]),
-        spectrum=spectrum,
-        spectral_gap=float(spectrum[0] - spectrum[1]),
         degenerate_flag=bool(degenerate),
     )

@@ -2,18 +2,18 @@
 
 Plain frozen dataclasses with no NumPy, so that reading, writing and routing
 over a stored report loads none of the numeric layers.  :func:`qubit_index`
-checks that a qubit index given in code is an integer, and :func:`qubit_subset`
-is the one check of a set of them, for specs, layouts, circuits, ``partial_trace``
-and ``rho_cs``.  :func:`as_pairs` checks a scan's target and candidate pairs.
+checks a qubit index given in code, :func:`qubit_count` a layout's or circuit's width,
+and :func:`qubit_subset` a set of indices, for specs, layouts, circuits,
+``partial_trace`` and ``rho_cs``.  :func:`as_pairs` checks a scan's target and candidate pairs.
 """
 
 from __future__ import annotations
 
-import operator
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import SubsystemError
+from .errors import SubsystemError, ZecsError
 
 PAIR = "pair"
 PAIR_PLUS_IDLE = "pair_plus_idle"
@@ -23,23 +23,37 @@ _KIND_SIZES = {PAIR: 2, PAIR_PLUS_IDLE: 3, PAIR_PAIR: 4}
 
 
 def qubit_index(q) -> int:
-    """``q`` as a Python int if it is a Python or NumPy integer; anything else,
-    a ``bool`` included, raises ``SubsystemError`` naming it."""
-    if not isinstance(q, bool):
-        try:
-            return operator.index(q)
-        except TypeError:
-            pass
-    raise SubsystemError(f"qubit index must be an integer, got {q!r}")
+    """``q`` as a Python int if it is a non-negative Python or NumPy integer;
+    anything else, a ``bool`` included, raises ``SubsystemError`` naming it."""
+    if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+        raise SubsystemError(f"qubit index must be an integer, got {q!r}")
+    if q < 0:
+        raise SubsystemError(f"qubit index must be non-negative, got {q!r}")
+    return int(q)
+
+
+def qubit_count(n, error: type[ZecsError], owner: str) -> int:
+    """``n`` as a Python int if it is an integer >= 1 as for :func:`qubit_index`, else ``error``."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise error(f"{owner} needs an integer number of qubits >= 1, got {n!r}")
+    return int(n)
+
+
+def _indices(qubits: Sequence[int]) -> tuple[int, ...]:
+    """The :func:`qubit_index` of each of ``qubits``; a non-iterable raises ``SubsystemError``."""
+    try:
+        return tuple(map(qubit_index, qubits))
+    except TypeError:
+        raise SubsystemError(f"expected a sequence of qubit indices, got {qubits!r}") from None
 
 
 def qubit_subset(qubits: Sequence[int], width: int | None = None) -> tuple[int, ...]:
     """``qubits`` as a tuple of :func:`qubit_index` values, none repeated and, when
-    ``width`` is given, each in ``range(width)``; else ``SubsystemError`` naming them."""
-    subset = tuple(map(qubit_index, qubits))
+    ``width`` is given, each below ``width``; else ``SubsystemError`` naming them."""
+    subset = _indices(qubits)
     if len(set(subset)) != len(subset):
         raise SubsystemError(f"qubit subset {subset} repeats a qubit")
-    if width is not None and not all(0 <= q < width for q in subset):
+    if width is not None and not all(q < width for q in subset):
         raise SubsystemError(f"qubit subset {subset} out of range for {width} qubits")
     return subset
 
@@ -48,7 +62,7 @@ def as_pairs(groups: Sequence[Sequence[int]], role: str) -> list[tuple[int, int]
     """Qubit pairs from ``groups``; a pair given twice, in either order, is rejected."""
     first: dict[frozenset[int], tuple[int, int]] = {}
     for qubits in groups:
-        pair = tuple(qubit_index(q) for q in qubits)
+        pair = _indices(qubits)
         if len(pair) != 2 or pair[0] == pair[1]:
             raise SubsystemError(f"{pair} is not a qubit pair")
         key = frozenset(pair)

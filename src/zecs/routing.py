@@ -29,14 +29,12 @@ _EPS = 1e-12
 
 @dataclass(frozen=True)
 class EdgeScore:
-    """Quality annotations for one coupling edge; out-of-range values raise ``ValidationError``."""
+    """Quality annotations of the edge keying it; out-of-range values raise ``ValidationError``."""
 
-    pair: tuple[int, int]
     fidelity: float
     s_ij: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "pair", normalize_edge(*self.pair))
         if not 0.0 <= self.fidelity <= 1.0:
             raise ValidationError(f"fidelity {self.fidelity} outside [0, 1]")
         if not (math.isfinite(self.s_ij) and self.s_ij >= 0.0):
@@ -79,7 +77,7 @@ def edge_scores_from_report(
             for e in edges:
                 entropy_by_edge[e] = max(row.s_ab, entropy_by_edge.get(e, 0.0))
     return {
-        e: EdgeScore(pair=e, fidelity=f, s_ij=entropy_by_edge.get(e, 0.0))
+        e: EdgeScore(fidelity=f, s_ij=entropy_by_edge.get(e, 0.0))
         for e, f in fidelity_by_edge.items()
     }
 

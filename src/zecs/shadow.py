@@ -159,7 +159,7 @@ def rho_cs(codes: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     for subset in subsets:
         if not subset or len(subset) != k:
             raise SubsystemError(f"qubit subset {subset} must be non-empty and of size {k}")
-        if min(subset) < 0 or max(subset) >= width:
+        if max(subset) >= width:
             raise CoverageError(f"records cover qubits 0..{width - 1}, subset asks for {subset}")
     hist = np.stack([
         np.bincount(np.ravel_multi_index(codes[:, subset].T, (6,) * k), minlength=6**k)

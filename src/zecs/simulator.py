@@ -31,7 +31,7 @@ from .errors import (
     SubsystemError,
     ValidationError,
 )
-from .report import qubit_subset
+from .report import qubit_count, qubit_subset
 from .states import DensityOperator, require_physical
 
 RY = "ry"
@@ -70,12 +70,12 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise CircuitSpecError("circuit needs at least one qubit")
+        n = qubit_count(self.n_qubits, CircuitSpecError, "circuit")
+        object.__setattr__(self, "n_qubits", n)
         for g in self.gates:
             qubits = (g.control, g.target) if g.kind == CNOT else (g.target,)
             try:
-                qubit_subset(qubits, self.n_qubits)
+                qubit_subset(qubits, n)
             except SubsystemError as exc:
                 raise CircuitSpecError(f"{g.kind} gate: {exc}") from None
             if g.kind in (RY, RZ):
@@ -329,9 +329,7 @@ def _perturb_stack(rho0: np.ndarray, sigma: float, seeds: Sequence[int]) -> np.n
     decomp = linalg.eigh(perturbed)
     magnitudes = np.abs(decomp.eigenvalues)
     weights = magnitudes / magnitudes.sum(axis=-1, keepdims=True)
-    v = decomp.eigenvectors
-    out = (v * weights[:, None, :]) @ linalg.adjoint(v)
-    out = (out + linalg.adjoint(out)) / 2.0
+    out = linalg.from_spectrum(decomp.eigenvectors, weights)
     require_physical(out)
     return out
 

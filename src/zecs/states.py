@@ -28,6 +28,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, SubsystemError, ValidationError
+from .report import qubit_subset
 
 #: Tolerances for deciding that an operator is a physical density operator.
 TRACE_TOL = 1e-8
@@ -176,7 +177,7 @@ def concurrence_matrix(m: np.ndarray) -> np.ndarray:
 def entanglement_entropy(rho: DensityOperator, subsystem_a: Sequence[int]) -> float:
     """Base-2 von Neumann entropy of the marginal on ``subsystem_a``, a non-empty proper
     subset of the qubits checked by ``linalg.partial_trace``; see the matrix kernel."""
-    if not 0 < len(subsystem_a) < rho.n_qubits:
+    if not 0 < len(qubit_subset(subsystem_a)) < rho.n_qubits:
         raise SubsystemError(f"subsystem {subsystem_a} must be a non-empty proper subset "
                              f"of the {rho.n_qubits} qubits")
     return float(entanglement_entropy_matrix(rho.matrix, subsystem_a))

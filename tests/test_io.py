@@ -320,8 +320,9 @@ class TestCircuitAndSubsystemTypes:
             ({"kind": "pair", "qubits": [3, 3]}, "qubit subset (3, 3) repeats a qubit"),
             ({"kind": "triple", "qubits": [0, 1, 2]}, "unknown subsystem kind 'triple'"),
             ({"kind": "pair", "qubits": [0, 1, 2]}, "pair subsystem needs 2 qubits, got (0, 1, 2)"),
+            ({"kind": "pair", "qubits": [-1, 0]}, "qubit index must be non-negative, got -1"),
         ],
-        ids=["int-kind", "float-qubit", "repeat", "unknown-kind", "wrong-size"],
+        ids=["int-kind", "float-qubit", "repeat", "unknown-kind", "wrong-size", "negative"],
     )
     def test_reports_and_subsystem_files_read_a_spec_alike(self, tmp_path, row, message):
         """One reader for the ``kind`` and ``qubits`` of both files; only the row's name differs."""
@@ -362,6 +363,21 @@ def test_report_numbers_read_as_floats():
     obj["subsystems"][0]["infidelity_cs"] = 0
     value = io.report_from_obj(obj).subsystems[0].infidelity_cs
     assert value == 0.0 and type(value) is float
+
+
+@pytest.mark.parametrize("version", [99, 0, "1", None], ids=["99", "0", "string", "missing"])
+def test_report_of_another_version_is_rejected(tmp_path, version):
+    """A report, like a snapshot stream's header, is read only at ``FORMAT_VERSION``."""
+    obj = io.report_to_obj(datasets.brisbane_report())
+    if version is None:
+        del obj["version"]
+    else:
+        obj["version"] = version
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(obj))
+    expected = f"{path}: report: unsupported version {version!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+        io.read_report(path)
 
 
 class TestNonlocalValuePairs:

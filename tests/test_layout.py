@@ -35,16 +35,18 @@ def test_neighbors_are_sorted_and_symmetric(heavy_hex):
     for q in range(heavy_hex.num_qubits):
         for v in neighbors(heavy_hex, q):
             assert q in neighbors(heavy_hex, v)
-            assert heavy_hex.has_edge(q, v) and heavy_hex.has_edge(v, q)
+            assert heavy_hex.edges_between((q,), (v,)) and heavy_hex.edges_between((v,), (q,))
         degree_sum += len(neighbors(heavy_hex, q))
     assert degree_sum == 2 * len(heavy_hex.edges) == 288
 
 
 def test_has_edge_is_edge_membership(heavy_hex):
-    """On all 127**2 ordered pairs, ``has_edge`` is membership of either order in ``edges``."""
+    """On all 127**2 ordered pairs, an edge between two single qubits is membership
+    of either order in ``edges``."""
     edges = set(heavy_hex.edges)
     for a, b in itertools.product(range(heavy_hex.num_qubits), repeat=2):
-        assert heavy_hex.has_edge(a, b) == ((a, b) in edges or (b, a) in edges)
+        has_edge = bool(heavy_hex.edges_between((a,), (b,)))
+        assert has_edge == ((a, b) in edges or (b, a) in edges)
 
 
 def test_heavy_hex_degrees(heavy_hex):
@@ -54,13 +56,13 @@ def test_heavy_hex_degrees(heavy_hex):
     # connector qubits join exactly one qubit of the row above and one below
     for connector in (14, 15, 16, 17, 33, 109, 112):
         assert degree[connector] == 2
-    assert [v for v in range(127) if heavy_hex.has_edge(14, v)] == [0, 18]
+    assert [v for v in range(127) if heavy_hex.edges_between((14,), (v,))] == [0, 18]
 
 
 def test_isolated_qubit_has_no_neighbors():
     layout = DeviceLayout(3, ((0, 1),))
-    assert not any(layout.has_edge(2, v) for v in range(3))
-    assert not layout.has_edge(1, 2)
+    assert not any(layout.edges_between((2,), (v,)) for v in range(3))
+    assert not layout.edges_between((1,), (2,))
 
 
 def test_edges_between():

@@ -37,7 +37,7 @@ def brute_force_chains(layout, scores, length_L, weight_w=1.0):
     cost = {pair: s.cost(weight_w) for pair, s in scores.items()}
     adj = {
         q: [v for v in range(layout.num_qubits)
-            if layout.has_edge(q, v) and normalize_edge(q, v) in cost]
+            if normalize_edge(q, v) in layout.edges and normalize_edge(q, v) in cost]
         for q in range(layout.num_qubits)
     }
     best = None
@@ -77,7 +77,7 @@ def random_instance(seed, grid):
             fidelity, s_ij = rng.integers(0, 11) / 10, rng.integers(0, 11) / 10
         else:
             fidelity, s_ij = rng.random(), rng.random()
-        scores[edge] = EdgeScore(pair=edge, fidelity=fidelity, s_ij=s_ij)
+        scores[edge] = EdgeScore(fidelity=fidelity, s_ij=s_ij)
     return DeviceLayout(num_qubits=n, edges=tuple(edges)), scores
 
 
@@ -185,7 +185,7 @@ def test_too_few_scored_qubits_fail_before_the_search():
     """Six scored edges on four qubits pass the edge count for five qubits, not the qubit count."""
     edges = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     layout = DeviceLayout(num_qubits=6, edges=edges)
-    scores = {e: EdgeScore(pair=e, fidelity=0.5) for e in edges}
+    scores = {e: EdgeScore(fidelity=0.5) for e in edges}
     assert best_chain(layout, scores, 4).qubits == (0, 1, 2, 3)
     # A budget of one node would run out in any search; the count check comes first.
     with pytest.raises(PathError, match="^no simple path of 5 qubits exists$"):
@@ -196,7 +196,7 @@ def test_too_few_scored_edges_fail_before_the_search():
     """Three disjoint edges score six qubits, but a six-qubit chain needs five edges."""
     edges = ((0, 1), (2, 3), (4, 5))
     layout = DeviceLayout(num_qubits=6, edges=edges)
-    scores = {e: EdgeScore(pair=e, fidelity=0.5) for e in edges}
+    scores = {e: EdgeScore(fidelity=0.5) for e in edges}
     with pytest.raises(PathError, match="^not enough scored edges for a 6-qubit chain$"):
         best_chain(layout, scores, 6, node_budget=1)
 
@@ -225,7 +225,7 @@ def test_non_finite_weight_rejected(weight):
 )
 def test_edge_score_rejects_out_of_range_values(fidelity, s_ij):
     with pytest.raises(ValidationError):
-        EdgeScore(pair=(0, 1), fidelity=fidelity, s_ij=s_ij)
+        EdgeScore(fidelity=fidelity, s_ij=s_ij)
 
 
 #: The chain a 40-qubit search cut short at each node budget returns; the
@@ -261,7 +261,8 @@ class TestNodeBudget:
         assert found.approximate is True
         assert found.qubits == BUDGET_CHAINS[budget]
         assert len(found.qubits) == len(set(found.qubits)) == 40
-        assert all(layout.has_edge(a, b) for a, b in zip(found.qubits, found.qubits[1:]))
+        steps = zip(found.qubits, found.qubits[1:])
+        assert all(normalize_edge(a, b) in layout.edges for a, b in steps)
         assert found.cost == pytest.approx(score_chain(found.qubits, scores), abs=1e-12)
         assert found.cost >= exact.cost
 
@@ -290,7 +291,8 @@ class TestNodeBudget:
         found = best_chain(layout, scores, 60)
         assert found.approximate is False
         assert len(found.qubits) == len(set(found.qubits)) == 60
-        assert all(layout.has_edge(a, b) for a, b in zip(found.qubits, found.qubits[1:]))
+        steps = zip(found.qubits, found.qubits[1:])
+        assert all(normalize_edge(a, b) in layout.edges for a, b in steps)
         assert found.cost == score_chain(found.qubits, scores)
 
 

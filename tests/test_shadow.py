@@ -147,7 +147,7 @@ class TestInvertSnapshot:
         rec = SnapshotRecord(bases="XY", bits="01")
         with pytest.raises(CoverageError):
             snapshot(rec, [2])
-        with pytest.raises(CoverageError):
+        with pytest.raises(SubsystemError):
             snapshot(rec, [-1])
         with pytest.raises(SubsystemError):
             snapshot(rec, [0, 0])

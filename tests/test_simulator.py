@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -205,6 +206,17 @@ class TestCircuitConstruction:
             Circuit(1, (Gate("ry", target=0),))
         with pytest.raises(CircuitSpecError):
             Circuit(1, (Gate("hadamard", target=0, angle=1.0),))
+
+    @pytest.mark.parametrize("n_qubits", [2.0, 2.5, True, "2", 0, -1])
+    def test_rejects_a_qubit_count_that_is_not_a_positive_integer(self, n_qubits):
+        message = f"circuit needs an integer number of qubits >= 1, got {n_qubits!r}"
+        with pytest.raises(CircuitSpecError, match=f"^{re.escape(message)}$"):
+            Circuit(n_qubits, ())
+
+    def test_numpy_integer_qubit_count_is_stored_as_an_int(self):
+        circuit = Circuit(np.int64(2), (Gate(CNOT, 1, control=0),))
+        assert type(circuit.n_qubits) is int and circuit.n_qubits == 2
+        assert np.array_equal(run(circuit).amplitudes, zero_state(2).amplitudes)
 
 
 class TestRun:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zecs import cli, io
+from zecs import cli, io, linalg
 from zecs.errors import ConfigError
 from zecs.projection import zecs_project
 from zecs.simulator import perturb_state
@@ -54,7 +54,7 @@ def loop_study(sigma_grid, trials, seed):
             columns["trace_distance_ze"].append(trace_distance(ze, ideal))
             columns["concurrence_raw"].append(concurrence(rho))
             columns["concurrence_ze"].append(concurrence(ze))
-            eigenvalues += result.spectrum
+            eigenvalues += np.abs(linalg.eigh(rho.matrix).eigenvalues)
         row = {"sigma": sigma, "trials": trials}
         for name, values in columns.items():
             row[f"{name}_mean"] = float(np.mean(values))
