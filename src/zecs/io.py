@@ -20,6 +20,11 @@ The report, scan and chain objects come from their record dataclasses
 in its record.  ``simulate`` writes its stream with ``write_snapshots``; every
 other command writes its file as ``write_canonical(path, <kind>_to_obj(...))``.
 
+Records check their own fields, and ``io`` names the file and the row: raw JSON
+values go to ``SubsystemSpec``, ``DeviceLayout``, ``Circuit``, ``as_pairs`` and the
+ansatz builder, and ``_named`` turns any error in a file, row, reference or gate
+into a ``ConfigError`` that names it (``<file>: report: row 3: ...``).
+
 Reports, layouts, chains, scans and canonical JSON need no NumPy, so the
 ``route`` command loads none: ``read_snapshots`` imports the ``shadow`` layer
 (and with it NumPy) when it runs, and ``circuit_from_obj`` the ``simulator``
@@ -44,6 +49,7 @@ from .report import (
     SubsystemDiagnostics,
     SubsystemSpec,
     as_pairs,
+    qubit_count,
 )
 from .routing import ChainSolution
 
@@ -132,17 +138,25 @@ def read_json(path: str | Path):
         raise ConfigError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
 
 
-def _read_object(path: str | Path, from_obj, what: str):
-    """Parse a JSON object file with ``from_obj``; any malformed content names the file."""
-    obj = read_json(path)
+def _named(where: str, from_obj, raw):
+    """``from_obj(raw)`` of a JSON object; any error in it is a ``ConfigError`` naming ``where``."""
     try:
-        if not isinstance(obj, dict):
-            raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-        return from_obj(obj)
+        if not isinstance(raw, dict):
+            raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
+        return from_obj(raw)
     except KeyError as exc:
-        raise ConfigError(f"{path}: {what}: missing key {exc.args[0]!r}") from None
+        raise ConfigError(f"{where}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError, ZecsError) as exc:
-        raise ConfigError(f"{path}: {what}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _check_format(obj: dict, name: str, error: type[ZecsError]) -> None:
+    """The header rule of streams and reports: format ``name``, int version ``FORMAT_VERSION``."""
+    if obj.get("format") != name:
+        raise error(f"not a {name} file (format {obj.get('format')!r})")
+    version = obj.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise error(f"unsupported version {version!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +240,8 @@ def read_snapshots(
             if "format" in obj:
                 if n_qubits is not None:
                     raise RecordError("a header must be the first non-blank line")
-                if obj.get("format") != SNAPSHOT_FORMAT:
-                    raise RecordError(f"unknown format {obj.get('format')!r}")
-                if obj.get("version") != FORMAT_VERSION:
-                    raise RecordError(f"unsupported version {obj.get('version')!r}")
-                width = obj.get("n_qubits")
-                if type(width) is not int or width < 1:
-                    raise RecordError(f"header n_qubits must be a positive integer, got {width!r}")
+                _check_format(obj, SNAPSHOT_FORMAT, RecordError)
+                width = qubit_count(obj.get("n_qubits"), RecordError, "header")
                 if width > sys.maxsize:  # no array dimension holds it
                     raise RecordError(f"header n_qubits {width} exceeds {sys.maxsize} columns")
                 n_qubits = width
@@ -290,60 +299,41 @@ def report_to_obj(report: DiagnosticReport) -> dict:
     }
 
 
-def _number(value, what: str) -> float:
+def _number(value, field: str) -> float:
     """A finite JSON number: not a boolean, string, null, ``NaN``, ``Infinity`` or ``1e400``."""
     if type(value) is bool or not isinstance(value, (int, float)):
-        raise TypeError(f"{what} must be a number, got {value!r}")
+        raise TypeError(f"{field} must be a number, got {value!r}")
     if not math.isfinite(value):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
+        raise ConfigError(f"{field} must be finite, got {value!r}")
     return float(value)
-
-
-def _integer(value, what: str) -> int:
-    """A JSON integer from an input file: not a boolean, string or fraction."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _spec_from_obj(raw, where: str) -> SubsystemSpec:
-    """The ``SubsystemSpec`` of a report or subsystems-file row, which ``where`` names."""
-    if not isinstance(raw, dict):
-        raise TypeError(f"{where} is not an object")
-    if type(raw["kind"]) is not str:
-        raise TypeError(f"{where}: kind must be a string, got {raw['kind']!r}")
-    return SubsystemSpec(raw["kind"], tuple(_integer(q, f"{where}: qubit") for q in raw["qubits"]))
 
 
 #: The optional number fields of a report row, read from its annotations.
 _REPORT_NUMBERS = tuple(f.name for f in fields(SubsystemDiagnostics) if f.type == "float | None")
 
 
+def _report_row(raw: dict) -> SubsystemDiagnostics:
+    spec, flag = SubsystemSpec(raw["kind"], raw["qubits"]), raw.get("degenerate_flag")
+    if flag is not None and type(flag) is not bool:
+        raise TypeError(f"degenerate_flag must be a boolean or null, got {flag!r}")
+    numbers = {key: None if raw.get(key) is None else _number(raw[key], key)
+               for key in _REPORT_NUMBERS}
+    return SubsystemDiagnostics(spec.kind, spec.qubits, degenerate_flag=flag, **numbers)
+
+
 def report_from_obj(obj: dict) -> DiagnosticReport:
-    if obj.get("format") != REPORT_FORMAT:
-        raise ConfigError(f"not a report file (format {obj.get('format')!r})")
-    if obj.get("version") != FORMAT_VERSION:
-        raise ConfigError(f"unsupported version {obj.get('version')!r}")
+    _check_format(obj, REPORT_FORMAT, ConfigError)
     normalization = obj.get("entropy_normalization", "per-kind")
     if normalization not in ENTROPY_NORMALIZATIONS:
         raise ConfigError(
             f"entropy_normalization must be one of {ENTROPY_NORMALIZATIONS}, got {normalization!r}"
         )
-    rows = []
-    for index, raw in enumerate(obj["subsystems"]):
-        spec, flag = _spec_from_obj(raw, f"row {index}"), raw.get("degenerate_flag")
-        if flag is not None and type(flag) is not bool:
-            raise TypeError(f"row {index}: degenerate_flag must be a boolean or null, got {flag!r}")
-        numbers = {
-            key: None if raw.get(key) is None else _number(raw[key], f"row {index}: {key}")
-            for key in _REPORT_NUMBERS
-        }
-        rows.append(SubsystemDiagnostics(spec.kind, spec.qubits, degenerate_flag=flag, **numbers))
-    return DiagnosticReport(subsystems=tuple(rows), entropy_normalization=normalization)
+    rows = tuple(_named(f"row {i}", _report_row, raw) for i, raw in enumerate(obj["subsystems"]))
+    return DiagnosticReport(subsystems=rows, entropy_normalization=normalization)
 
 
 def read_report(path: str | Path) -> DiagnosticReport:
-    return _read_object(path, report_from_obj, "report")
+    return _named(f"{path}: report", report_from_obj, read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -367,23 +357,22 @@ NonlocalValues = tuple[tuple[int, int], list[tuple[tuple[int, int], float]]]
 def nonlocal_values_from_obj(obj: dict, layout: DeviceLayout | None = None) -> NonlocalValues:
     """Target and values, with the pair checks of the live scan (see ``report.as_pairs``);
     a candidate that shares a qubit with the target, or couples to it in ``layout``, is rejected."""
-    [target] = as_pairs([[_integer(q, "target qubit") for q in obj["target"]]], "target")
-    candidates, entropies = [], []
-    for index, row in enumerate(obj["pairs"]):
-        entropies.append(_number(row["s_ij"], f"row {index}: s_ij"))
-        candidates.append([_integer(q, f"row {index}: candidate qubit") for q in row["candidate"]])
-    pairs = as_pairs(candidates, "candidate")
+    [target] = as_pairs([obj["target"]], "target")
+    rows = [_named(f"row {i}", lambda row: (row["candidate"], _number(row["s_ij"], "s_ij")), raw)
+            for i, raw in enumerate(obj["pairs"])]
+    pairs = as_pairs([candidate for candidate, _ in rows], "row")
     for index, pair in enumerate(pairs):
         if set(pair) & set(target):
             raise SubsystemError(f"row {index}: candidate {pair} shares a qubit with "
                                  f"target {target}")
         if layout is not None and layout.edges_between(target, pair):
             raise SubsystemError(f"row {index}: candidate {pair} couples to target {target}")
-    return target, list(zip(pairs, entropies))
+    return target, [(pair, s_ij) for pair, (_, s_ij) in zip(pairs, rows)]
 
 
 def read_nonlocal_values(path: str | Path, layout: DeviceLayout | None = None) -> NonlocalValues:
-    return _read_object(path, lambda obj: nonlocal_values_from_obj(obj, layout), "values")
+    values = read_json(path)
+    return _named(f"{path}: values", lambda obj: nonlocal_values_from_obj(obj, layout), values)
 
 
 def scan_to_obj(results: Sequence[NonlocalResult]) -> dict:
@@ -405,12 +394,11 @@ def layout_to_obj(layout: DeviceLayout) -> dict:
 
 
 def layout_from_obj(obj: dict) -> DeviceLayout:
-    edges = [tuple(_integer(q, f"edge {i}: qubit") for q in e) for i, e in enumerate(obj["edges"])]
-    return DeviceLayout(_integer(obj["num_qubits"], "num_qubits"), tuple(edges))
+    return DeviceLayout(obj["num_qubits"], obj["edges"])
 
 
 def read_layout(path: str | Path) -> DeviceLayout:
-    return _read_object(path, layout_from_obj, "layout")
+    return _named(f"{path}: layout", layout_from_obj, read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -425,57 +413,46 @@ def circuit_from_obj(obj: dict) -> Circuit:
     """
     from .simulator import Circuit, Gate, build_efficient_su2, random_su2_params
 
+    def gate(raw: dict) -> Gate:
+        angle = raw.get("angle")
+        return Gate(raw["kind"], raw["target"], raw.get("control"),
+                    None if angle is None else _number(angle, "angle"))
+
     kind = obj.get("kind")
     if kind == "efficient_su2":
-        n = _integer(obj["n_qubits"], "n_qubits")
-        reps = _integer(obj["reps"], "reps")
+        n, reps = obj["n_qubits"], obj["reps"]
         if "params" in obj:
             params = [_number(p, f"param {i}") for i, p in enumerate(obj["params"])]
         elif "param_seed" in obj:
-            params = random_su2_params(n, reps, _integer(obj["param_seed"], "param_seed"))
+            params = random_su2_params(n, reps, obj["param_seed"])
         else:
             raise ConfigError("efficient_su2 circuit needs 'params' or 'param_seed'")
         return build_efficient_su2(n, reps, params)
     if kind == "gates":
-        gates = []
-        for i, raw in enumerate(obj["gates"]):
-            if not isinstance(raw, dict):
-                raise TypeError(f"gate {i} is not an object")
-            control, angle = raw.get("control"), raw.get("angle")
-            gates.append(
-                Gate(
-                    kind=str(raw["kind"]),
-                    target=_integer(raw["target"], f"gate {i}: target"),
-                    control=None if control is None else _integer(control, f"gate {i}: control"),
-                    angle=None if angle is None else _number(angle, f"gate {i}: angle"),
-                )
-            )
-        return Circuit(_integer(obj["n_qubits"], "n_qubits"), tuple(gates))
+        gates = [_named(f"gate {i}", gate, raw) for i, raw in enumerate(obj["gates"])]
+        return Circuit(obj["n_qubits"], tuple(gates))
     raise ConfigError(f"unknown circuit kind {kind!r}")
 
 
 def read_circuit(path: str | Path) -> Circuit:
-    return _read_object(path, circuit_from_obj, "circuit")
+    return _named(f"{path}: circuit", circuit_from_obj, read_json(path))
 
 
 #: Subsystem specs and the reference circuits given inline for some of them.
 Subsystems = tuple[list[SubsystemSpec], dict[tuple[int, ...], "Circuit"]]
 
 
+def _subsystem(raw: dict) -> tuple[SubsystemSpec, Circuit | None]:
+    spec, reference = SubsystemSpec(raw["kind"], raw["qubits"]), raw.get("reference")
+    return spec, None if reference is None else _named("reference", circuit_from_obj, reference)
+
+
 def subsystems_from_obj(obj: dict) -> Subsystems:
     """Parse subsystem specs plus any inline reference circuits."""
-    specs = []
-    references: dict[tuple[int, ...], Circuit] = {}
-    for index, raw in enumerate(obj["subsystems"]):
-        spec = _spec_from_obj(raw, f"subsystem {index}")
-        specs.append(spec)
-        reference = raw.get("reference")
-        if reference is not None:
-            if not isinstance(reference, dict):
-                raise TypeError(f"reference of {spec.qubits} is not an object")
-            references[spec.qubits] = circuit_from_obj(reference)
-    return specs, references
+    rows = [_named(f"subsystem {i}", _subsystem, raw) for i, raw in enumerate(obj["subsystems"])]
+    specs = [spec for spec, _ in rows]
+    return specs, {spec.qubits: circuit for spec, circuit in rows if circuit is not None}
 
 
 def read_subsystems(path: str | Path) -> Subsystems:
-    return _read_object(path, subsystems_from_obj, "subsystems")
+    return _named(f"{path}: subsystems", subsystems_from_obj, read_json(path))

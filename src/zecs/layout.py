@@ -23,7 +23,7 @@ def normalize_edge(a: int, b: int) -> tuple[int, int]:
 @dataclass(frozen=True, eq=False)
 class DeviceLayout:
     """An integer ``num_qubits`` >= 1 and ``edges``, each a ``qubit_subset`` pair of
-    ``range(num_qubits)`` given once; anything else raises ``ValidationError`` naming it."""
+    ``range(num_qubits)`` given once; else ``ValidationError`` naming the edge's position."""
 
     num_qubits: int
     edges: tuple[tuple[int, int], ...]
@@ -32,18 +32,20 @@ class DeviceLayout:
     def __post_init__(self):
         n = qubit_count(self.num_qubits, ValidationError, "layout")
         object.__setattr__(self, "num_qubits", n)
-        seen = set()
-        for edge in self.edges:
+        first: dict[tuple[int, int], int] = {}
+        for index, edge in enumerate(self.edges):
             try:
-                a, b = qubit_subset(edge, n)
-            except (SubsystemError, ValueError) as exc:  # ValueError: not a pair
-                raise ValidationError(f"edge {edge}: {exc}") from None
-            edge = normalize_edge(a, b)
-            if edge in seen:
-                raise ValidationError(f"duplicate edge {edge}")
-            seen.add(edge)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
-        object.__setattr__(self, "_edge_set", frozenset(seen))
+                pair = qubit_subset(edge, n)
+            except SubsystemError as exc:
+                raise ValidationError(f"edge {index}: {exc}") from None
+            if len(pair) != 2:
+                raise ValidationError(f"edge {index}: {pair} is not a qubit pair")
+            edge = normalize_edge(*pair)
+            if edge in first:
+                raise ValidationError(f"edge {index}: {edge} repeats edge {first[edge]}")
+            first[edge] = index
+        object.__setattr__(self, "edges", tuple(sorted(first)))
+        object.__setattr__(self, "_edge_set", frozenset(first))
 
     def edges_between(self, group_a, group_b) -> list[tuple[int, int]]:
         """Sorted normalized edges from one ``qubit_subset`` to the other, else

@@ -1,10 +1,10 @@
 """Diagnostic report records: subsystem kinds, report rows and scan results.
 
 Plain frozen dataclasses with no NumPy, so that reading, writing and routing
-over a stored report loads none of the numeric layers.  :func:`qubit_index`
-checks a qubit index given in code, :func:`qubit_count` a layout's or circuit's width,
-and :func:`qubit_subset` a set of indices, for specs, layouts, circuits,
-``partial_trace`` and ``rho_cs``.  :func:`as_pairs` checks a scan's target and candidate pairs.
+over a stored report loads none of the numeric layers.  Each check takes raw JSON
+values: :func:`is_integer` is the integer rule, :func:`qubit_index` checks a qubit
+index, :func:`qubit_count` a width, :func:`qubit_subset` a set of indices (for specs,
+layouts, circuits, ``partial_trace`` and ``rho_cs``) and :func:`as_pairs` scan pairs.
 """
 
 from __future__ import annotations
@@ -22,10 +22,15 @@ PAIR_PAIR = "pair_pair"
 _KIND_SIZES = {PAIR: 2, PAIR_PLUS_IDLE: 3, PAIR_PAIR: 4}
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer and not a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def qubit_index(q) -> int:
-    """``q`` as a Python int if it is a non-negative Python or NumPy integer;
-    anything else, a ``bool`` included, raises ``SubsystemError`` naming it."""
-    if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+    """``q`` as a Python int if it is a non-negative :func:`is_integer`;
+    anything else raises ``SubsystemError`` naming it."""
+    if not is_integer(q):
         raise SubsystemError(f"qubit index must be an integer, got {q!r}")
     if q < 0:
         raise SubsystemError(f"qubit index must be non-negative, got {q!r}")
@@ -34,7 +39,7 @@ def qubit_index(q) -> int:
 
 def qubit_count(n, error: type[ZecsError], owner: str) -> int:
     """``n`` as a Python int if it is an integer >= 1 as for :func:`qubit_index`, else ``error``."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+    if not is_integer(n) or n < 1:
         raise error(f"{owner} needs an integer number of qubits >= 1, got {n!r}")
     return int(n)
 
@@ -59,17 +64,22 @@ def qubit_subset(qubits: Sequence[int], width: int | None = None) -> tuple[int, 
 
 
 def as_pairs(groups: Sequence[Sequence[int]], role: str) -> list[tuple[int, int]]:
-    """Qubit pairs from ``groups``; a pair given twice, in either order, is rejected."""
-    first: dict[frozenset[int], tuple[int, int]] = {}
-    for qubits in groups:
-        pair = _indices(qubits)
+    """Qubit pairs from ``groups``; a pair given twice, in either order, is rejected.
+    Each ``SubsystemError`` names its group as ``{role} {position}``."""
+    first: dict[frozenset[int], tuple[int, tuple[int, int]]] = {}
+    for index, qubits in enumerate(groups):
+        try:
+            pair = _indices(qubits)
+        except SubsystemError as exc:
+            raise SubsystemError(f"{role} {index}: {exc}") from None
         if len(pair) != 2 or pair[0] == pair[1]:
-            raise SubsystemError(f"{pair} is not a qubit pair")
+            raise SubsystemError(f"{role} {index}: {pair} is not a qubit pair")
         key = frozenset(pair)
         if key in first:
-            raise SubsystemError(f"{role} pair {pair} repeats {role} pair {first[key]}")
-        first[key] = pair
-    return list(first.values())
+            raise SubsystemError(f"{role} {index}: {pair} repeats {role} {first[key][0]} "
+                                 f"{first[key][1]}")
+        first[key] = index, pair
+    return [pair for _, pair in first.values()]
 
 
 #: How ``s_ab_normalized`` is scaled: by the kind's largest entropy, or by the report's.
@@ -88,6 +98,8 @@ class SubsystemSpec:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.kind) is not str:
+            raise SubsystemError(f"kind must be a string, got {self.kind!r}")
         if self.kind not in _KIND_SIZES:
             raise SubsystemError(f"unknown subsystem kind {self.kind!r}")
         qubits = qubit_subset(self.qubits)

@@ -149,7 +149,10 @@ def rho_cs(codes: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     moves by less than ``2 * (sum|diag| + 1) * 2**-52``; see
     :func:`_unit_trace_diagonal`), so its trace is exactly 1 in any summation order.
     """
-    subsets = [list(qubit_subset(subset)) for subset in subsets]
+    try:
+        subsets = [list(qubit_subset(subset)) for subset in subsets]
+    except TypeError:
+        raise SubsystemError(f"expected a sequence of qubit subsets, got {subsets!r}") from None
     n_rows, width = codes.shape
     if not n_rows:
         raise CoverageError("record stream is empty")

@@ -31,7 +31,7 @@ from .errors import (
     SubsystemError,
     ValidationError,
 )
-from .report import qubit_count, qubit_subset
+from .report import is_integer, qubit_count, qubit_subset
 from .states import DensityOperator, require_physical
 
 RY = "ry"
@@ -72,17 +72,17 @@ class Circuit:
     def __post_init__(self):
         n = qubit_count(self.n_qubits, CircuitSpecError, "circuit")
         object.__setattr__(self, "n_qubits", n)
-        for g in self.gates:
-            qubits = (g.control, g.target) if g.kind == CNOT else (g.target,)
+        for index, g in enumerate(self.gates):
             try:
-                qubit_subset(qubits, n)
-            except SubsystemError as exc:
-                raise CircuitSpecError(f"{g.kind} gate: {exc}") from None
-            if g.kind in (RY, RZ):
-                if g.angle is None:
+                qubit_subset((g.control, g.target) if g.kind == CNOT else (g.target,), n)
+                if g.kind not in (RY, RZ, CNOT):
+                    raise CircuitSpecError(f"unknown gate kind {g.kind!r}")
+                if g.kind != CNOT and g.angle is None:
                     raise CircuitSpecError(f"{g.kind} gate needs an angle")
-            elif g.kind != CNOT:
-                raise CircuitSpecError(f"unknown gate kind {g.kind!r}")
+                if g.kind != CNOT and g.control is not None and not is_integer(g.control):
+                    raise CircuitSpecError(f"control must be an integer, got {g.control!r}")
+            except (SubsystemError, CircuitSpecError) as exc:
+                raise CircuitSpecError(f"gate {index}: {exc}") from None
         object.__setattr__(self, "gates", tuple(self.gates))
 
 
@@ -140,9 +140,9 @@ def record_problem(bases: str, bits: str) -> str | None:
 
 
 def _generator(seed: int) -> np.random.Generator:
-    """The PCG64 generator of ``seed``; a negative seed raises ``ConfigError``."""
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    """The PCG64 generator of ``seed``; ``ConfigError`` unless it is an integer >= 0."""
+    if not is_integer(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(seed)
 
 
@@ -153,11 +153,12 @@ def zero_state(n_qubits: int) -> StateVector:
 
 
 def _ansatz_size(n_qubits: int, reps: int) -> int:
-    """Angle count ``4 * reps * n_qubits`` of the ansatz; ``CircuitSpecError`` below 1 of either."""
-    if reps < 1:
-        raise CircuitSpecError(f"reps must be >= 1, got {reps}")
-    if n_qubits < 1:
-        raise CircuitSpecError(f"n_qubits must be >= 1, got {n_qubits}")
+    """Angle count ``4 * reps * n_qubits``; ``CircuitSpecError`` unless both are integers >= 1."""
+    for name, value in (("reps", reps), ("n_qubits", n_qubits)):
+        if not is_integer(value):
+            raise CircuitSpecError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise CircuitSpecError(f"{name} must be >= 1, got {value}")
     return 4 * reps * n_qubits
 
 

@@ -60,7 +60,7 @@ def test_header_without_n_qubits_exits_2(tmp_path, capsys):
     assert reconstruct(tmp_path, stream) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "snapshots.jsonl: line 1: header n_qubits" in err
+    assert "snapshots.jsonl: line 1: header needs an integer number of qubits >= 1, got None" in err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -71,7 +71,7 @@ def test_header_with_non_integer_n_qubits_exits_2(tmp_path, capsys):
     stream.write_text(json.dumps(header) + "\n")
     assert reconstruct(tmp_path, stream) == 2
     err = capsys.readouterr().err
-    assert "line 1: header n_qubits must be a positive integer, got 'two'" in err
+    assert "line 1: header needs an integer number of qubits >= 1, got 'two'" in err
 
 
 def test_header_wider_than_any_code_matrix_exits_2(tmp_path, capsys):
@@ -257,7 +257,7 @@ def test_report_row_without_kind_exits_2(tmp_path, capsys):
     obj = io.report_to_obj(datasets.brisbane_report())
     del obj["subsystems"][3]["kind"]
     assert route(*route_files(tmp_path, report_obj=obj)) == 2
-    assert "report.json: report: missing key 'kind'" in capsys.readouterr().err
+    assert "report.json: report: row 3: missing key 'kind'" in capsys.readouterr().err
     assert not (tmp_path / "chain.json").exists()
 
 
@@ -275,8 +275,12 @@ def test_report_row_with_wrong_type_exits_2(tmp_path, capsys, key, value):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("qubits", [13, 12.7], "row 0: qubit must be an integer, got 12.7"),
-        ("qubits", [True, 13], "row 0: qubit must be an integer, got True"),
+        # The ids of the first two cases are the messages they pinned before
+        # ``SubsystemSpec`` checked the qubits; they are kept so the case names stay stable.
+        pytest.param("qubits", [13, 12.7], "row 0: qubit index must be an integer, got 12.7",
+                     id="qubits-value0-row 0: qubit must be an integer, got 12.7"),
+        pytest.param("qubits", [True, 13], "row 0: qubit index must be an integer, got True",
+                     id="qubits-value1-row 0: qubit must be an integer, got True"),
         ("kind", 5, "row 0: kind must be a string, got 5"),
         ("degenerate_flag", "yes", "row 0: degenerate_flag must be a boolean or null, got 'yes'"),
         ("entropy_normalization", 5,
@@ -313,9 +317,13 @@ def test_layout_with_bad_edge_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "field, message",
     [
-        ("edges", "edge 3: qubit must be an integer, got True"),
-        ("num_qubits", "num_qubits must be an integer, got '3'"),
+        ("edges", "edge 3: qubit index must be an integer, got True"),
+        ("num_qubits", "layout needs an integer number of qubits >= 1, got '3'"),
     ],
+    # The ids are the messages these cases pinned before ``DeviceLayout`` checked
+    # the raw values; they are kept so the case names stay stable.
+    ids=["edges-edge 3: qubit must be an integer, got True",
+         "num_qubits-num_qubits must be an integer, got '3'"],
 )
 def test_layout_with_wrong_type_exits_2(tmp_path, capsys, field, message):
     obj = io.layout_to_obj(datasets.brisbane_layout())
@@ -361,7 +369,7 @@ def test_non_finite_scan_value_exits_2(tmp_path, capsys, literal):
     [
         ("s_ij", True, "row 5: s_ij must be a number, got True"),
         ("s_ij", "0.5", "row 5: s_ij must be a number, got '0.5'"),
-        ("candidate", [4.9, 6], "row 5: candidate qubit must be an integer, got 4.9"),
+        ("candidate", [4.9, 6], "row 5: qubit index must be an integer, got 4.9"),
     ],
     ids=["bool-s_ij", "string-s_ij", "fractional-qubit"],
 )
@@ -380,10 +388,10 @@ def test_scan_value_with_wrong_type_exits_2(tmp_path, capsys, key, value, messag
 @pytest.mark.parametrize(
     "target, candidates, message",
     [
-        ([19], [[1, 2], [5, 6], [7, 8]], "(19,) is not a qubit pair"),
-        ([19, 20], [[1, 2, 3], [5, 6], [7, 8]], "(1, 2, 3) is not a qubit pair"),
-        ([19, 20], [[4, 4], [5, 6], [7, 8]], "(4, 4) is not a qubit pair"),
-        ([19, 20], [[1, 2], [5, 6], [6, 5]], "candidate pair (6, 5) repeats candidate pair (5, 6)"),
+        ([19], [[1, 2], [5, 6], [7, 8]], "target 0: (19,) is not a qubit pair"),
+        ([19, 20], [[1, 2, 3], [5, 6], [7, 8]], "row 0: (1, 2, 3) is not a qubit pair"),
+        ([19, 20], [[4, 4], [5, 6], [7, 8]], "row 0: (4, 4) is not a qubit pair"),
+        ([19, 20], [[1, 2], [5, 6], [6, 5]], "row 2: (6, 5) repeats row 1 (5, 6)"),
         ([19, 20], [[20, 21], [1, 2], [5, 6]],
          "row 0: candidate (20, 21) shares a qubit with target (19, 20)"),
     ],
@@ -502,7 +510,8 @@ def test_values_missing_key_exits_2(tmp_path, capsys, obj, key):
     values = tmp_path / "values.json"
     values.write_text(json.dumps(obj))
     assert cli.main(["nonlocal", "--values", str(values), "--out", str(tmp_path / "o.json")]) == 2
-    assert f"values.json: values: missing key {key!r}" in capsys.readouterr().err
+    row = "row 0: " if key in ("candidate", "s_ij") else ""
+    assert f"values.json: values: {row}missing key {key!r}" in capsys.readouterr().err
 
 
 #: A gate-list circuit whose only gate is not an object.
@@ -512,15 +521,19 @@ NON_OBJECT_GATE = {"kind": "gates", "n_qubits": 2, "gates": [5]}
 @pytest.mark.parametrize(
     "row, message",
     [
-        ({"qubits": [0, 1]}, "missing key 'kind'"),
-        ({"kind": "pair"}, "missing key 'qubits'"),
+        ({"qubits": [0, 1]}, "subsystem 0: missing key 'kind'"),
+        ({"kind": "pair"}, "subsystem 0: missing key 'qubits'"),
         ({"kind": "pair", "qubits": [0, 1], "reference": {"kind": "gates", "n_qubits": 2}},
-         "missing key 'gates'"),
+         "subsystem 0: reference: missing key 'gates'"),
         ({"kind": "pair", "qubits": [0, 1], "reference": [1]},
-         "reference of (0, 1) is not an object"),
+         "subsystem 0: reference: expected a JSON object, got list"),
         ({"kind": "pair", "qubits": [0, 1], "reference": NON_OBJECT_GATE},
-         "gate 0 is not an object"),
+         "subsystem 0: reference: gate 0: expected a JSON object, got int"),
     ],
+    # The ids are the messages these cases pinned before each row and reference was
+    # named; they are kept so the case names stay stable.
+    ids=["row0-missing key 'kind'", "row1-missing key 'qubits'", "row2-missing key 'gates'",
+         "row3-reference of (0, 1) is not an object", "row4-gate 0 is not an object"],
 )
 def test_malformed_subsystems_file_exits_2(tmp_path, capsys, row, message):
     stream = tmp_path / "snapshots.jsonl"
@@ -548,7 +561,8 @@ def test_circuit_missing_key_exits_2(tmp_path, capsys, obj, key):
     argv = ["simulate", "--circuit", str(circuit), "--snapshots", "5",
             "--out", str(tmp_path / "s.jsonl")]
     assert cli.main(argv) == 2
-    assert f"circuit.json: circuit: missing key {key!r}" in capsys.readouterr().err
+    gate = "gate 0: " if "gates" in obj else ""
+    assert f"circuit.json: circuit: {gate}missing key {key!r}" in capsys.readouterr().err
 
 
 def test_non_object_gate_exits_2(tmp_path, capsys):
@@ -557,7 +571,8 @@ def test_non_object_gate_exits_2(tmp_path, capsys):
     stream = tmp_path / "s.jsonl"
     argv = ["simulate", "--circuit", str(circuit), "--snapshots", "5", "--out", str(stream)]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"error: {circuit}: circuit: gate 0 is not an object\n"
+    expected = f"error: {circuit}: circuit: gate 0: expected a JSON object, got int\n"
+    assert capsys.readouterr().err == expected
     assert not stream.exists()
 
 
@@ -635,7 +650,9 @@ def test_nonlocal_repeated_candidate_exits_2(tmp_path, capsys, candidates):
     assert cli.main(["nonlocal", "--snapshots", str(stream), "--targets", LINE_TARGETS,
                      "--candidates", candidates, "--layout", str(line_layout(tmp_path)),
                      "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: candidate pair ")
+    repeat = {"3,4;4,5;3,4;6,7": "candidate 2: (3, 4)",
+              "3,4;4,5;5,6;4,3": "candidate 3: (4, 3)"}[candidates]
+    assert capsys.readouterr().err == f"error: {repeat} repeats candidate 0 (3, 4)\n"
     assert not out.exists()
 
 

@@ -432,16 +432,16 @@ class TestNonlocalScan:
 
     @pytest.mark.parametrize("twin", [(3, 4), (4, 3)], ids=["same-order", "reversed"])
     def test_repeated_pair_is_rejected(self, records, twin):
-        with pytest.raises(SubsystemError, match=rf"^candidate pair {re.escape(str(twin))} "
-                                                 r"repeats candidate pair \(3, 4\)$"):
+        with pytest.raises(SubsystemError, match=rf"^candidate 6: {re.escape(str(twin))} "
+                                                 r"repeats candidate 0 \(3, 4\)$"):
             nonlocal_scan(records, [(0, 1)], [*self.POOL, twin], self.LINE)
-        with pytest.raises(SubsystemError, match=r"^target pair \(1, 0\) repeats target pair"):
+        with pytest.raises(SubsystemError, match=r"^target 1: \(1, 0\) repeats target 0 \(0, 1\)$"):
             nonlocal_scan(records, [(0, 1), (1, 0)], self.POOL, self.LINE)
 
     @pytest.mark.parametrize("pair, bad", [((0.7, 1), "0.7"), ((0, True), "True")])
     def test_non_integer_qubit(self, records, pair, bad):
-        message = f"^qubit index must be an integer, got {bad}$"
-        with pytest.raises(SubsystemError, match=message):
+        message = f"qubit index must be an integer, got {bad}$"
+        with pytest.raises(SubsystemError, match=f"^target 0: {message}"):
             nonlocal_scan(records, [pair], self.POOL, self.LINE)
-        with pytest.raises(SubsystemError, match=message):
+        with pytest.raises(SubsystemError, match=f"^candidate 6: {message}"):
             nonlocal_scan(records, [(0, 1)], [*self.POOL, pair], self.LINE)

@@ -178,7 +178,8 @@ class TestReadSnapshots:
         header = io.snapshot_header(2)
         del header["n_qubits"]
         path = write_stream(tmp_path, header)
-        with pytest.raises(RecordError, match=r"snapshots\.jsonl: line 1: header n_qubits"):
+        with pytest.raises(RecordError, match=r"snapshots\.jsonl: line 1: header needs an integer "
+                                              r"number of qubits >= 1, got "):
             io.read_snapshots(path)
 
     @pytest.mark.parametrize("value", ["two", "2", 2.0, 2.5, None, True, [2], 0, -2, 2**63, 10**30])
@@ -186,7 +187,11 @@ class TestReadSnapshots:
         header = io.snapshot_header(2)
         header["n_qubits"] = value
         path = write_stream(tmp_path, header)
-        with pytest.raises(RecordError, match=r"snapshots\.jsonl: line 1: header n_qubits"):
+        if type(value) is int and value > sys.maxsize:
+            message = f"header n_qubits {value} exceeds {sys.maxsize} columns"
+        else:
+            message = f"header needs an integer number of qubits >= 1, got {value!r}"
+        with pytest.raises(RecordError, match=rf"snapshots\.jsonl: line 1: {re.escape(message)}$"):
             io.read_snapshots(path)
 
     def test_widest_header_still_checks_record_width(self, tmp_path):
@@ -264,11 +269,11 @@ class TestCircuitAndSubsystemTypes:
         "circuit, message",
         [
             ({**GATES, "gates": [{**RY_GATE, "target": 1.7}]},
-             "gate 0: target must be an integer, got 1.7"),
+             "gate 0: qubit index must be an integer, got 1.7"),
             ({**GATES, "gates": [{**RY_GATE, "angle": True}]},
              "gate 0: angle must be a number, got True"),
-            ({**GATES, "n_qubits": "2"}, "n_qubits must be an integer, got '2'"),
-            ({**SU2, "param_seed": 2.5}, "param_seed must be an integer, got 2.5"),
+            ({**GATES, "n_qubits": "2"}, "circuit needs an integer number of qubits >= 1, got '2'"),
+            ({**SU2, "param_seed": 2.5}, "seed must be a non-negative integer, got 2.5"),
         ],
         ids=["float-target", "bool-angle", "string-n_qubits", "float-param_seed"],
     )
@@ -282,12 +287,12 @@ class TestCircuitAndSubsystemTypes:
         "row, message",
         [
             ({"kind": "pair", "qubits": [True, 2]},
-             "subsystem 0: qubit must be an integer, got True"),
+             "subsystem 0: qubit index must be an integer, got True"),
             ({"kind": "pair", "qubits": [0, 2.9]},
-             "subsystem 0: qubit must be an integer, got 2.9"),
+             "subsystem 0: qubit index must be an integer, got 2.9"),
             ({"kind": "pair", "qubits": [0, 1], "reference": {**SU2, "n_qubits": 2.0}},
-             "n_qubits must be an integer, got 2.0"),
-            ([0, 1], "subsystem 0 is not an object"),
+             "subsystem 0: reference: n_qubits must be an integer, got 2.0"),
+            ([0, 1], "subsystem 0: expected a JSON object, got list"),
         ],
         ids=["bool-qubit", "float-qubit", "reference-field", "list-row"],
     )
@@ -315,8 +320,8 @@ class TestCircuitAndSubsystemTypes:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ({"kind": 5, "qubits": [0, 1]}, "{where}: kind must be a string, got 5"),
-            ({"kind": "pair", "qubits": [0, 1.5]}, "{where}: qubit must be an integer, got 1.5"),
+            ({"kind": 5, "qubits": [0, 1]}, "kind must be a string, got 5"),
+            ({"kind": "pair", "qubits": [0, 1.5]}, "qubit index must be an integer, got 1.5"),
             ({"kind": "pair", "qubits": [3, 3]}, "qubit subset (3, 3) repeats a qubit"),
             ({"kind": "triple", "qubits": [0, 1, 2]}, "unknown subsystem kind 'triple'"),
             ({"kind": "pair", "qubits": [0, 1, 2]}, "pair subsystem needs 2 qubits, got (0, 1, 2)"),
@@ -325,7 +330,8 @@ class TestCircuitAndSubsystemTypes:
         ids=["int-kind", "float-qubit", "repeat", "unknown-kind", "wrong-size", "negative"],
     )
     def test_reports_and_subsystem_files_read_a_spec_alike(self, tmp_path, row, message):
-        """One reader for the ``kind`` and ``qubits`` of both files; only the row's name differs."""
+        """``SubsystemSpec`` checks the ``kind`` and ``qubits`` of both files; each error names
+        the file and the row, and only the row's name differs."""
         report = io.report_to_obj(datasets.brisbane_report())
         report["subsystems"][2] = {**report["subsystems"][2], **row}
         subsystems = {"subsystems": [{"kind": "pair", "qubits": [0, 1]}] * 2 + [row]}
@@ -333,7 +339,7 @@ class TestCircuitAndSubsystemTypes:
                                  ("subsystems", subsystems, "subsystem 2")]:
             path = tmp_path / f"{what}.json"
             path.write_text(json.dumps(obj))
-            expected = f"{path}: {what}: {message.format(where=where)}"
+            expected = f"{path}: {what}: {where}: {message}"
             with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
                 getattr(io, f"read_{what}")(path)
 
@@ -365,7 +371,13 @@ def test_report_numbers_read_as_floats():
     assert value == 0.0 and type(value) is float
 
 
-@pytest.mark.parametrize("version", [99, 0, "1", None], ids=["99", "0", "string", "missing"])
+#: Versions other than the integer ``FORMAT_VERSION``, for a report and a stream header.
+OTHER_VERSIONS = pytest.mark.parametrize(
+    "version", [99, 0, "1", None, True, 1.0], ids=["99", "0", "string", "missing", "true", "float"]
+)
+
+
+@OTHER_VERSIONS
 def test_report_of_another_version_is_rejected(tmp_path, version):
     """A report, like a snapshot stream's header, is read only at ``FORMAT_VERSION``."""
     obj = io.report_to_obj(datasets.brisbane_report())
@@ -380,6 +392,69 @@ def test_report_of_another_version_is_rejected(tmp_path, version):
         io.read_report(path)
 
 
+@OTHER_VERSIONS
+def test_stream_header_of_another_version_is_rejected(tmp_path, version):
+    header = io.snapshot_header(2)
+    if version is None:
+        del header["version"]
+    else:
+        header["version"] = version
+    path = write_stream(tmp_path, header)
+    expected = f"{path}: line 1: unsupported version {version!r}"
+    with pytest.raises(RecordError, match=f"^{re.escape(expected)}$"):
+        io.read_snapshots(path)
+
+
+def _bundled(name, edit):
+    """The bundled file ``name`` as an object, changed in place by ``edit``."""
+    obj = json.loads(bundled_text(name))
+    edit(obj)
+    return obj
+
+
+#: One bad value in each kind of row: (reader, file object, the error after the file's name).
+ROW_ERRORS = {
+    "report-row": ("report", _bundled(
+        "brisbane_report.json", lambda obj: obj["subsystems"][7].update(qubits=[13, 12.5])),
+        "row 7: qubit index must be an integer, got 12.5"),
+    "subsystems-row": ("subsystems", {"subsystems": [
+        {"kind": "pair", "qubits": [0, 1]}, {"kind": "pair", "qubits": [2, "3"]}]},
+        "subsystem 1: qubit index must be an integer, got '3'"),
+    "reference-circuit": ("subsystems", {"subsystems": [
+        {"kind": "pair", "qubits": [0, 1]},
+        {"kind": "pair", "qubits": [2, 3], "reference": {**GATES, "n_qubits": True}}]},
+        "subsystem 1: reference: circuit needs an integer number of qubits >= 1, got True"),
+    "values-row": ("nonlocal_values", _bundled(
+        "brisbane_nonlocal_19_20.json", lambda obj: obj["pairs"][4].update(candidate=[4.5, 6])),
+        "row 4: qubit index must be an integer, got 4.5"),
+    "gate-target": ("circuit", {**GATES, "gates": [RY_GATE, {**RY_GATE, "target": 0.5}]},
+                    "gate 1: qubit index must be an integer, got 0.5"),
+    "gate-control": ("circuit", {**GATES, "gates": [{**RY_GATE, "control": 1.5}]},
+                     "gate 0: control must be an integer, got 1.5"),
+    "layout-edge": ("layout", _bundled(
+        "heavy_hex_127.json", lambda obj: obj["edges"][5].__setitem__(1, 2.5)),
+        "edge 5: qubit index must be an integer, got 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", ROW_ERRORS)
+def test_errors_name_the_file_and_the_row(tmp_path, case):
+    """Each record checks its own fields, and the reader names the file and the row."""
+    reader, obj, message = ROW_ERRORS[case]
+    path = tmp_path / f"{reader}.json"
+    path.write_text(json.dumps(obj))
+    what = "values" if reader == "nonlocal_values" else reader
+    expected = f"{path}: {what}: {message}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+        getattr(io, f"read_{reader}")(path)
+
+
+def test_ry_gate_with_an_integer_control_still_loads():
+    """``Circuit`` checks the ``control`` of a rotation only for its type; ``run`` ignores it."""
+    circuit = io.circuit_from_obj({**GATES, "gates": [{**RY_GATE, "control": 0}]})
+    assert circuit.gates[0].control == 0 and circuit.gates[0].kind == "ry"
+
+
 class TestNonlocalValuePairs:
     """A values file gets the pair checks of the live scan, for target and candidates."""
 
@@ -388,12 +463,12 @@ class TestNonlocalValuePairs:
     @pytest.mark.parametrize(
         "target, candidates, message",
         [
-            ([19], GOOD, r"\(19,\) is not a qubit pair"),
-            ([19, 19], GOOD, r"\(19, 19\) is not a qubit pair"),
-            ([19, 20], [[1, 2, 3], *GOOD], r"\(1, 2, 3\) is not a qubit pair"),
-            ([19, 20], [[4, 4], *GOOD], r"\(4, 4\) is not a qubit pair"),
-            ([19, 20], [*GOOD, [6, 5]], r"candidate pair \(6, 5\) repeats candidate pair \(5, 6\)"),
-            ([19, 20], [*GOOD, [3, 4]], r"candidate pair \(3, 4\) repeats candidate pair \(3, 4\)"),
+            ([19], GOOD, r"target 0: \(19,\) is not a qubit pair"),
+            ([19, 19], GOOD, r"target 0: \(19, 19\) is not a qubit pair"),
+            ([19, 20], [[1, 2, 3], *GOOD], r"row 0: \(1, 2, 3\) is not a qubit pair"),
+            ([19, 20], [[4, 4], *GOOD], r"row 0: \(4, 4\) is not a qubit pair"),
+            ([19, 20], [*GOOD, [6, 5]], r"row 3: \(6, 5\) repeats row 2 \(5, 6\)"),
+            ([19, 20], [*GOOD, [3, 4]], r"row 3: \(3, 4\) repeats row 1 \(3, 4\)"),
             ([19, 20], [[20, 21], *GOOD], r"row 0: candidate \(20, 21\) shares a qubit with "
                                           r"target \(19, 20\)"),
             ([19, 20], [*GOOD, [19, 20]], r"row 3: candidate \(19, 20\) shares a qubit with "

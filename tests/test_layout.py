@@ -115,9 +115,9 @@ def test_rejects_malformed_edges(num_qubits, edges):
     ids=["bool", "float-second", "float-first", "string"],
 )
 def test_rejects_non_integer_qubits_naming_the_edge(edge, index):
-    message = f"edge {edge}: qubit index must be an integer, got {index!r}"
+    message = f"edge 1: qubit index must be an integer, got {index!r}"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        DeviceLayout(3, (edge,))
+        DeviceLayout(3, ((0, 2), edge))
 
 
 def test_numpy_integer_edges_are_stored_as_ints():
@@ -127,9 +127,14 @@ def test_numpy_integer_edges_are_stored_as_ints():
     assert io.layout_to_obj(layout) == {"edges": [[1, 2]], "num_qubits": 3}
 
 
-@pytest.mark.parametrize("edge", [(0,), (0, 1, 2), (), 5], ids=["one", "three", "empty", "int"])
-def test_rejects_an_edge_that_is_not_a_pair_naming_it(edge):
-    with pytest.raises(ValidationError, match=f"^edge {re.escape(str(edge))}: "):
+@pytest.mark.parametrize(
+    "edge, message",
+    [((0,), "(0,) is not a qubit pair"), ((0, 1, 2), "(0, 1, 2) is not a qubit pair"),
+     ((), "() is not a qubit pair"), (5, "expected a sequence of qubit indices, got 5")],
+    ids=["one", "three", "empty", "int"],
+)
+def test_rejects_an_edge_that_is_not_a_pair_naming_it(edge, message):
+    with pytest.raises(ValidationError, match=f"^edge 0: {re.escape(message)}$"):
         DeviceLayout(3, (edge,))
 
 

@@ -97,11 +97,13 @@ SWEEP = {
     "rho_cs-range": (lambda: rho_cs(_codes(), [[1, 4]]), CoverageError),
     "rho_cs-negative": (lambda: rho_cs(_codes(), [[-1, 2]]), SubsystemError),
     "rho_cs-not-a-sequence": (lambda: rho_cs(_codes(), [0, 1]), SubsystemError),
+    "rho_cs-subsets-not-a-sequence": (lambda: rho_cs(_codes(), 5), SubsystemError),
     "spec-bool": (lambda: SubsystemSpec(PAIR, (True, 2)), SubsystemError),
     "spec-float": (lambda: SubsystemSpec(PAIR, (0, 1.0)), SubsystemError),
     "spec-repeat": (lambda: SubsystemSpec(PAIR, (1, 1)), SubsystemError),
     "spec-negative": (lambda: SubsystemSpec(PAIR, (-1, 0)), SubsystemError),
     "spec-not-a-sequence": (lambda: SubsystemSpec(PAIR, 5), SubsystemError),
+    "spec-kind-not-a-string": (lambda: SubsystemSpec(["pair"], (0, 1)), SubsystemError),
     "as_pairs-bool": (lambda: as_pairs([(True, 2)], "target"), SubsystemError),
     "as_pairs-float": (lambda: as_pairs([(0, 1.5)], "target"), SubsystemError),
     "as_pairs-repeat": (lambda: as_pairs([(4, 4)], "target"), SubsystemError),
@@ -138,11 +140,17 @@ def test_every_entry_point_raises_a_typed_error(case):
         call()
 
 
+def test_rho_cs_subsets_that_are_not_a_sequence_name_them():
+    message = "^expected a sequence of qubit subsets, got 5$"
+    with pytest.raises(SubsystemError, match=message):
+        rho_cs(_codes(), 5)
+
+
 def test_circuit_gate_errors_name_the_gate_and_the_qubits():
-    message = r"^cnot gate: qubit subset \(0, 0\) repeats a qubit$"
+    message = r"^gate 0: qubit subset \(0, 0\) repeats a qubit$"
     with pytest.raises(CircuitSpecError, match=message):
         Circuit(2, (Gate(CNOT, 0, control=0),))
-    message = r"^ry gate: qubit index must be an integer, got 1\.0$"
+    message = r"^gate 1: qubit index must be an integer, got 1\.0$"
     with pytest.raises(CircuitSpecError, match=message):
-        Circuit(2, (Gate(RY, 1.0, angle=0.1),))
+        Circuit(2, (Gate(RY, 0, angle=0.1), Gate(RY, 1.0, angle=0.1)))
     assert Circuit(2, (Gate(CNOT, np.int64(1), control=np.uint8(0)),)).n_qubits == 2

@@ -513,6 +513,22 @@ class TestRandomParams:
         with pytest.raises(ConfigError, match=r"^seed must be a non-negative integer, got -3$"):
             random_su2_params(3, 1, seed=-3)
 
+    @pytest.mark.parametrize("seed", [True, 2.0, "2"], ids=["bool", "float", "string"])
+    def test_seed_that_is_not_an_integer_is_a_config_error(self, seed):
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            random_su2_params(3, 1, seed=seed)
+
+    @pytest.mark.parametrize("value", [True, 2.0, "2"], ids=["bool", "float", "string"])
+    def test_ansatz_size_that_is_not_an_integer_is_rejected(self, value):
+        """``range(True)`` would run one repetition: a ``bool`` is not a count."""
+        for name, args in (("n_qubits", (value, 1)), ("reps", (2, value))):
+            message = f"{name} must be an integer, got {value!r}"
+            with pytest.raises(CircuitSpecError, match=f"^{re.escape(message)}$"):
+                random_su2_params(*args, seed=0)
+            with pytest.raises(CircuitSpecError, match=f"^{re.escape(message)}$"):
+                build_efficient_su2(*args, [0.0] * 8)
+
     def test_range_and_shape(self):
         params = random_su2_params(3, 7, seed=0)
         assert params.shape == (84,)
