@@ -23,20 +23,16 @@ from .report import ENTROPY_NORMALIZATIONS
 from .routing import best_chain, edge_scores_from_report
 
 
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    """Parse '19,20;67,68' into [(19, 20), (67, 68)]."""
+def _parse_pairs(text: str) -> list[tuple[int, ...]]:
+    """Parse '19,20;67,68' into [(19, 20), (67, 68)]; ``nonlocal_scan`` reads them as pairs."""
     pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(str.strip, text.split(";")):
         try:
-            a, b = (int(part) for part in chunk.split(","))
+            pairs.append(tuple(int(part) for part in chunk.split(",")))
         except ValueError:
             raise ConfigError(
-                f"expected integer 'a,b' pairs separated by ';', got {chunk!r}"
+                f"expected integer 'a,b' pairs separated by ';', got {chunk.strip()!r}"
             ) from None
-        pairs.append((a, b))
     if not pairs:
         raise ConfigError("no qubit pairs given")
     return pairs

@@ -110,22 +110,14 @@ def normalize_entropies(
     kind (``per-kind``) or of all entropy-carrying rows (``global``)."""
     if mode not in ENTROPY_NORMALIZATIONS:
         raise SubsystemError(f"unknown entropy normalization {mode!r}")
-    maxima: dict[str, float] = {}
-    for row in rows:
-        if row.s_ab is None:
-            continue
-        key = row.kind if mode == "per-kind" else "all"
-        maxima[key] = max(maxima.get(key, 0.0), row.s_ab)
-    out = []
-    for row in rows:
-        if row.s_ab is None:
-            out.append(row)
-            continue
-        key = row.kind if mode == "per-kind" else "all"
-        peak = maxima.get(key, 0.0)
-        normalized = row.s_ab / peak if peak > 0.0 else 0.0
-        out.append(replace(row, s_ab_normalized=normalized))
-    return tuple(out)
+    keys = [row.kind if mode == "per-kind" else "all" for row in rows]
+    peaks: dict[str, float] = {}
+    for key, row in zip(keys, rows):
+        if row.s_ab is not None:
+            peaks[key] = max(peaks.get(key, 0.0), row.s_ab)
+    return tuple(row if row.s_ab is None else
+                 replace(row, s_ab_normalized=row.s_ab / peaks[key] if peaks[key] > 0.0 else 0.0)
+                 for key, row in zip(keys, rows))
 
 
 def build_report(

@@ -1,7 +1,8 @@
 """Device coupling graphs.
 
 A layout is an undirected graph over physical qubits; its edges, the native
-two-qubit couplings, are held as one set of normalized edges.  ``edges_between``
+two-qubit couplings, are read as a pair list by ``report.as_pairs``, the reader of
+the scan's pairs, and held as one set of normalized edges.  ``edges_between``
 gives the edges joining two groups of qubits, which the router scores and the
 non-local scan excludes.  The bundled 127-qubit heavy-hex map of the Eagle-class
 devices, ``data/heavy_hex_127.json``, is written by ``tools/make_fixtures.py``.
@@ -13,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import SubsystemError, ValidationError
-from .report import qubit_count, qubit_subset
+from .report import as_pairs, qubit_count, qubit_subset
 
 
 def normalize_edge(a: int, b: int) -> tuple[int, int]:
@@ -22,8 +23,8 @@ def normalize_edge(a: int, b: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class DeviceLayout:
-    """An integer ``num_qubits`` >= 1 and ``edges``, each a ``qubit_subset`` pair of
-    ``range(num_qubits)`` given once; else ``ValidationError`` naming the edge's position."""
+    """An integer ``num_qubits`` >= 1 and ``edges``, read by ``report.as_pairs`` and each
+    within ``range(num_qubits)``; else ``ValidationError`` naming the edge's position."""
 
     num_qubits: int
     edges: tuple[tuple[int, int], ...]
@@ -32,20 +33,17 @@ class DeviceLayout:
     def __post_init__(self):
         n = qubit_count(self.num_qubits, ValidationError, "layout")
         object.__setattr__(self, "num_qubits", n)
-        first: dict[tuple[int, int], int] = {}
-        for index, edge in enumerate(self.edges):
-            try:
-                pair = qubit_subset(edge, n)
-            except SubsystemError as exc:
-                raise ValidationError(f"edge {index}: {exc}") from None
-            if len(pair) != 2:
-                raise ValidationError(f"edge {index}: {pair} is not a qubit pair")
-            edge = normalize_edge(*pair)
-            if edge in first:
-                raise ValidationError(f"edge {index}: {edge} repeats edge {first[edge]}")
-            first[edge] = index
-        object.__setattr__(self, "edges", tuple(sorted(first)))
-        object.__setattr__(self, "_edge_set", frozenset(first))
+        try:
+            pairs = as_pairs(self.edges, "edge")
+        except SubsystemError as exc:
+            raise ValidationError(str(exc)) from None
+        for index, pair in enumerate(pairs):
+            if max(pair) >= n:
+                raise ValidationError(
+                    f"edge {index}: qubit subset {pair} out of range for {n} qubits")
+        edges = sorted(normalize_edge(*pair) for pair in pairs)
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "_edge_set", frozenset(edges))
 
     def edges_between(self, group_a, group_b) -> list[tuple[int, int]]:
         """Sorted normalized edges from one ``qubit_subset`` to the other, else

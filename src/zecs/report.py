@@ -4,7 +4,8 @@ Plain frozen dataclasses with no NumPy, so that reading, writing and routing
 over a stored report loads none of the numeric layers.  Each check takes raw JSON
 values: :func:`is_integer` is the integer rule, :func:`qubit_index` checks a qubit
 index, :func:`qubit_count` a width, :func:`qubit_subset` a set of indices (for specs,
-layouts, circuits, ``partial_trace`` and ``rho_cs``) and :func:`as_pairs` scan pairs.
+circuits, ``partial_trace`` and ``rho_cs``) and :func:`as_pairs` a list of qubit pairs
+(layout edges, and the target and candidate pairs of a scan or a values file).
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ def qubit_subset(qubits: Sequence[int], width: int | None = None) -> tuple[int, 
 
 
 def as_pairs(groups: Sequence[Sequence[int]], role: str) -> list[tuple[int, int]]:
-    """Qubit pairs from ``groups``; a pair given twice, in either order, is rejected.
-    Each ``SubsystemError`` names its group as ``{role} {position}``."""
+    """Qubit pairs from ``groups``, in order: two distinct :func:`qubit_index` values each,
+    no pair given twice in either order.  The one reader of layout edges and scan pairs;
+    each ``SubsystemError`` names its group as ``{role} {position}``."""
     first: dict[frozenset[int], tuple[int, tuple[int, int]]] = {}
     for index, qubits in enumerate(groups):
         try:

@@ -70,7 +70,7 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        n = qubit_count(self.n_qubits, CircuitSpecError, "circuit")
+        n = _simulable(qubit_count(self.n_qubits, CircuitSpecError, "circuit"))
         object.__setattr__(self, "n_qubits", n)
         for index, g in enumerate(self.gates):
             try:
@@ -79,8 +79,8 @@ class Circuit:
                     raise CircuitSpecError(f"unknown gate kind {g.kind!r}")
                 if g.kind != CNOT and g.angle is None:
                     raise CircuitSpecError(f"{g.kind} gate needs an angle")
-                if g.kind != CNOT and g.control is not None and not is_integer(g.control):
-                    raise CircuitSpecError(f"control must be an integer, got {g.control!r}")
+                if g.kind != CNOT and g.control is not None:
+                    raise CircuitSpecError(f"{g.kind} gate takes no control, got {g.control!r}")
             except (SubsystemError, CircuitSpecError) as exc:
                 raise CircuitSpecError(f"gate {index}: {exc}") from None
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -152,14 +152,22 @@ def zero_state(n_qubits: int) -> StateVector:
     return StateVector(amps)
 
 
+def _simulable(n_qubits: int) -> int:
+    """``n_qubits`` if :func:`run` can hold its state vector, else ``DimensionMismatchError``."""
+    if n_qubits > _MAX_SIM_QUBITS:
+        raise DimensionMismatchError(f"simulation capped at {_MAX_SIM_QUBITS} qubits")
+    return n_qubits
+
+
 def _ansatz_size(n_qubits: int, reps: int) -> int:
-    """Angle count ``4 * reps * n_qubits``; ``CircuitSpecError`` unless both are integers >= 1."""
+    """Angle count ``4 * reps * n_qubits``; ``CircuitSpecError`` unless both are integers >= 1,
+    and :func:`_simulable` fails an ansatz too wide to run before any angle or gate is made."""
     for name, value in (("reps", reps), ("n_qubits", n_qubits)):
         if not is_integer(value):
             raise CircuitSpecError(f"{name} must be an integer, got {value!r}")
         if value < 1:
             raise CircuitSpecError(f"{name} must be >= 1, got {value}")
-    return 4 * reps * n_qubits
+    return 4 * reps * _simulable(n_qubits)
 
 
 def build_efficient_su2(n_qubits: int, reps: int, params: Sequence[float]) -> Circuit:
@@ -216,9 +224,7 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
 
 
 def run(circuit: Circuit) -> StateVector:
-    """Apply the circuit to the all-zeros state and return the result."""
-    if circuit.n_qubits > _MAX_SIM_QUBITS:
-        raise DimensionMismatchError(f"simulation capped at {_MAX_SIM_QUBITS} qubits")
+    """Apply the circuit, at most ``_MAX_SIM_QUBITS`` wide, to the all-zeros state."""
     n = circuit.n_qubits
     amps = zero_state(n).amplitudes
     for gate in circuit.gates:
@@ -309,7 +315,7 @@ def perturb_state(rho0: DensityOperator, sigma: float, seed: int) -> DensityOper
     (matrix,) = _perturb_stack(rho0.matrix, sigma, [seed])
     if sigma == 0.0:
         return rho0
-    return DensityOperator(matrix, validated=True)
+    return DensityOperator.from_matrix(matrix)
 
 
 def _perturb_stack(rho0: np.ndarray, sigma: float, seeds: Sequence[int]) -> np.ndarray:

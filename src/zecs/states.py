@@ -43,17 +43,17 @@ _SPIN_FLIP = np.eye(4, dtype=complex)[::-1]
 class DensityOperator:
     """Hermitian unit-trace operator on ``n_qubits = log2(len(matrix))`` qubits.
 
-    The constructor checks the structure: one square, finite matrix of
-    dimension ``2**n``, n >= 1, Hermitian within ``linalg.HERMITICITY_TOL``.
-    It stores the matrix as given, without symmetrizing it.  ``validated``
-    records whether the PSD and unit-trace checks passed; raw shadow
-    reconstructions carry ``validated=False``.  ``pure_vector`` caches the
-    state vector when the operator is a known rank-1 projector.
+    The constructor takes only the matrix and checks its structure: one square,
+    finite matrix of dimension ``2**n``, n >= 1, Hermitian within
+    ``linalg.HERMITICITY_TOL``.  It stores the matrix as given, without
+    symmetrizing it.  ``validated`` (the PSD and unit-trace checks passed) and
+    ``pure_vector`` (the state vector of a rank-1 projector) are set only by
+    :meth:`from_matrix` and :meth:`from_pure`; raw shadow reconstructions carry neither.
     """
 
     matrix: np.ndarray
-    validated: bool = False
-    pure_vector: np.ndarray | None = field(default=None)
+    validated: bool = field(default=False, init=False)
+    pure_vector: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         m = linalg.require_hermitian(self.matrix)
@@ -68,9 +68,9 @@ class DensityOperator:
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "DensityOperator":
         """Wrap a matrix that must pass the trace and PSD checks of :func:`require_physical`."""
-        rho = cls(matrix, validated=True)
+        rho = cls(matrix)
         require_physical(rho.matrix)
-        return rho
+        return rho._validated()
 
     @classmethod
     def from_pure(cls, vector: np.ndarray) -> "DensityOperator":
@@ -79,11 +79,16 @@ class DensityOperator:
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > 1e-10:
             raise ValidationError(f"state vector norm {norm:.12g} deviates from 1")
-        return cls(np.outer(v, v.conj()), validated=True, pure_vector=v)
+        return cls(np.outer(v, v.conj()))._validated(v)
+
+    def _validated(self, pure_vector: np.ndarray | None = None) -> "DensityOperator":
+        object.__setattr__(self, "validated", True)
+        object.__setattr__(self, "pure_vector", pure_vector)
+        return self
 
     def clamped(self) -> tuple[np.ndarray, float]:
         """PSD projection of the matrix plus the removed negative magnitude."""
-        if self.validated or self.pure_vector is not None:
+        if self.validated:
             return self.matrix, 0.0
         return linalg.clamp_psd(self.matrix)
 

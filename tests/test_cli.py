@@ -115,15 +115,22 @@ def scan(stream, layout, out, targets=LINE_TARGETS):
                      "--out", str(out)])
 
 
-@pytest.mark.parametrize("targets", ["19,x", "0,1;2", "0,1;1,2,3", "a,b"])
-def test_nonlocal_non_integer_pair_exits_2(tmp_path, capsys, targets):
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        ("19,x", "expected integer 'a,b' pairs separated by ';', got '19,x'"),
+        ("0,1;2", "target 1: (2,) is not a qubit pair"),
+        ("0,1;1,2,3", "target 1: (1, 2, 3) is not a qubit pair"),
+        ("a,b", "expected integer 'a,b' pairs separated by ';', got 'a,b'"),
+    ],
+    ids=["19,x", "0,1;2", "0,1;1,2,3", "a,b"],
+)
+def test_nonlocal_non_integer_pair_exits_2(tmp_path, capsys, targets, message):
+    """The CLI reads integers; that each group is a qubit pair is the scan's ``as_pairs`` rule."""
     stream = tmp_path / "snapshots.jsonl"
     simulate(stream)
     assert scan(stream, line_layout(tmp_path), tmp_path / "scan.json", targets) == 2
-    err = capsys.readouterr().err
-    bad = [chunk for chunk in targets.split(";") if chunk != "0,1"][0]
-    assert err.startswith("error: expected integer 'a,b' pairs")
-    assert f"got {bad!r}" in err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "scan.json").exists()
 
 

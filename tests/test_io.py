@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zecs import datasets, io
+from zecs import datasets, io, simulator
 from zecs.diagnostics import score_candidates
-from zecs.errors import ConfigError, RecordError
+from zecs.errors import CircuitSpecError, ConfigError, RecordError
 from zecs.report import DiagnosticReport, NonlocalResult, SubsystemDiagnostics
 from zecs.routing import ChainSolution, best_chain, edge_scores_from_report
 from zecs.shadow import outcome_codes
@@ -430,7 +430,7 @@ ROW_ERRORS = {
     "gate-target": ("circuit", {**GATES, "gates": [RY_GATE, {**RY_GATE, "target": 0.5}]},
                     "gate 1: qubit index must be an integer, got 0.5"),
     "gate-control": ("circuit", {**GATES, "gates": [{**RY_GATE, "control": 1.5}]},
-                     "gate 0: control must be an integer, got 1.5"),
+                     "gate 0: ry gate takes no control, got 1.5"),
     "layout-edge": ("layout", _bundled(
         "heavy_hex_127.json", lambda obj: obj["edges"][5].__setitem__(1, 2.5)),
         "edge 5: qubit index must be an integer, got 2.5"),
@@ -449,10 +449,33 @@ def test_errors_name_the_file_and_the_row(tmp_path, case):
         getattr(io, f"read_{reader}")(path)
 
 
-def test_ry_gate_with_an_integer_control_still_loads():
-    """``Circuit`` checks the ``control`` of a rotation only for its type; ``run`` ignores it."""
-    circuit = io.circuit_from_obj({**GATES, "gates": [{**RY_GATE, "control": 0}]})
-    assert circuit.gates[0].control == 0 and circuit.gates[0].kind == "ry"
+def test_ry_gate_with_an_integer_control_is_rejected():
+    """A rotation takes no control: ``run`` would ignore it, so ``Circuit`` rejects it."""
+    for control in (0, -1):
+        message = f"gate 0: ry gate takes no control, got {control}"
+        with pytest.raises(CircuitSpecError, match=f"^{re.escape(message)}$"):
+            io.circuit_from_obj({**GATES, "gates": [{**RY_GATE, "control": control}]})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {**GATES, "n_qubits": 13},
+        {"kind": "efficient_su2", "n_qubits": 20000, "reps": 1, "param_seed": 0},
+        {"kind": "efficient_su2", "n_qubits": 13, "reps": 1, "params": [0.0] * 52},
+    ],
+    ids=["gate-list-13", "ansatz-20000", "ansatz-params-13"],
+)
+def test_circuit_wider_than_the_simulator_cap_is_rejected(tmp_path, monkeypatch, obj):
+    """The 12-qubit cap is checked before an ansatz builds a gate; a gate list builds its own."""
+    built = []
+    monkeypatch.setattr(simulator, "Gate", lambda *args, **kw: built.append(args))
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(obj))
+    expected = f"{path}: circuit: simulation capped at 12 qubits"
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+        io.read_circuit(path)
+    assert len(built) == len(obj.get("gates", []))
 
 
 class TestNonlocalValuePairs:

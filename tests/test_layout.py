@@ -93,19 +93,22 @@ def test_edges_between_matches_brute_force_on_bundled_pairs(heavy_hex):
 
 
 @pytest.mark.parametrize(
-    "num_qubits, edges",
+    "num_qubits, edges, message",
     [
-        (0, ()),
-        (3, ((1, 1),)),
-        (3, ((0, 3),)),
-        (3, ((-1, 0),)),
-        (3, ((0, 1), (0, 1))),
-        (3, ((0, 1), (1, 0))),
+        (0, (), "layout needs an integer number of qubits >= 1, got 0"),
+        (3, ((1, 1),), "edge 0: (1, 1) is not a qubit pair"),
+        (3, ((0, 3),), "edge 0: qubit subset (0, 3) out of range for 3 qubits"),
+        (3, ((-1, 0),), "edge 0: qubit index must be non-negative, got -1"),
+        (3, ((0, 1), (0, 1)), "edge 1: (0, 1) repeats edge 0 (0, 1)"),
+        (3, ((0, 1), (1, 0)), "edge 1: (1, 0) repeats edge 0 (0, 1)"),
+        (3, ((0, 1), (1, 2), (2, 1)), "edge 2: (2, 1) repeats edge 1 (1, 2)"),
     ],
-    ids=["no-qubits", "self-loop", "past-end", "negative", "duplicate", "reversed-duplicate"],
+    ids=["no-qubits", "self-loop", "past-end", "negative", "duplicate", "reversed-duplicate",
+         "reversed-repeat-of-an-earlier-edge"],
 )
-def test_rejects_malformed_edges(num_qubits, edges):
-    with pytest.raises(ValidationError):
+def test_rejects_malformed_edges(num_qubits, edges, message):
+    """Edges get the ``report.as_pairs`` rule and message of scan pairs, then the range check."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         DeviceLayout(num_qubits, edges)
 
 

@@ -87,11 +87,22 @@ class TestDensityOperator:
         rho = DensityOperator.from_pure(BELL)
         assert np.array_equal(rho.matrix, np.outer(BELL, BELL.conj()))
 
+    @pytest.mark.parametrize("fact", [{"validated": True}, {"pure_vector": np.array([0.0, 1.0])}],
+                             ids=["validated", "pure_vector"])
+    def test_constructor_takes_only_the_matrix(self, fact):
+        """Only ``from_matrix`` and ``from_pure`` set the facts they check: a raw
+        operator clamps its negative eigenvalue and has no state vector."""
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{next(iter(fact))}'"):
+            DensityOperator(np.diag([1.5, -0.5]), **fact)
+        raw = DensityOperator(np.diag([1.5, -0.5]))
+        assert raw.pure_vector is None and not raw.validated
+        assert raw.clamped()[1] == pytest.approx(0.5)
+
     @pytest.mark.parametrize("make", [
         lambda: DensityOperator.from_matrix(np.eye(3) / 3),
         lambda: DensityOperator(np.eye(3) / 3),
         lambda: DensityOperator.from_pure(np.ones(3) / math.sqrt(3)),
-        lambda: DensityOperator(np.eye(3) / 3, validated=True),
+        lambda: DensityOperator(matrix=np.eye(3) / 3),
     ], ids=["validated", "unvalidated", "pure", "constructor"])
     def test_dimension_must_be_a_power_of_two(self, make):
         with pytest.raises(DimensionMismatchError, match=r"n >= 1, not \(3, 3\)$"):
