@@ -7,12 +7,17 @@ byte-identical outputs and golden tests can compare raw bytes.
 Snapshot streams are JSON lines with an optional header line; the header
 pins the qubit count and the bit-string endianness.  The internal
 convention is ``q0-leftmost`` (qubit 0 is the leftmost character and the
-most significant bit).  ``write_snapshots`` writes ``SnapshotRecord`` lists;
-``read_snapshots`` returns the stream's code matrix, encoded by
-``shadow.encode_rows``, and reads ``q0-rightmost`` input as a column flip.
+most significant bit).  ``write_snapshots`` writes ``SnapshotRecord`` lists,
+every record line laid out by ``_record_pieces``.  ``read_snapshots`` reads the
+file once and returns the stream's code matrix.  A stream laid out exactly as
+``write_snapshots`` writes it (its canonical header, then record lines that
+differ only in their ``bases`` and ``bits`` characters) is decoded in one
+vectorized pass through ``shadow.encode_bytes``; every other input is read
+line by line and encoded by ``shadow.encode_rows``, with identical results and
+errors.  ``q0-rightmost`` input is read as a column flip.
 A stream comes from one circuit: ``write_snapshots`` takes its
-``circuit_id`` once and writes it on every record line, and
-``read_snapshots`` never reads it.
+``circuit_id`` once and writes it on every record line, and no result of
+``read_snapshots`` depends on it.
 
 The report, scan and chain objects come from their record dataclasses
 (``report.SubsystemDiagnostics``, ``report.NonlocalResult``,
@@ -121,19 +126,27 @@ def _write_text(path: str | Path, text: str) -> None:
         raise ConfigError(f"{path}: cannot write file ({exc.strerror})") from None
 
 
-def _read_text(path: str | Path, error: type[ZecsError]) -> str:
-    """The file's text; a file that cannot be read as UTF-8 raises ``error`` naming it."""
+def _read_bytes(path: str | Path, error: type[ZecsError]) -> bytes:
+    """The file's bytes; a file that cannot be read raises ``error`` naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise error(f"{path}: cannot read file ({exc.strerror})") from None
+
+
+def _utf8(path: str | Path, data: bytes, error: type[ZecsError]) -> str:
+    """``data`` as text; bytes that are not UTF-8 raise ``error`` naming the file and the byte."""
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: byte {exc.start}: not UTF-8 text") from None
 
 
 def read_json(path: str | Path):
+    # Line ends are read as ``open`` reads them, so an error's line number counts a CR as one.
+    text = _utf8(path, _read_bytes(path, ConfigError), ConfigError)
     try:
-        return json.loads(_read_text(path, ConfigError))
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
 
@@ -172,6 +185,13 @@ def snapshot_header(n_qubits: int, endianness: str = Q0_LEFTMOST) -> dict:
     }
 
 
+def _record_pieces(circuit_id) -> tuple[str, str, str]:
+    """A record line is ``head + bases + middle + bits + tail``, ``tail`` holding the
+    canonical JSON of ``circuit_id``: the one owner of the line layout, for the writer
+    and for the reader's one-pass decoder."""
+    return '{"bases":"', '","bits":"', '","circuit_id":' + _canonical(circuit_id) + "}\n"
+
+
 def write_snapshots(
     path: str | Path,
     records: Iterable[SnapshotRecord],
@@ -183,24 +203,69 @@ def write_snapshots(
 
     Records are held internally as ``q0-leftmost``; asking for
     ``q0-rightmost`` reverses the strings on the way out.  Every record line
-    is formatted from one template that holds the canonical JSON of
-    ``circuit_id``: a record's ``bases`` and ``bits`` hold only ``XYZ`` and
-    ``01``, which JSON writes unescaped, so each line equals
+    is laid out by ``_record_pieces``: a record's ``bases`` and ``bits`` hold
+    only ``XYZ`` and ``01``, which JSON writes unescaped, so each line equals
     ``canonical_dumps`` of the record's object.
     """
     if endianness not in (Q0_LEFTMOST, Q0_RIGHTMOST):
         raise ConfigError(f"unknown endianness {endianness!r}")
     step = 1 if endianness == Q0_LEFTMOST else -1
-    line = ('{"bases":"%s","bits":"%s","circuit_id":'
-            + _canonical(circuit_id).replace("%", "%%") + "}\n")
+    head, middle, tail = _record_pieces(circuit_id)
     lines = [canonical_dumps(snapshot_header(n_qubits, endianness))]
     for record in records:
         if record.n_qubits != n_qubits:
             raise RecordError(
                 f"record width {record.n_qubits} does not match header n_qubits {n_qubits}"
             )
-        lines.append(line % (record.bases[::step], record.bits[::step]))
+        lines.append(f"{head}{record.bases[::step]}{middle}{record.bits[::step]}{tail}")
     _write_text(path, "".join(lines))
+
+
+def _written_layout_codes(data: bytes) -> tuple[np.ndarray, int, str] | None:
+    """The codes, width and header endianness of a stream laid out as ``write_snapshots``
+    lays it out, else None: the canonical header, then lines equal byte for byte to the
+    first record line, itself the writer's rendering of its fields, except in ``bases``
+    and ``bits``, whose bytes are all basis letters and bits.  The line-by-line parser
+    reads such a stream to the same codes, without error."""
+    import numpy as np
+
+    from .shadow import encode_bytes
+
+    header_end = data.find(b"\n") + 1
+    first_end = data.find(b"\n", header_end) + 1
+    if first_end <= header_end:
+        return None
+    first_line = data[header_end:first_end]
+    try:
+        header, first = json.loads(data[:header_end]), json.loads(first_line)
+    except ValueError:
+        return None
+    if not (isinstance(header, dict) and isinstance(first, dict) and first_line.isascii()):
+        return None
+    n, endianness = header.get("n_qubits"), header.get("endianness")
+    if (type(n) is not int or endianness not in (Q0_LEFTMOST, Q0_RIGHTMOST)
+            or data[:header_end] != canonical_dumps(snapshot_header(n, endianness)).encode()):
+        return None
+    bases, bits, circuit_id = first.get("bases"), first.get("bits"), first.get("circuit_id")
+    if not (type(bases) is type(bits) is type(circuit_id) is str
+            and len(bases) == len(bits) == n > 0):
+        return None
+    head, middle, tail = _record_pieces(circuit_id)
+    if first_line.decode("ascii") != head + bases + middle + bits + tail:
+        return None
+    line_len = len(first_line)
+    if (len(data) - header_end) % line_len:
+        return None
+    lines = np.frombuffer(data, dtype=np.uint8, offset=header_end).reshape(-1, line_len)
+    at_bases = len(head)
+    at_bits = at_bases + n + len(middle)
+    for fixed in (slice(0, at_bases), slice(at_bases + n, at_bits), slice(at_bits + n, line_len)):
+        if (lines[1:, fixed] != lines[0, fixed]).any():
+            return None
+    codes, bad_rows = encode_bytes(lines[:, at_bases:at_bases + n], lines[:, at_bits:at_bits + n])
+    if bad_rows.any():
+        return None
+    return codes, n, endianness
 
 
 def read_snapshots(
@@ -215,12 +280,33 @@ def read_snapshots(
     file.  A header may only be the first non-blank line.  ``endianness``
     overrides the header (and is required context for headerless files from
     other tools).
-    """
-    from .shadow import encode_rows
 
+    The file is read once.  A stream with the exact layout ``write_snapshots``
+    writes (its canonical header, then record lines that differ only in their
+    ``bases`` and ``bits`` characters, each a basis letter or a bit) is decoded
+    in one vectorized pass; every other input, blank lines, CR line ends or a
+    missing final newline included, is read line by line, with identical
+    results and errors.
+    """
     if endianness not in (None, Q0_LEFTMOST, Q0_RIGHTMOST):
         raise ConfigError(f"unknown endianness {endianness!r}")
-    text = _read_text(path, RecordError)
+    data = _read_bytes(path, RecordError)
+    written = _written_layout_codes(data)
+    if written is None:
+        return _read_snapshot_lines(path, data, endianness)
+    codes, n_qubits, declared = written
+    if (endianness or declared) == Q0_RIGHTMOST:
+        codes = codes[:, ::-1]
+    return codes, n_qubits
+
+
+def _read_snapshot_lines(
+    path: str | Path, data: bytes, endianness: str | None
+) -> tuple[np.ndarray, int]:
+    """:func:`read_snapshots` of the file ``path`` holding ``data``, one line at a time."""
+    from .shadow import encode_rows
+
+    text = _utf8(path, data, RecordError)
     bases: list[str] = []
     bits: list[str] = []
     linenos: list[int] = []

@@ -84,20 +84,24 @@ def edge_scores_from_report(
 
 def _scored_adjacency(
     layout: DeviceLayout, scores: dict[tuple[int, int], EdgeScore], weight_w: float
-) -> list[list[tuple[float, int]]]:
-    """Adjacency lists over scored layout edges by qubit, sorted by (cost, vertex)."""
-    adj: list[list[tuple[float, int]]] = [[] for _ in range(layout.num_qubits)]
-    for edge in layout.edges:
-        score = scores.get(edge)
-        if score is None:
-            continue
-        c = score.cost(weight_w)
-        a, b = edge
-        adj[a].append((c, b))
-        adj[b].append((c, a))
+) -> tuple[list[int], list[list[tuple[float, int]]]]:
+    """The qubits on a scored layout edge, sorted, and adjacency lists over their
+    positions in that list, each sorted by (cost, position).
+
+    The tables of the search are sized by these qubits, not by
+    ``layout.num_qubits``; the relabelling keeps the qubit order, so every tie
+    and the root order go as they would by qubit number.
+    """
+    scored = [(edge, scores[edge].cost(weight_w)) for edge in layout.edges if edge in scores]
+    qubits = sorted({q for edge, _ in scored for q in edge})
+    position = {q: i for i, q in enumerate(qubits)}
+    adj: list[list[tuple[float, int]]] = [[] for _ in qubits]
+    for (a, b), c in scored:
+        adj[position[a]].append((c, position[b]))
+        adj[position[b]].append((c, position[a]))
     for nbrs in adj:
         nbrs.sort()
-    return adj
+    return qubits, adj
 
 
 def _solution(
@@ -170,13 +174,13 @@ def best_chain(
         raise ConfigError(f"entropy weight must be finite, got {weight_w}")
     if length_L < 2:
         raise PathError(f"chain length must be >= 2, got {length_L}")
-    adj = _scored_adjacency(layout, scores, weight_w)
+    qubits, adj = _scored_adjacency(layout, scores, weight_w)
     n_edges = sum(map(len, adj)) // 2
     if not n_edges:
         raise PathError("no scored edges to route over")
     if n_edges < length_L - 1:
         raise PathError(f"not enough scored edges for a {length_L}-qubit chain")
-    if sum(map(bool, adj)) < length_L:
+    if len(adj) < length_L:
         raise PathError(f"no simple path of {length_L} qubits exists")
     walk = _walk_bounds(adj, length_L - 1)
 
@@ -217,7 +221,7 @@ def best_chain(
     approximate = False
     try:
         for root, (best, _, _) in enumerate(walk[length_L - 1]):
-            if adj[root] and best <= limit:
+            if best <= limit:
                 path = [root]
                 visited[root] = 1
                 extend(root, 0.0, length_L - 1)
@@ -233,4 +237,4 @@ def best_chain(
         raise PathError(f"no simple path of {length_L} qubits exists")
     best_cost = min(c for c, _ in found)
     winners = [p for c, p in found if c <= best_cost + _EPS]
-    return _solution(min(winners), scores, weight_w, approximate)
+    return _solution(tuple(qubits[i] for i in min(winners)), scores, weight_w, approximate)

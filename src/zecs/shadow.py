@@ -7,11 +7,13 @@ single-qubit factor has unit trace and eigenvalues {2, -1}; the mean is
 Hermitian with unit trace but generally indefinite.
 
 A k-qubit snapshot depends on the record only through its k local outcome
-codes ``2 * basis + bit``.  :func:`encode_rows` is the one encoder: it checks
-rows of basis letters and bits and encodes them as a ``uint8[N, width]``
-matrix in one vectorized pass, for the lines of a stream file
-(``io.read_snapshots``) and for record lists (:func:`outcome_codes`, which
-passes a code matrix through unchanged).  :func:`rho_cs`, the one place codes
+codes ``2 * basis + bit``.  :func:`encode_bytes` holds the one code map, from
+matrices of basis-letter and bit bytes; ``io.read_snapshots`` applies it to the
+field columns of a stream as ``write_snapshots`` lays it out.
+:func:`encode_rows` checks rows of basis letters and bits and encodes them
+through it as a ``uint8[N, width]`` matrix in one vectorized pass, for the
+lines of any other stream file and for record lists (:func:`outcome_codes`,
+which passes a code matrix through unchanged).  :func:`rho_cs`, the one place codes
 enter a sum, counts each subset's columns into a ``6**k`` histogram and
 contracts the stacked histograms axis by axis with the 6 x 2 x 2 factor
 table.  The work after counting does not depend on the number of records; a
@@ -66,6 +68,16 @@ def _ascii(rows: Sequence[str]) -> np.ndarray:
     return np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
 
 
+def encode_bytes(bases: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes ``2 * basis + bit`` of two ``uint8[N, width]`` matrices of ASCII bytes, and the
+    rows that hold a byte other than a basis letter in ``bases`` or a bit in ``bits``."""
+    # Looked up flat, since no lookup allocates a (0, width) result for every width;
+    # a uint8 index never leaves the 256-entry tables, so "wrap" skips a bounds check.
+    codes = _BASIS_CODE.take(bases.ravel(), mode="wrap") + _BIT_CODE.take(bits.ravel(), mode="wrap")
+    codes = codes.reshape(bases.shape)
+    return codes, (codes >= _INVALID).any(axis=1)
+
+
 def encode_rows(
     bases: Sequence[str],
     bits: Sequence[str],
@@ -85,10 +97,9 @@ def encode_rows(
     if width < 1 or {*map(len, bases), *map(len, bits)} - {width}:
         valid = next((row for row in range(n_rows)
                       if not len(bases[row]) == len(bits[row]) == width > 0), n_rows)
-    codes = _BASIS_CODE[_ascii(bases[:valid])] + _BIT_CODE[_ascii(bits[:valid])]
-    codes = codes.reshape(valid, width)
-    bad_characters = (codes >= _INVALID).any(axis=1)
-    bad = int(bad_characters.argmax()) if bad_characters.any() else valid
+    codes, bad_rows = encode_bytes(_ascii(bases[:valid]).reshape(valid, width),
+                                   _ascii(bits[:valid]).reshape(valid, width))
+    bad = int(bad_rows.argmax()) if bad_rows.any() else valid
     if bad == n_rows:
         return codes
     problem = record_problem(bases[bad], bits[bad])

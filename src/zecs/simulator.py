@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .report import is_integer, qubit_count, qubit_subset
-from .states import DensityOperator, require_physical
+from .states import DensityOperator
 
 RY = "ry"
 RZ = "rz"
@@ -324,8 +324,9 @@ def _perturb_stack(rho0: np.ndarray, sigma: float, seeds: Sequence[int]) -> np.n
     Returns a ``(len(seeds), 4, 4)`` stack: entry t is what ``seeds[t]``
     alone gives.  All perturbations come from one contraction with the Pauli
     product table, and the |eigenvalue| repair is one stacked ``eigh``.  The
-    stack passes the trace and PSD checks of ``DensityOperator.from_matrix``
-    or raises its ``ValidationError``.
+    stack is returned unchecked: each caller runs the trace and PSD checks of
+    ``require_physical`` once, :func:`perturb_state` through
+    ``DensityOperator.from_matrix`` and the study on the whole stack.
     """
     if not 0.0 <= sigma <= 0.5:  # also false for NaN
         raise ConfigError(f"sigma must be a finite number in [0, 0.5], got {sigma}")
@@ -336,9 +337,7 @@ def _perturb_stack(rho0: np.ndarray, sigma: float, seeds: Sequence[int]) -> np.n
     decomp = linalg.eigh(perturbed)
     magnitudes = np.abs(decomp.eigenvalues)
     weights = magnitudes / magnitudes.sum(axis=-1, keepdims=True)
-    out = linalg.from_spectrum(decomp.eigenvectors, weights)
-    require_physical(out)
-    return out
+    return linalg.from_spectrum(decomp.eigenvectors, weights)
 
 
 def random_su2_params(n_qubits: int, reps: int, seed: int) -> np.ndarray:

@@ -21,7 +21,8 @@ from . import linalg
 from .errors import ConfigError
 from .projection import project_spectra
 from .simulator import _generator, _perturb_stack
-from .states import concurrence_matrix, pure_fidelity_matrix, trace_distance_matrix
+from .states import (concurrence_matrix, pure_fidelity_matrix, require_physical,
+                     trace_distance_matrix)
 
 #: The study's ideal state (|00> + |11>) / sqrt(2), as a unit vector.
 BELL_VECTOR = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -49,6 +50,7 @@ def perturbation_study(
     rows = []
     for sigma, seeds in zip(sigmas, trial_seeds):
         raw = _perturb_stack(ideal, sigma, seeds)
+        require_physical(raw)
         decomp = linalg.eigh(raw)
         top, ze, _ = project_spectra(decomp)
         metrics = {

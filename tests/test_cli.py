@@ -718,6 +718,25 @@ def test_route_loads_no_numpy(tmp_path):
     assert json.loads(out.read_text())["cost"] == pytest.approx(0.757)
 
 
+def test_route_over_a_ten_million_qubit_layout_fits_in_512_mb(tmp_path):
+    """The search's tables hold the scored qubits only: the bundled layout widened to
+    ``num_qubits = 10**7`` routes to the golden chain with 512 MB of address space."""
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps({**json.loads((BUNDLED / "heavy_hex_127.json").read_text()),
+                                  "num_qubits": 10**7}))
+    out = tmp_path / "chain.json"
+    run_python(
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS,\n"
+        "                   (512 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "import zecs.cli\n"
+        "sys.exit(zecs.cli.main(sys.argv[1:]))\n",
+        "route", "--report", BUNDLED / "brisbane_report.json", "--layout", layout,
+        "--length", "20", "--weight", "0.5", "--out", out,
+    )
+    assert out.read_bytes() == (GOLDEN / "chain_brisbane_l20_w0.5.json").read_bytes()
+
+
 def test_io_loads_no_numpy():
     """``zecs.io`` imports NumPy only when a stream or circuit is read."""
     run_python(

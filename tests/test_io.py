@@ -234,6 +234,129 @@ class TestReadSnapshots:
             io.read_snapshots(path)
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def read_outcome(read, path, endianness):
+    """What a stream reader gives: its codes and width, or its error's type and message."""
+    try:
+        codes, width = read(path, endianness)
+    except Exception as exc:  # the error's type and message are what is compared
+        return type(exc), str(exc)
+    return codes.dtype, codes.shape, codes.tolist(), width
+
+
+def read_line_by_line(path, endianness):
+    return io._read_snapshot_lines(path, Path(path).read_bytes(), endianness)
+
+
+def assert_reads_as_line_by_line(path):
+    """``read_snapshots`` gives what the line-by-line parser gives, under every endianness."""
+    for endianness in (None, io.Q0_LEFTMOST, io.Q0_RIGHTMOST):
+        assert (read_outcome(io.read_snapshots, path, endianness)
+                == read_outcome(read_line_by_line, path, endianness))
+
+
+def written_stream(tmp_path, seed, n_qubits=6, n_records=12, endianness=io.Q0_LEFTMOST):
+    """The bytes ``write_snapshots`` writes for random records tagged ``c``."""
+    path = tmp_path / "written.jsonl"
+    records = random_records(np.random.default_rng(seed), n_records, n_qubits)
+    io.write_snapshots(path, records, n_qubits, endianness=endianness, circuit_id="c")
+    return path.read_bytes()
+
+
+def _edit_line(data, index, edit):
+    lines = data.splitlines(keepends=True)
+    lines[index:index + 1] = edit(lines[index])
+    return b"".join(lines)
+
+
+#: Edits of a written stream, each given the stream and a seeded generator.
+STREAM_EDITS = {
+    "line-deleted": lambda data, rng: _edit_line(data, rng.integers(0, 13), lambda line: []),
+    "line-duplicated": lambda data, rng: _edit_line(data, rng.integers(0, 13),
+                                                    lambda line: [line, line]),
+    "blank-line-inserted": lambda data, rng: _edit_line(data, rng.integers(0, 13),
+                                                        lambda line: [line, b"\n"]),
+    "no-final-newline": lambda data, rng: data[:-1],
+    "crlf-line-ends": lambda data, rng: data.replace(b"\n", b"\r\n"),
+    "version-true": lambda data, rng: data.replace(b'"version":1}', b'"version":true}'),
+    "version-1.0": lambda data, rng: data.replace(b'"version":1}', b'"version":1.0}'),
+    "n-qubits-2**63": lambda data, rng: data.replace(b'"n_qubits":6', b'"n_qubits":%d' % 2**63),
+    "endianness-unknown": lambda data, rng: data.replace(b"q0-leftmost", b"q0-sideways"),
+    "bases-repeated-in-a-suffix": lambda data, rng: _edit_line(
+        data, rng.integers(1, 13), lambda line: [line.replace(b"}\n", b',"bases":"XYZXYZ"}\n')]),
+    "bases-repeated-in-every-suffix": lambda data, rng: data.replace(
+        b'"c"}\n', b'"c","bases":"XYZXYZ"}\n'),
+    "circuit-id-changed": lambda data, rng: _edit_line(
+        data, rng.integers(1, 13), lambda line: [line.replace(b'"c"', b'"d"')]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN.glob("stream_*.jsonl")), ids=lambda p: p.name)
+def test_golden_streams_read_as_line_by_line(name):
+    assert_reads_as_line_by_line(name)
+
+
+@pytest.mark.parametrize("endianness", [io.Q0_LEFTMOST, io.Q0_RIGHTMOST])
+def test_written_127_qubit_stream_reads_as_line_by_line(tmp_path, endianness):
+    data = written_stream(tmp_path, 127, n_qubits=127, n_records=500, endianness=endianness)
+    path = tmp_path / "stream.jsonl"
+    path.write_bytes(data)
+    assert_reads_as_line_by_line(path)
+    codes, width = io.read_snapshots(path)
+    assert width == 127 and codes.shape == (500, 127) and int(codes.max()) <= 5
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("edit", sorted(STREAM_EDITS))
+def test_edited_stream_reads_as_line_by_line(tmp_path, edit, seed):
+    path = tmp_path / "stream.jsonl"
+    data = written_stream(tmp_path, seed)
+    path.write_bytes(STREAM_EDITS[edit](data, np.random.default_rng(seed)))
+    assert_reads_as_line_by_line(path)
+
+
+@pytest.mark.parametrize("character", ["X", "2", '"', "\\", "\r", "\x85", "é", " "])
+def test_stream_with_one_byte_replaced_reads_as_line_by_line(tmp_path, character):
+    """One byte of a written stream replaced: in the header, a field, the fixed bytes of a
+    record line or anywhere, by a code, a JSON delimiter, a line break or a non-ASCII byte."""
+    data = written_stream(tmp_path, 1)
+    record = data.index(b"\n") + 1  # the first record line, ``{"bases":"`` + 6 + ``","bits":"``
+    positions = [5, record + 3, record + 12, record + 24, record + 30, len(data) - 3]
+    positions += np.random.default_rng(ord(character)).integers(0, len(data), 8).tolist()
+    replacement = character.encode("latin-1") if character == "\x85" else character.encode()
+    path = tmp_path / "stream.jsonl"
+    for at in positions:
+        path.write_bytes(data[:at] + replacement + data[at + 1:])
+        assert_reads_as_line_by_line(path)
+
+
+@pytest.mark.parametrize("n_qubits", ["true", "1.0", "0"])
+def test_header_width_that_is_not_a_count_reads_as_line_by_line(tmp_path, n_qubits):
+    """``true`` and ``1.0`` render as they are written and equal 1, each record's width;
+    a header of 0 qubits matches records of no qubits."""
+    width = 0 if n_qubits == "0" else 1
+    header = io.canonical_dumps(io.snapshot_header(width)).replace(f":{width},", f":{n_qubits},")
+    record = io.canonical_dumps({"bases": "X" * width, "bits": "1" * width, "circuit_id": ""})
+    path = tmp_path / "stream.jsonl"
+    path.write_text(header + record * 3, encoding="ascii")
+    assert_reads_as_line_by_line(path)
+
+
+def test_written_stream_is_decoded_in_one_pass(tmp_path, monkeypatch):
+    """A written stream costs two ``json.loads`` calls, its header and first record."""
+    data = written_stream(tmp_path, 2, n_qubits=127, n_records=300)
+    path = tmp_path / "stream.jsonl"
+    path.write_bytes(data)
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *args: calls.append(1) or loads(*args))
+    codes, _ = io.read_snapshots(path)
+    assert codes.shape == (300, 127)
+    assert len(calls) <= 2
+
+
 def test_canonical_numpy_values_match_python_values():
     as_numpy = {
         "bools": [np.bool_(True), np.bool_(False)],

@@ -133,7 +133,7 @@ def test_negative_weight_matches_brute_force():
 
 
 def walk_table(layout, scores, steps, weight_w):
-    adj = _scored_adjacency(layout, scores, weight_w)
+    _, adj = _scored_adjacency(layout, scores, weight_w)
     return adj, _walk_bounds(adj, steps)
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zecs import cli
+from zecs import cli, linalg
 from zecs.errors import (
     CircuitSpecError,
     ConfigError,
@@ -498,6 +498,14 @@ class TestPerturbState:
             w, v = np.linalg.eigh(m)
             expected = (v * (np.abs(w) / np.abs(w).sum())) @ v.conj().T
             assert np.allclose(perturb_state(bell, 0.4, seed).matrix, expected, rtol=0, atol=1e-13)
+
+    def test_one_physical_check_per_call(self, bell, monkeypatch):
+        """One ``eigh`` repairs the spectrum and one checks the result, in ``from_matrix``."""
+        calls = []
+        eigh = linalg.eigh
+        monkeypatch.setattr(linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        assert perturb_state(bell, 0.2, seed=3).validated
+        assert len(calls) == 2
 
     def test_stack_matches_one_seed_calls(self, bell):
         seeds = [3, 1 << 40, 2**63 - 2, 17]
