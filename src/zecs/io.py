@@ -9,12 +9,12 @@ pins the qubit count and the bit-string endianness.  The internal
 convention is ``q0-leftmost`` (qubit 0 is the leftmost character and the
 most significant bit).  ``write_snapshots`` writes ``SnapshotRecord`` lists,
 every record line laid out by ``_record_pieces``.  ``read_snapshots`` reads the
-file once and returns the stream's code matrix.  A stream laid out exactly as
-``write_snapshots`` writes it (its canonical header, then record lines that
-differ only in their ``bases`` and ``bits`` characters) is decoded in one
-vectorized pass through ``shadow.encode_bytes``; every other input is read
-line by line and encoded by ``shadow.encode_rows``, with identical results and
-errors.  ``q0-rightmost`` input is read as a column flip.
+file once and returns the stream's code matrix.  The line parser owns every
+header and record rule and encodes through ``shadow.encode_rows``.  A stream
+whose header line that parser reads and whose record lines differ only in
+``bases`` and ``bits``, as ``write_snapshots`` writes them, is decoded in one
+pass through ``shadow.encode_bytes`` that checks only that repeated layout.
+``q0-rightmost`` input is read as a column flip.
 A stream comes from one circuit: ``write_snapshots`` takes its
 ``circuit_id`` once and writes it on every record line, and no result of
 ``read_snapshots`` depends on it.
@@ -149,6 +149,8 @@ def read_json(path: str | Path):
         return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
 
 
 def _named(where: str, from_obj, raw):
@@ -221,34 +223,29 @@ def write_snapshots(
     _write_text(path, "".join(lines))
 
 
-def _written_layout_codes(data: bytes) -> tuple[np.ndarray, int, str] | None:
-    """The codes, width and header endianness of a stream laid out as ``write_snapshots``
-    lays it out, else None: the canonical header, then lines equal byte for byte to the
-    first record line, itself the writer's rendering of its fields, except in ``bases``
-    and ``bits``, whose bytes are all basis letters and bits.  The line-by-line parser
-    reads such a stream to the same codes, without error."""
+def _written_layout_codes(
+    path: str | Path, data: bytes, endianness: str | None
+) -> tuple[np.ndarray, int, str | None] | None:
+    """:func:`_read_snapshot_lines` of a stream whose first line is a header, read by that
+    parser, and whose other lines equal the first record line byte for byte, itself the
+    writer's rendering of its fields, except in ``bases`` and ``bits``, whose bytes are all
+    basis letters and bits; else None.  This checks only that repeated layout."""
     import numpy as np
 
     from .shadow import encode_bytes
 
     header_end = data.find(b"\n") + 1
-    first_end = data.find(b"\n", header_end) + 1
-    if first_end <= header_end:
-        return None
-    first_line = data[header_end:first_end]
+    first_line = data[header_end:data.find(b"\n", header_end) + 1]
     try:
-        header, first = json.loads(data[:header_end]), json.loads(first_line)
-    except ValueError:
+        header_rows, n, endianness = _read_snapshot_lines(path, data[:header_end], endianness)
+        first = json.loads(first_line)
+    except (RecordError, ValueError, RecursionError):
         return None
-    if not (isinstance(header, dict) and isinstance(first, dict) and first_line.isascii()):
-        return None
-    n, endianness = header.get("n_qubits"), header.get("endianness")
-    if (type(n) is not int or endianness not in (Q0_LEFTMOST, Q0_RIGHTMOST)
-            or data[:header_end] != canonical_dumps(snapshot_header(n, endianness)).encode()):
+    if len(header_rows) or not (isinstance(first, dict) and first_line.isascii()):
         return None
     bases, bits, circuit_id = first.get("bases"), first.get("bits"), first.get("circuit_id")
     if not (type(bases) is type(bits) is type(circuit_id) is str
-            and len(bases) == len(bits) == n > 0):
+            and len(bases) == len(bits) == n):
         return None
     head, middle, tail = _record_pieces(circuit_id)
     if first_line.decode("ascii") != head + bases + middle + bits + tail:
@@ -281,29 +278,27 @@ def read_snapshots(
     overrides the header (and is required context for headerless files from
     other tools).
 
-    The file is read once.  A stream with the exact layout ``write_snapshots``
-    writes (its canonical header, then record lines that differ only in their
-    ``bases`` and ``bits`` characters, each a basis letter or a bit) is decoded
-    in one vectorized pass; every other input, blank lines, CR line ends or a
-    missing final newline included, is read line by line, with identical
-    results and errors.
+    The file is read once.  The line parser owns every header and record rule.
+    When the first line is a header and every record line differs from the
+    first only in its ``bases`` and ``bits`` characters, as ``write_snapshots``
+    writes them, the records are decoded in one vectorized pass that checks
+    only that layout; any other input is read line by line.
     """
     if endianness not in (None, Q0_LEFTMOST, Q0_RIGHTMOST):
         raise ConfigError(f"unknown endianness {endianness!r}")
     data = _read_bytes(path, RecordError)
-    written = _written_layout_codes(data)
-    if written is None:
-        return _read_snapshot_lines(path, data, endianness)
-    codes, n_qubits, declared = written
-    if (endianness or declared) == Q0_RIGHTMOST:
+    codes, n_qubits, endianness = (_written_layout_codes(path, data, endianness)
+                                   or _read_snapshot_lines(path, data, endianness))
+    if endianness == Q0_RIGHTMOST:
         codes = codes[:, ::-1]
     return codes, n_qubits
 
 
 def _read_snapshot_lines(
     path: str | Path, data: bytes, endianness: str | None
-) -> tuple[np.ndarray, int]:
-    """:func:`read_snapshots` of the file ``path`` holding ``data``, one line at a time."""
+) -> tuple[np.ndarray, int, str | None]:
+    """The codes of the file ``path`` holding ``data`` in file column order, read line by
+    line, with their width and the endianness given, else the header's, else None."""
     from .shadow import encode_rows
 
     text = _utf8(path, data, RecordError)
@@ -321,6 +316,8 @@ def _read_snapshot_lines(
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RecordError(f"invalid JSON ({exc.msg})") from None
+            except RecursionError:
+                raise RecordError("JSON nested too deeply") from None
             if not isinstance(obj, dict):
                 raise RecordError("expected an object")
             if "format" in obj:
@@ -358,9 +355,7 @@ def _read_snapshot_lines(
         raise failure
     if n_qubits is None:
         raise RecordError(f"{path}: no header and no records")
-    if file_endianness == Q0_RIGHTMOST:
-        codes = codes[:, ::-1]
-    return codes, n_qubits
+    return codes, n_qubits, file_endianness
 
 
 # ---------------------------------------------------------------------------

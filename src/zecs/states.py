@@ -93,8 +93,8 @@ class DensityOperator:
         return linalg.clamp_psd(self.matrix)
 
 
-def require_physical(m: np.ndarray) -> None:
-    """Raise ``ValidationError`` unless each matrix of the stack is a density matrix.
+def require_physical(m: np.ndarray) -> linalg.EigenDecomposition:
+    """``linalg.eigh(m)``; ``ValidationError`` unless each matrix of the stack is a density matrix.
 
     Each matrix of the Hermitian ``(..., d, d)`` stack must have unit trace
     within ``TRACE_TOL`` and no eigenvalue below ``-PSD_TOL``.
@@ -104,9 +104,11 @@ def require_physical(m: np.ndarray) -> None:
     if off.any():
         trace = complex(traces[off][0])
         raise ValidationError(f"trace {trace:.6g} deviates from 1 beyond {TRACE_TOL:.1e}")
-    smallest = linalg.eigh(m).eigenvalues.min()
+    decomp = linalg.eigh(m)
+    smallest = decomp.eigenvalues.min()
     if smallest < -PSD_TOL:
         raise ValidationError(f"minimum eigenvalue {smallest:.3e} below -{PSD_TOL:.1e}")
+    return decomp
 
 
 def fidelity(a: DensityOperator, b: DensityOperator) -> float:

@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
 from .errors import ConfigError
 from .projection import project_spectra
 from .simulator import _generator, _perturb_stack
@@ -50,8 +49,7 @@ def perturbation_study(
     rows = []
     for sigma, seeds in zip(sigmas, trial_seeds):
         raw = _perturb_stack(ideal, sigma, seeds)
-        require_physical(raw)
-        decomp = linalg.eigh(raw)
+        decomp = require_physical(raw)
         top, ze, _ = project_spectra(decomp)
         metrics = {
             "infidelity_raw": 1.0 - pure_fidelity_matrix(BELL_VECTOR, raw),

@@ -480,6 +480,44 @@ def test_invalid_json_in_every_input_exits_2(tmp_path, capsys):
         assert f"{broken}: line 3: invalid JSON" in capsys.readouterr().err, argv
 
 
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("entry, stream_line", [
+    ("route --report", None),
+    ("reconstruct --snapshots", 1),  # the header line
+    ("reconstruct --snapshots", 2),  # a line before a record
+    ("reconstruct --subsystems", None),
+    ("nonlocal --values", None),
+])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, entry, stream_line):
+    """JSON nested deeper than the parser recurses is an error naming the file, and the
+    line of a stream, not a ``RecursionError`` traceback."""
+    _, layout = route_files(tmp_path)
+    stream = tmp_path / "snapshots.jsonl"
+    assert cli.main(["simulate", "--qubits", "2", "--reps", "1", "--snapshots", "5",
+                     "--out", str(stream)]) == 0
+    deep = tmp_path / "deep.json"
+    if stream_line is None:
+        deep.write_text(DEEP)
+    else:
+        lines = stream.read_text().splitlines(keepends=True)
+        lines[stream_line - 1:1] = [DEEP + "\n"]  # in place of the header, or after it
+        deep.write_text("".join(lines))
+    argv = {
+        "route --report": ["route", "--report", deep, "--layout", layout, "--length", "3"],
+        "reconstruct --snapshots": ["reconstruct", "--snapshots", deep,
+                                    "--subsystems", subsystems_file(tmp_path)],
+        "reconstruct --subsystems": ["reconstruct", "--snapshots", stream, "--subsystems", deep],
+        "nonlocal --values": ["nonlocal", "--values", deep],
+    }[entry]
+    capsys.readouterr()
+    assert cli.main([*map(str, argv), "--out", str(tmp_path / "out.json")]) == 2
+    line = "" if stream_line is None else f"line {stream_line}: "
+    assert capsys.readouterr().err.startswith(f"error: {deep}: {line}")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_missing_snapshots_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.jsonl"
     assert reconstruct(tmp_path, missing) == 2

@@ -247,7 +247,8 @@ def read_outcome(read, path, endianness):
 
 
 def read_line_by_line(path, endianness):
-    return io._read_snapshot_lines(path, Path(path).read_bytes(), endianness)
+    codes, width, settled = io._read_snapshot_lines(path, Path(path).read_bytes(), endianness)
+    return (codes[:, ::-1] if settled == io.Q0_RIGHTMOST else codes), width
 
 
 def assert_reads_as_line_by_line(path):
@@ -271,6 +272,12 @@ def _edit_line(data, index, edit):
     return b"".join(lines)
 
 
+def _edit_header(data, edit, **dumps):
+    """``data`` with its header line replaced by ``json.dumps(edit(header), **dumps)``."""
+    return _edit_line(data, 0, lambda line: [
+        json.dumps(edit(json.loads(line)), **dumps).encode() + b"\n"])
+
+
 #: Edits of a written stream, each given the stream and a seeded generator.
 STREAM_EDITS = {
     "line-deleted": lambda data, rng: _edit_line(data, rng.integers(0, 13), lambda line: []),
@@ -290,6 +297,18 @@ STREAM_EDITS = {
         b'"c"}\n', b'"c","bases":"XYZXYZ"}\n'),
     "circuit-id-changed": lambda data, rng: _edit_line(
         data, rng.integers(1, 13), lambda line: [line.replace(b'"c"', b'"d"')]),
+    "header-spaced": lambda data, rng: _edit_header(data, lambda header: header),
+    "header-without-endianness": lambda data, rng: _edit_header(
+        data, lambda header: {k: v for k, v in header.items() if k != "endianness"}),
+    "header-keys-reordered": lambda data, rng: _edit_header(
+        data, lambda header: dict(reversed(header.items())), separators=(",", ":")),
+    "header-deleted": lambda data, rng: _edit_line(data, 0, lambda line: []),
+    "blank-first-line": lambda data, rng: b"\n" + data,
+    "header-twice": lambda data, rng: _edit_line(data, 0, lambda line: [line, line]),
+    "header-with-u2028": lambda data, rng: _edit_header(
+        data, lambda header: {**header, "note": "a\u2028b"}, ensure_ascii=False),
+    "header-with-cr": lambda data, rng: _edit_header(
+        data, lambda header: {**header, "note": "a\rb"}).replace(b"\\r", b"\r"),
 }
 
 
@@ -345,16 +364,18 @@ def test_header_width_that_is_not_a_count_reads_as_line_by_line(tmp_path, n_qubi
 
 
 def test_written_stream_is_decoded_in_one_pass(tmp_path, monkeypatch):
-    """A written stream costs two ``json.loads`` calls, its header and first record."""
+    """A written stream costs two ``json.loads`` calls, its header and first record,
+    also with a spaced header or one without ``endianness``."""
     data = written_stream(tmp_path, 2, n_qubits=127, n_records=300)
     path = tmp_path / "stream.jsonl"
-    path.write_bytes(data)
-    calls = []
     loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda *args: calls.append(1) or loads(*args))
-    codes, _ = io.read_snapshots(path)
-    assert codes.shape == (300, 127)
-    assert len(calls) <= 2
+    for edit in (None, "header-spaced", "header-without-endianness"):
+        path.write_bytes(data if edit is None else STREAM_EDITS[edit](data, None))
+        calls = []
+        monkeypatch.setattr(json, "loads", lambda *args: calls.append(1) or loads(*args))
+        codes, _ = io.read_snapshots(path)
+        assert codes.shape == (300, 127), edit
+        assert len(calls) <= 2, edit
 
 
 def test_canonical_numpy_values_match_python_values():

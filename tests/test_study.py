@@ -103,6 +103,15 @@ def test_zero_noise_keeps_the_bell_pair():
     assert row["eigenvalue_means"] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
 
 
+def test_one_decomposition_per_trial_stack(monkeypatch):
+    """The physical check's decomposition is the one projected: 8 ``eigh`` calls per sigma."""
+    calls = []
+    eigh = linalg.eigh
+    monkeypatch.setattr(linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    perturbation_study([0.1, 0.3], trials=5, seed=0)
+    assert len(calls) == 16
+
+
 def test_reproducible_from_seed():
     assert perturbation_study([0.2], 4, seed=3) == perturbation_study([0.2], 4, seed=3)
     assert perturbation_study([0.2], 4, seed=3) != perturbation_study([0.2], 4, seed=4)
