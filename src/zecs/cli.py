@@ -6,9 +6,10 @@ chain from a report), ``nonlocal`` (non-local correlation scan), and
 ``perturb-study`` (the Bell-perturbation recovery table).  Every command is
 deterministic given its arguments and seed.
 
-``route`` runs on the stored report alone and imports no NumPy; ``simulate``,
+Each command imports the layers it calls when it runs: ``route`` runs on the
+stored report alone and imports ``routing`` and no NumPy; ``simulate``,
 ``reconstruct``, ``nonlocal`` and ``perturb-study`` import the numeric layers
-(``simulator``, ``diagnostics``, ``study``) when they run.
+(``simulator``, ``diagnostics``, ``study``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from pathlib import Path
 from . import io
 from .errors import ConfigError, ZecsError
 from .report import ENTROPY_NORMALIZATIONS
-from .routing import best_chain, edge_scores_from_report
 
 
 def _parse_pairs(text: str) -> list[tuple[int, ...]]:
@@ -94,6 +94,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_route(args) -> int:
+    from .routing import best_chain, edge_scores_from_report
+
     report = io.read_report(args.report)
     layout = io.read_layout(args.layout)
     scores = edge_scores_from_report(report, layout)

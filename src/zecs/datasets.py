@@ -14,8 +14,8 @@ from __future__ import annotations
 from importlib import resources
 
 # perfbench/tracer.py looks every layer up in sys.modules after importing zecs,
-# zecs.cli and zecs.datasets; the CLI itself loads diagnostics and study on demand.
-from . import diagnostics, study  # noqa: F401  (kept loaded for perfbench/tracer.py)
+# zecs.cli and zecs.datasets; the CLI itself loads diagnostics, routing and study on demand.
+from . import diagnostics, routing, study  # noqa: F401  (kept loaded for perfbench/tracer.py)
 from .io import NonlocalValues, read_layout, read_nonlocal_values, read_report
 from .layout import DeviceLayout
 from .report import DiagnosticReport

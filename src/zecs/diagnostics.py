@@ -26,7 +26,7 @@ it with the matrix kernels of ``states``.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +43,9 @@ from .report import (
     SubsystemSpec,
     as_pairs,
 )
-from .simulator import SnapshotRecord
+
+if TYPE_CHECKING:
+    from .simulator import SnapshotRecord
 
 #: Candidates at or above this z-score are flagged as non-locally correlated.
 FLAG_ZSCORE = 2.0

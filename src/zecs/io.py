@@ -2,7 +2,12 @@
 
 All files are emitted in a canonical form (sorted keys, floats at 17
 significant digits, newline-terminated) so identical inputs produce
-byte-identical outputs and golden tests can compare raw bytes.
+byte-identical outputs and golden tests can compare raw bytes.  Values are
+written one by one, except that a sequence of equal-length lists of finite
+floats (a row of a ``[re, im]`` matrix) is written in one format call by
+``_float_rows``.  Both paths give identical bytes: any sequence the row path
+does not take, including one holding a non-finite value, goes to the per-value
+path and its error.
 
 Snapshot streams are JSON lines with an optional header line; the header
 pins the qubit count and the bit-string endianness.  The internal
@@ -42,6 +47,7 @@ import json
 import math
 import sys
 from dataclasses import fields
+from itertools import chain, compress, count
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -56,11 +62,11 @@ from .report import (
     as_pairs,
     qubit_count,
 )
-from .routing import ChainSolution
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from .routing import ChainSolution
     from .simulator import Circuit, SnapshotRecord
 
 SNAPSHOT_FORMAT = "zecs-snapshots"
@@ -79,6 +85,10 @@ Q0_RIGHTMOST = "q0-rightmost"
 
 
 def _canonical(obj) -> str:
+    if type(obj) is float:
+        return _float(obj)
+    if isinstance(obj, (list, tuple)):
+        return _float_rows(obj) or "[" + ",".join(map(_canonical, obj)) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -86,17 +96,9 @@ def _canonical(obj) -> str:
     if isinstance(obj, int):
         return str(int(obj))
     if isinstance(obj, float):
-        value = float(obj)
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite float {value} cannot be serialized")
-        text = "%.17g" % value
-        if "." not in text and "e" not in text:
-            text += ".0"
-        return text
+        return _float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in obj) + "]"
     if hasattr(obj, "tolist"):  # NumPy scalars and arrays, as Python values
         return _canonical(obj.tolist())
     if isinstance(obj, dict):
@@ -107,6 +109,33 @@ def _canonical(obj) -> str:
             parts.append(f"{json.dumps(key, ensure_ascii=True)}:{_canonical(obj[key])}")
         return "{" + ",".join(parts) + "}"
     raise ValueError(f"cannot serialize {type(obj).__name__}")
+
+
+def _float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite float {value} cannot be serialized")
+    text = "%.17g" % value
+    if "." not in text and "e" not in text:
+        text += ".0"
+    return text
+
+
+def _float_rows(obj: list | tuple) -> str | None:
+    """The text of a sequence of equal-length lists of finite floats, in one format call;
+    None for any other sequence.  ``%.17g`` writes an integral value below 1e17 with no
+    ``.`` and ``%.1f`` writes the same digits and ``.0``, so both paths give the same bytes."""
+    if not obj or set(map(type, obj)) != {list} or len(set(map(len, obj))) != 1:
+        return None
+    values = list(chain.from_iterable(obj))
+    # A float sum is finite only if every value is; an overflowing sum takes the other path.
+    if set(map(type, values)) != {float} or not math.isfinite(sum(values)):
+        return None
+    specs = ["%.17g"] * len(values)
+    for index in compress(count(), map(float.is_integer, values)):
+        if abs(values[index]) < 1e17:
+            specs[index] = "%.1f"
+    rows = zip(*[iter(specs)] * len(obj[0]))
+    return ("[[" + "],[".join(map(",".join, rows)) + "]]") % tuple(values)
 
 
 def canonical_dumps(obj) -> str:
@@ -308,8 +337,11 @@ def _read_snapshot_lines(
     file_endianness = endianness
     n_qubits: int | None = None
     failure = None
+    # Lines end at LF, CRLF or CR, as ``read_json`` reads them: not at the other breaks
+    # ``str.splitlines`` knows, such as a raw U+2028 inside a JSON string.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     try:
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:

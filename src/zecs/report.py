@@ -4,8 +4,11 @@ Plain frozen dataclasses with no NumPy, so that reading, writing and routing
 over a stored report loads none of the numeric layers.  Each check takes raw JSON
 values: :func:`is_integer` is the integer rule, :func:`qubit_index` checks a qubit
 index, :func:`qubit_count` a width, :func:`qubit_subset` a set of indices (for specs,
-circuits, ``partial_trace`` and ``rho_cs``) and :func:`as_pairs` a list of qubit pairs
-(layout edges, and the target and candidate pairs of a scan or a values file).
+circuits, ``partial_trace`` and ``rho_cs``), :func:`as_pairs` a list of qubit pairs
+(layout edges, and the target and candidate pairs of a scan or a values file) and
+:func:`record_problem` a record's basis letters and bits (for ``SnapshotRecord`` and
+the rows ``shadow.encode_rows`` reads), so the numeric layers that need only these
+rules load neither the simulator nor the router.
 """
 
 from __future__ import annotations
@@ -82,6 +85,23 @@ def as_pairs(groups: Sequence[Sequence[int]], role: str) -> list[tuple[int, int]
                                  f"{first[key][1]}")
         first[key] = index, pair
     return [pair for _, pair in first.values()]
+
+
+#: Basis letters in the order basis index 0, 1, 2 maps to.
+BASIS_LETTERS = "XYZ"
+
+
+def record_problem(bases: str, bits: str) -> str | None:
+    """Why per-qubit basis letters and bits do not form a record, or None if they do."""
+    if len(bases) != len(bits):
+        return f"bases/bits length mismatch: {bases!r} vs {bits!r}"
+    if not bases:
+        return "record covers no qubits"
+    if bases.strip(BASIS_LETTERS):
+        return f"invalid basis character(s) {sorted(set(bases) - set(BASIS_LETTERS))}"
+    if bits.strip("01"):
+        return f"invalid bit character(s) {sorted(set(bits) - set('01'))}"
+    return None
 
 
 #: How ``s_ab_normalized`` is scaled: by the kind's largest entropy, or by the report's.

@@ -33,14 +33,16 @@ exactly 1 in any summation order.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .errors import CoverageError, RecordError, SubsystemError
-from .report import qubit_subset
-from .simulator import BASIS_LETTERS, SnapshotRecord, record_problem
+from .report import BASIS_LETTERS, qubit_subset, record_problem
 from .states import DensityOperator
+
+if TYPE_CHECKING:
+    from .simulator import SnapshotRecord
 
 #: Inverted-channel factors ``3 U†|bit><bit|U - I`` indexed by [basis, bit].
 #: Written out rather than computed through the 1/sqrt(2) rotations, which
@@ -88,7 +90,7 @@ def encode_rows(
 
     ``bases[i]`` and ``bits[i]`` hold row ``i``'s basis letters and bits,
     qubit 0 first.  Every row must be a valid record (see
-    :func:`~zecs.simulator.record_problem`) covering ``width`` qubits, else
+    :func:`~zecs.report.record_problem`) covering ``width`` qubits, else
     ``RecordError`` names the first bad row by ``where(row)``.  No rows give
     a ``(0, width)`` matrix.
     """

@@ -31,15 +31,12 @@ from .errors import (
     SubsystemError,
     ValidationError,
 )
-from .report import is_integer, qubit_count, qubit_subset
+from .report import BASIS_LETTERS, is_integer, qubit_count, qubit_subset, record_problem
 from .states import DensityOperator
 
 RY = "ry"
 RZ = "rz"
 CNOT = "cnot"
-
-#: Basis letters in the order basis index 0, 1, 2 maps to.
-BASIS_LETTERS = "XYZ"
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _S_DAG = np.array([[1, 0], [0, -1j]], dtype=complex)
@@ -124,19 +121,6 @@ class SnapshotRecord:
     @property
     def n_qubits(self) -> int:
         return len(self.bases)
-
-
-def record_problem(bases: str, bits: str) -> str | None:
-    """Why per-qubit basis letters and bits do not form a record, or None if they do."""
-    if len(bases) != len(bits):
-        return f"bases/bits length mismatch: {bases!r} vs {bits!r}"
-    if not bases:
-        return "record covers no qubits"
-    if bases.strip(BASIS_LETTERS):
-        return f"invalid basis character(s) {sorted(set(bases) - set(BASIS_LETTERS))}"
-    if bits.strip("01"):
-        return f"invalid bit character(s) {sorted(set(bits) - set('01'))}"
-    return None
 
 
 def _generator(seed: int) -> np.random.Generator:

@@ -819,3 +819,53 @@ def test_tracer_imports_load_every_layer():
         f"missing = [m for m in {TRACED_LAYERS!r} if 'zecs.' + m not in sys.modules]\n"
         "assert not missing, missing\n"
     )
+
+
+#: The ``zecs`` modules a step loads: ``import zecs.cli`` alone, then the layers a
+#: ``nonlocal`` scan calls, then those ``perfbench/wide_step.py`` imports and calls.
+CLI_MODULES = ["zecs", "zecs.cli", "zecs.errors", "zecs.io", "zecs.layout", "zecs.report"]
+SCAN_MODULES = sorted(CLI_MODULES + ["zecs.diagnostics", "zecs.linalg", "zecs.projection",
+                                     "zecs.shadow", "zecs.states"])
+WIDE_STEP_MODULES = [m for m in SCAN_MODULES if m not in ("zecs.cli", "zecs.diagnostics")]
+WIDE_STEP = Path(__file__).resolve().parents[1] / "perfbench" / "wide_step.py"
+
+
+def assert_loads(code, expected, *args):
+    """Run ``code`` in a fresh interpreter, which must leave exactly the ``expected`` zecs
+    modules loaded."""
+    run_python(
+        "import sys\n" + code +
+        "loaded = sorted(m for m in sys.modules if m == 'zecs' or m.startswith('zecs.'))\n"
+        f"assert loaded == {expected!r}, loaded\n",
+        *args,
+    )
+
+
+def test_cli_import_loads_no_numeric_layer_and_no_router():
+    assert_loads("import zecs.cli\n", CLI_MODULES)
+
+
+def test_nonlocal_scan_loads_neither_simulator_nor_router(tmp_path):
+    stream, layout, out = tmp_path / "s.jsonl", line_layout(tmp_path), tmp_path / "scan.json"
+    simulate(stream)
+    assert_loads(
+        "import zecs.cli\n"
+        "argv = ['nonlocal', '--snapshots', sys.argv[1], '--targets', sys.argv[2],\n"
+        "        '--candidates', sys.argv[3], '--layout', sys.argv[4], '--out', sys.argv[5]]\n"
+        "assert zecs.cli.main(argv) == 0\n",
+        SCAN_MODULES, stream, LINE_TARGETS, LINE_CANDIDATES, layout, out,
+    )
+    assert len(json.loads(out.read_text())["results"]) == 4
+
+
+def test_wide_step_loads_neither_simulator_nor_router(tmp_path):
+    stream, out = tmp_path / "s.jsonl", tmp_path / "wide.json"
+    simulate(stream, qubits=5)
+    assert_loads(
+        "import runpy\n"
+        "main = runpy.run_path(sys.argv[1])['main']\n"
+        "assert main(sys.argv[2:]) == 0\n",
+        WIDE_STEP_MODULES, WIDE_STEP, stream, "[[0, 1, 2], [4, 3, 2, 1]]", out,
+    )
+    assert [row["qubits"] for row in json.loads(out.read_text())["subsystems"]] == [
+        [0, 1, 2], [4, 3, 2, 1]]

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import re
 import sys
 from importlib import resources
@@ -336,6 +337,29 @@ def test_edited_stream_reads_as_line_by_line(tmp_path, edit, seed):
     assert_reads_as_line_by_line(path)
 
 
+@pytest.mark.parametrize("character", ["\u2028", "\u2029", "\x85"])
+def test_unicode_line_break_in_a_string_stays_in_its_line(tmp_path, character):
+    """Lines end at LF, CRLF and CR only: a raw U+2028, U+2029 or U+0085 in a JSON string
+    of the header or a record leaves the stream readable and later line numbers exact."""
+    data = written_stream(tmp_path, 4)
+    path = tmp_path / "stream.jsonl"
+    path.write_bytes(data)
+    expected, _ = io.read_snapshots(path)
+    note = f"a{character}b".encode()
+    header_noted = data.replace(b'"version":1}', b'"version":1,"note":"' + note + b'"}', 1)
+    record_noted = _edit_line(header_noted, 2, lambda line: [
+        line.replace(b'"c"}', b'"c","note":"' + note + b'"}')])
+    for edited in (header_noted, record_noted):
+        path.write_bytes(edited)
+        assert_reads_as_line_by_line(path)
+        codes, width = io.read_snapshots(path)
+        assert width == 6 and np.array_equal(codes, expected)
+    path.write_bytes(_edit_line(record_noted, 4, lambda line: [b'{"bases":"XQ"}\n']))
+    assert_reads_as_line_by_line(path)
+    with pytest.raises(RecordError, match=r": line 5: missing field 'bits'"):
+        io.read_snapshots(path)
+
+
 @pytest.mark.parametrize("character", ["X", "2", '"', "\\", "\r", "\x85", "é", " "])
 def test_stream_with_one_byte_replaced_reads_as_line_by_line(tmp_path, character):
     """One byte of a written stream replaced: in the header, a field, the fixed bytes of a
@@ -399,6 +423,172 @@ def test_canonical_numpy_values_match_python_values():
     for value in (np.float64("nan"), np.float32("inf")):
         with pytest.raises(ValueError, match="non-finite"):
             io.canonical_dumps(value)
+
+
+def per_value_canonical(obj) -> str:
+    """The canonical text of ``obj`` written one value at a time: the oracle of the writer."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(int(obj))
+    if isinstance(obj, float):
+        value = float(obj)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite float {value} cannot be serialized")
+        text = "%.17g" % value
+        if "." not in text and "e" not in text:
+            text += ".0"
+        return text
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(per_value_canonical(v) for v in obj) + "]"
+    if hasattr(obj, "tolist"):
+        return per_value_canonical(obj.tolist())
+    if isinstance(obj, dict):
+        parts = []
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise ValueError(f"object keys must be strings, got {key!r}")
+            parts.append(f"{json.dumps(key, ensure_ascii=True)}:{per_value_canonical(obj[key])}")
+        return "{" + ",".join(parts) + "}"
+    raise ValueError(f"cannot serialize {type(obj).__name__}")
+
+
+def written(write, obj):
+    """The text ``write`` gives for ``obj``, or its ``ValueError`` message."""
+    try:
+        return write(obj)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def assert_writes_as_per_value(obj):
+    assert written(io._canonical, obj) == written(per_value_canonical, obj)
+
+
+#: Floats whose text is easy to get wrong: signed zeros, integral values either side
+#: of 1e17 (where ``%.17g`` turns to an exponent), the largest and smallest doubles.
+EDGE_FLOATS = [0.0, -0.0, 1.0, -3.0, 0.5, 1e16, 2.0**53, 2.0**53 + 2, 1e17 - 16, -(1e17 - 16),
+               1e17, -1e17, 1e17 + 16, 2.0**60, 1e22, -1e22, 1e300, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308, 1 / 3, 0.1, 123456789.125]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def random_float(rng):
+    pick = rng.integers(4)
+    if pick == 0:
+        return float(rng.choice(EDGE_FLOATS))
+    if pick == 1:
+        return float(rng.integers(-10**6, 10**6))
+    return float(rng.standard_normal() * 10.0 ** rng.integers(-20, 20))
+
+
+def random_rows(rng):
+    """A list of equal-length float lists, now and then edited off the row path."""
+    m = int(rng.integers(1, 5))
+    rows = [[random_float(rng) for _ in range(m)] for _ in range(int(rng.integers(1, 6)))]
+    edit = rng.integers(8)
+    row = rows[int(rng.integers(len(rows)))]
+    at = int(rng.integers(m))
+    if edit == 0:
+        row[at] = float(rng.choice(NON_FINITE))
+    elif edit == 1:
+        row[at] = [1, True, False, np.float64(0.25), np.float32(0.5), None, "x"][rng.integers(7)]
+    elif edit == 2:
+        row.append(random_float(rng))
+    elif edit == 3:
+        rows[rows.index(row)] = tuple(row)
+    elif edit == 4:
+        rows.append(np.array(row))
+    return rows
+
+
+def random_nest(rng, depth=0):
+    pick = rng.integers(9 if depth < 3 else 5)
+    if pick == 0:
+        return random_float(rng)
+    if pick == 1:
+        return [None, True, False, 0, -7, 2**70, "a\"b\u00e9", ""][rng.integers(8)]
+    if pick == 2:
+        return random_rows(rng)
+    if pick == 3:
+        return [np.float64(random_float(rng)), np.int64(5), np.bool_(True),
+                np.arange(6.0).reshape(3, 2) / 4][rng.integers(4)]
+    if pick == 4:
+        return float(rng.choice(NON_FINITE)) if rng.integers(10) == 0 else random_float(rng)
+    if pick == 5:
+        return [random_nest(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+    if pick == 6:
+        return tuple(random_nest(rng, depth + 1) for _ in range(rng.integers(0, 4)))
+    return {f"k{i}": random_nest(rng, depth + 1) for i in range(rng.integers(0, 4))}
+
+
+class TestCanonicalWriter:
+    """The writer gives the per-value oracle's text, or its ``ValueError``, for every value."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_nests(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            assert_writes_as_per_value(random_nest(rng))
+
+    @pytest.mark.parametrize("value", EDGE_FLOATS)
+    def test_edge_floats_alone_and_in_rows(self, value):
+        for obj in (value, [value], [[value]], [[value, 1.5], [-2.0, value]], [[value] * 3] * 2):
+            assert_writes_as_per_value(obj)
+        assert io._float_rows([[value, 1.5]]) == per_value_canonical([[value, 1.5]])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("at", [0, 3, 5])
+    def test_non_finite_value_in_a_row_raises_its_error(self, bad, at):
+        values = [0.5, -1.0, 2.0, 0.25, 1e20, 3.0]
+        values[at] = bad
+        obj = [values[:2], values[2:4], values[4:]]
+        assert io._float_rows(obj) is None
+        message = written(per_value_canonical, obj)
+        assert message == (ValueError, f"non-finite float {bad} cannot be serialized")
+        assert written(io._canonical, obj) == message
+        # The first non-finite value in the text is the one named.
+        obj[2][1] = -bad
+        assert_writes_as_per_value(obj)
+
+    def test_finite_rows_whose_sum_overflows(self):
+        obj = [[1.7976931348623157e308, 1.7976931348623157e308], [-1e308, 0.0]]
+        assert_writes_as_per_value(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [[1.0, 2.0], [3.0]],
+        [[1.0, 2.0], (3.0, 4.0)],
+        ((1.0, 2.0), (3.0, 4.0)),
+        ([1.0, 2.0], [3.0, -0.0]),
+        [[1, 2.0], [3.0, 4.0]],
+        [[True, 2.0], [3.0, False]],
+        [[1.0, None], [3.0, 4.0]],
+        [[np.float64(1.5), 2.0], [3.0, 4.0]],
+        [[1.0, 2.0], np.array([3.0, 4.0])],
+        np.array([[0.5, -0.0], [1e17, 2.0**60]]),
+        [np.float32(0.1), np.float64(-0.0), np.int64(3)],
+        [[], []],
+        [[[1.0, 2.0]], [[3.0, 4.0]]],
+        [],
+        [[]],
+    ], ids=repr)
+    def test_sequences_on_and_off_the_row_path(self, obj):
+        assert_writes_as_per_value(obj)
+
+    def test_64_by_64_re_im_matrix_is_written_a_row_at_a_time(self):
+        rng = np.random.default_rng(7)
+        matrix = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        matrix[np.arange(64), np.arange(64)] = rng.integers(-2, 3, 64)
+        matrix[3, 5] = -0.0
+        pairs = [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+        text = io._canonical({"rho": pairs})
+        assert text == per_value_canonical({"rho": pairs})
+        assert all(io._float_rows(row) == per_value_canonical(row) for row in pairs)
+        assert json.loads(text)["rho"] == pairs
 
 
 RY_GATE = {"kind": "ry", "target": 0, "angle": 0.5}
