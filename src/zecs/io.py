@@ -303,9 +303,10 @@ def read_snapshots(
     internal ``q0-leftmost`` order (see :func:`zecs.shadow.encode_rows`).
     Malformed lines are rejected with their line number, the first in the
     file if there are several; nothing is returned from a partially valid
-    file.  A header may only be the first non-blank line.  ``endianness``
-    overrides the header (and is required context for headerless files from
-    other tools).
+    file.  A blank line holds only spaces and tabs; any other line is JSON.
+    A header may only be the first non-blank line.  ``endianness`` overrides
+    the header (and is required context for headerless files from other
+    tools).
 
     The file is read once.  The line parser owns every header and record rule.
     When the first line is a header and every record line differs from the
@@ -342,7 +343,7 @@ def _read_snapshot_lines(
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     try:
         for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
+            if not line.strip(" \t"):  # JSON whitespace only; LF and CR already split lines
                 continue
             try:
                 obj = json.loads(line)

@@ -14,8 +14,12 @@ field columns of a stream as ``write_snapshots`` lays it out.
 through it as a ``uint8[N, width]`` matrix in one vectorized pass, for the
 lines of any other stream file and for record lists (:func:`outcome_codes`,
 which passes a code matrix through unchanged).  :func:`rho_cs`, the one place codes
-enter a sum, counts each subset's columns into a ``6**k`` histogram and
-contracts the stacked histograms axis by axis with the 6 x 2 x 2 factor
+enter a sum, checks that every code is 0..5, copies the columns its subsets
+use once into contiguous per-qubit rows, and counts each subset into a
+``6**k`` histogram through one contiguous index of the N records, built by
+``k - 1`` multiply-adds of those rows; the index of one subset is held at a
+time (N entries of ``uint16`` while ``6**k <= 2**16``, else ``intp``).  It
+then contracts the stacked histograms axis by axis with the 6 x 2 x 2 factor
 table.  The work after counting does not depend on the number of records; a
 histogram takes 16 * 6**k bytes as complex (27 MB at k = 8).  The
 full-device operator is never formed.
@@ -124,12 +128,21 @@ def outcome_codes(stream: np.ndarray | Sequence[SnapshotRecord]) -> np.ndarray:
             raise RecordError(
                 f"a code matrix must be 2-D uint8, got {stream.ndim}-D {stream.dtype}"
             )
-        if stream.size and int(stream.max()) >= _INVALID:
-            raise RecordError(f"a code matrix holds codes 0..5, got {int(stream.max())}")
+        _check_code_range(stream)
         return stream
     records = list(stream)
     width = len(records[0].bases) if records else 0
     return encode_rows([r.bases for r in records], [r.bits for r in records], width)
+
+
+def _check_code_range(codes: np.ndarray) -> None:
+    """Raise ``RecordError`` unless every entry of ``codes`` is a code 0..5."""
+    if codes.dtype.kind not in "iu":
+        raise RecordError(f"a code matrix holds integer codes, got {codes.dtype}")
+    if codes.size:
+        low, high = int(codes.min()), int(codes.max())
+        if low < 0 or high >= _INVALID:
+            raise RecordError(f"a code matrix holds codes 0..5, got {low if low < 0 else high}")
 
 
 def _unit_trace_diagonal(d: np.ndarray) -> np.ndarray:
@@ -154,13 +167,16 @@ def rho_cs(codes: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     """Snapshot means of equal-size qubit subsets: an ``(S, 2**k, 2**k)`` stack.
 
     Each subset is a non-empty ``qubit_subset`` of one size, else ``SubsystemError``.
-    One histogram per subset of the rows of an :func:`outcome_codes` matrix,
-    then ``k`` contractions of the stack with the factor table.  While the sum
-    is exact (``N * 4**k < 2**52``), each mean is Hermitian bit for bit, as the
-    exact sum is and division by N keeps, with no symmetrizing step; it is not
-    necessarily PSD.  Its diagonal is re-rounded onto a dyadic grid (each entry
-    moves by less than ``2 * (sum|diag| + 1) * 2**-52``; see
-    :func:`_unit_trace_diagonal`), so its trace is exactly 1 in any summation order.
+    ``codes`` is an integer matrix of codes 0..5, as :func:`outcome_codes`
+    returns, else ``RecordError`` as that function raises it.  One histogram
+    per subset, counted from one contiguous index of the N records (memory of
+    one N-length index at a time), then ``k`` contractions of the stack with
+    the factor table.  While the sum is exact (``N * 4**k < 2**52``), each
+    mean is Hermitian bit for bit, as the exact sum is and division by N
+    keeps, with no symmetrizing step; it is not necessarily PSD.  Its diagonal
+    is re-rounded onto a dyadic grid (each entry moves by less than
+    ``2 * (sum|diag| + 1) * 2**-52``; see :func:`_unit_trace_diagonal`), so
+    its trace is exactly 1 in any summation order.
     """
     try:
         subsets = [list(qubit_subset(subset)) for subset in subsets]
@@ -177,10 +193,17 @@ def rho_cs(codes: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
             raise SubsystemError(f"qubit subset {subset} must be non-empty and of size {k}")
         if max(subset) >= width:
             raise CoverageError(f"records cover qubits 0..{width - 1}, subset asks for {subset}")
-    hist = np.stack([
-        np.bincount(np.ravel_multi_index(codes[:, subset].T, (6,) * k), minlength=6**k)
-        for subset in subsets
-    ])
+    _check_code_range(codes)
+    # One contiguous row per used qubit, wide enough for a subset's index 6**k - 1.
+    qubits = sorted({qubit for subset in subsets for qubit in subset})
+    row_of = dict(zip(qubits, codes.T[qubits].astype(np.uint16 if 6**k <= 2**16 else np.intp)))
+    hist = np.empty((len(subsets), 6**k), dtype=np.intp)
+    for out, subset in zip(hist, subsets):
+        index = row_of[subset[0]].copy()
+        for qubit in subset[1:]:
+            index *= 6
+            index += row_of[qubit]
+        out[:] = np.bincount(index, minlength=6**k)
     tensor = hist.astype(complex).reshape((len(subsets),) + (6,) * k)
     for _ in range(k):
         tensor = np.tensordot(tensor, _FACTORS.reshape(6, 2, 2), axes=(1, 0))

@@ -183,10 +183,11 @@ def build_efficient_su2(n_qubits: int, reps: int, params: Sequence[float]) -> Ci
     return Circuit(n_qubits, tuple(gates))
 
 
-def _apply_single(amps: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    t = amps.reshape([2] * n)
-    t = np.tensordot(u, t, axes=([1], [qubit]))
-    return np.moveaxis(t, 0, qubit).reshape(-1)
+def _apply_single(amps: np.ndarray, u: np.ndarray, qubit: int) -> np.ndarray:
+    """``u`` applied to ``qubit``: the product ``tensordot`` forms, without its axis handling."""
+    blocks = amps.reshape(2**qubit, 2, -1)
+    t = u.dot(blocks.transpose(1, 0, 2).reshape(2, -1))
+    return t.reshape(2, 2**qubit, -1).transpose(1, 0, 2).reshape(-1)
 
 
 def _apply_cnot(amps: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
@@ -215,7 +216,7 @@ def run(circuit: Circuit) -> StateVector:
         if gate.kind == CNOT:
             amps = _apply_cnot(amps, gate.control, gate.target, n)
         else:
-            amps = _apply_single(amps, _gate_matrix(gate), gate.target, n)
+            amps = _apply_single(amps, _gate_matrix(gate), gate.target)
     norm = np.linalg.norm(amps)
     return StateVector(amps / norm)
 

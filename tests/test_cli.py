@@ -1,5 +1,6 @@
 """Tests for the command-line surface: exit codes and error messages."""
 
+import gc
 import json
 import os
 import subprocess
@@ -727,17 +728,70 @@ def test_out_in_missing_directory_exits_2(tmp_path, capsys):
     assert not out.parent.exists()
 
 
-def run_python(code, *args, **env):
-    """Run ``code`` in a fresh interpreter that imports this checkout's package.
+def run_child(*argv, **env):
+    """Run ``python ARGV`` in a fresh interpreter that imports this checkout's package.
 
     Keyword arguments are set in its environment.
     """
     src = str(Path(zecs.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path, **env}
-    result = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                            env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_python(code, *args, **env):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    result = run_child("-c", code, *args, **env)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("length, status", [(3, 0), (127, 2)])
+def test_run_freezes_the_heap_once_after_main_returns(tmp_path, monkeypatch, capsys,
+                                                     length, status):
+    """``run`` exits with ``main``'s status, 0 on success and 2 on a ``ZecsError``."""
+    report, layout = route_files(tmp_path)
+    chain = tmp_path / "chain.json"
+    monkeypatch.setattr(sys, "argv", ["zecs", "route", "--report", str(report), "--layout",
+                                      str(layout), "--length", str(length), "--out", str(chain)])
+    events = []
+    main = cli.main
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or main())
+    monkeypatch.setattr(gc, "freeze", lambda: events.append(("freeze", chain.exists())))
+    with pytest.raises(SystemExit) as exit_:
+        cli.run()
+    assert exit_.value.code == status
+    assert events == ["main", ("freeze", status == 0)]
+    assert capsys.readouterr().err == ("" if status == 0 else
+                                       "error: no simple path of 127 qubits exists\n")
+
+
+def test_main_never_freezes_the_heap(tmp_path, monkeypatch):
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+    report, layout = route_files(tmp_path)
+    assert route(report, layout) == 0
+    assert route(report, layout, "--weight", "nan") == 2
+    assert cli.main(["perturb-study", "--sigmas", "0.1", "--trials", "2",
+                     "--out", str(tmp_path / "study.json")]) == 0
+    assert freezes == []
+
+
+def test_module_entry_writes_the_golden_chain(tmp_path):
+    out = tmp_path / "chain.json"
+    result = run_child("-m", "zecs.cli", *GOLDEN_OUTPUTS["chain_brisbane_l20_w0.5.json"],
+                       "--out", out)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("best 20-qubit chain: cost ")
+    assert out.read_bytes() == (GOLDEN / "chain_brisbane_l20_w0.5.json").read_bytes()
+
+
+def test_module_entry_failure_exits_2_with_its_error_line(tmp_path):
+    report, layout = route_files(tmp_path)
+    result = run_child("-m", "zecs.cli", "route", "--report", report, "--layout", layout,
+                       "--length", "127", "--out", tmp_path / "chain.json")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: no simple path of 127 qubits exists\n"
 
 
 def test_route_loads_no_numpy(tmp_path):

@@ -337,6 +337,21 @@ def test_edited_stream_reads_as_line_by_line(tmp_path, edit, seed):
     assert_reads_as_line_by_line(path)
 
 
+@pytest.mark.parametrize("line", ["\u00a0", "\u3000", "\x0b", "\x0c", "\u2028", "\x1c",
+                                  " \u00a0\t"])
+def test_line_of_non_json_whitespace_is_not_blank(tmp_path, line):
+    """Only spaces and tabs make a blank line: any other whitespace is a line of invalid JSON,
+    named by its number, though ``str.strip`` would empty it."""
+    lines = (GOLDEN / "stream_default_q0_leftmost.jsonl").read_bytes().split(b"\n")
+    path = tmp_path / "stream.jsonl"
+    path.write_bytes(b"\n".join(lines[:2] + [line.encode()] + lines[2:]))
+    message = r"stream\.jsonl: line 3: invalid JSON \(Expecting value\)$"
+    with pytest.raises(RecordError, match=message):
+        io.read_snapshots(path)
+    path.write_bytes(b"\n".join(lines[:2] + [b" \t "] + lines[2:]))
+    assert io.read_snapshots(path)[0].shape == (40, 3)
+
+
 @pytest.mark.parametrize("character", ["\u2028", "\u2029", "\x85"])
 def test_unicode_line_break_in_a_string_stays_in_its_line(tmp_path, character):
     """Lines end at LF, CRLF and CR only: a raw U+2028, U+2029 or U+0085 in a JSON string

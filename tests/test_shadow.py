@@ -41,9 +41,11 @@ def invert_snapshot(record, qubit_subset):
     return oracle_snapshots([record], qubit_subset)[0]
 
 
-def oracle_sum(records, qubit_subset):
-    """Exact: every partial sum of the snapshots is a multiple of 2**-k."""
-    return oracle_snapshots(records, qubit_subset).sum(axis=0)
+def oracle_sum(records, qubit_subset, chunk=16):
+    """Exact: every partial sum of the snapshots is a multiple of 2**-k.  Summed ``chunk``
+    records at a time, so eight qubits take 16 * 256**2 complex entries at most."""
+    return sum(oracle_snapshots(records[at:at + chunk], qubit_subset).sum(axis=0)
+               for at in range(0, len(records), chunk))
 
 
 def oracle_mean(records, qubit_subset):
@@ -156,14 +158,45 @@ class TestInvertSnapshot:
 
 
 class TestHistogramKernel:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_matches_per_record_oracle(self, k):
+        """Up to k = 6 a subset's index 6**k - 1 fits in uint16; from k = 7 it does not."""
         rng = np.random.default_rng(100 + k)
         records = random_records(rng, 400, 8)
         subset = [int(q) for q in rng.permutation(8)[:k]]
         rho = rho_cs(outcome_codes(records), [subset])
         assert rho.shape == (1, 2**k, 2**k)
         assert np.array_equal(rho[0], oracle_mean(records, subset))
+
+    @pytest.mark.parametrize("k", [1, 3, 6, 7, 8])
+    def test_column_reversed_view(self, k):
+        """The ``q0-rightmost`` matrix ``read_snapshots`` returns is a reversed view: its
+        column q is qubit 7 - q of the records, and it reads as a contiguous copy does."""
+        rng = np.random.default_rng(400 + k)
+        records = random_records(rng, 300, 8)
+        view = outcome_codes(records)[:, ::-1]
+        assert not view.flags.c_contiguous
+        subsets = [[int(q) for q in rng.permutation(8)[:k]] for _ in range(3)]
+        stack = rho_cs(view, subsets)
+        assert stack.tobytes() == rho_cs(np.ascontiguousarray(view), subsets).tobytes()
+        for got, subset in zip(stack, subsets):
+            assert np.array_equal(got, oracle_mean(records, [7 - q for q in subset]))
+
+    @pytest.mark.parametrize("dtype, bad, column", [
+        (np.uint8, 6, 1), (np.uint8, 255, 1), (np.uint8, 6, 3),
+        (np.int64, -1, 1), (np.int64, 2**16 + 3, 1),
+    ])
+    def test_codes_outside_0_to_5_are_rejected(self, dtype, bad, column):
+        """Also in a column no subset reads, and for a value that wraps to a code in uint16."""
+        codes = outcome_codes(random_records(np.random.default_rng(11), 20, 4)).astype(dtype)
+        codes[7, column] = bad
+        with pytest.raises(RecordError, match=rf"^a code matrix holds codes 0\.\.5, got {bad}$"):
+            rho_cs(codes, [[0, 1], [1, 2]])
+
+    def test_codes_must_be_integers(self):
+        codes = outcome_codes(random_records(np.random.default_rng(12), 5, 2)).astype(float)
+        with pytest.raises(RecordError, match=r"^a code matrix holds integer codes, got float64$"):
+            rho_cs(codes, [[0, 1]])
 
     @pytest.mark.parametrize("subset", [[3, 0, 2], [2, 1, 0], [4, 1], [0, 4, 2, 3]])
     def test_reversed_and_non_contiguous_subsets(self, subset):

@@ -20,6 +20,8 @@ from zecs.simulator import (
     _SAMPLE_CHUNK,
     BASIS_ROTATIONS,
     CNOT,
+    RY,
+    RZ,
     Circuit,
     Gate,
     SnapshotRecord,
@@ -29,7 +31,10 @@ from zecs.simulator import (
     random_su2_params,
     run,
     sample_shadow,
+    _apply_cnot,
+    _apply_single,
     _chain_rule_bits,
+    _gate_matrix,
     _perturb_stack,
     zero_state,
 )
@@ -63,6 +68,24 @@ def rotated_amplitudes(amps, bases):
         if letter != "Z":
             t = np.moveaxis(np.tensordot(BASIS_ROTATIONS[letter], t, axes=([1], [q])), 0, q)
     return t.reshape(-1)
+
+
+def tensordot_gate(amps, u, qubit, n):
+    """Oracle: ``u`` on ``qubit`` through ``tensordot`` and ``moveaxis``."""
+    t = np.tensordot(u, amps.reshape([2] * n), axes=([1], [qubit]))
+    return np.moveaxis(t, 0, qubit).reshape(-1)
+
+
+def tensordot_run(circuit):
+    """Oracle: :func:`run` with every single-qubit gate applied by :func:`tensordot_gate`."""
+    n = circuit.n_qubits
+    amps = zero_state(n).amplitudes
+    for gate in circuit.gates:
+        if gate.kind == CNOT:
+            amps = _apply_cnot(amps, gate.control, gate.target, n)
+        else:
+            amps = tensordot_gate(amps, _gate_matrix(gate), gate.target, n)
+    return amps / np.linalg.norm(amps)
 
 
 def inverse_cdf_sampler(state, n_records, seed):
@@ -248,6 +271,25 @@ class TestRun:
         expected = np.zeros(8)
         expected[0] = 1.0
         assert np.allclose(back.amplitudes, expected, atol=1e-8)
+
+    @pytest.mark.parametrize("n_qubits", range(1, 9))
+    def test_equals_tensordot_oracle_bit_for_bit(self, n_qubits):
+        """Every target qubit, with RY, RZ and a dense complex gate, and whole ansatz runs."""
+        rng = np.random.default_rng(600 + n_qubits)
+        amps = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
+        dense = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        spread = tuple(Gate(RY, q, angle=float(rng.uniform(0, math.pi)))
+                       for q in range(n_qubits))
+        for qubit in range(n_qubits):
+            for kind in (RY, RZ):
+                gate = Gate(kind, qubit, angle=float(rng.uniform(-math.pi, math.pi)))
+                circuit = Circuit(n_qubits, spread + (gate,))
+                assert run(circuit).amplitudes.tobytes() == tensordot_run(circuit).tobytes()
+            expected = tensordot_gate(amps, dense, qubit, n_qubits)
+            assert _apply_single(amps, dense, qubit).tobytes() == expected.tobytes()
+        for reps in (1, 2, 3):
+            circuit = build_efficient_su2(n_qubits, reps, random_su2_params(n_qubits, reps, reps))
+            assert run(circuit).amplitudes.tobytes() == tensordot_run(circuit).tobytes()
 
     def test_statevector_norm_validated(self):
         with pytest.raises(ValidationError):
