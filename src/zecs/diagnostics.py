@@ -25,7 +25,6 @@ it with the matrix kernels of ``states``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -118,7 +117,7 @@ def normalize_entropies(
         if row.s_ab is not None:
             peaks[key] = max(peaks.get(key, 0.0), row.s_ab)
     return tuple(row if row.s_ab is None else
-                 replace(row, s_ab_normalized=row.s_ab / peaks[key] if peaks[key] > 0.0 else 0.0)
+                 row._replace(s_ab_normalized=row.s_ab / peaks[key] if peaks[key] > 0.0 else 0.0)
                  for key, row in zip(keys, rows))
 
 

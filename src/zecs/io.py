@@ -24,7 +24,7 @@ A stream comes from one circuit: ``write_snapshots`` takes its
 ``circuit_id`` once and writes it on every record line, and no result of
 ``read_snapshots`` depends on it.
 
-The report, scan and chain objects come from their record dataclasses
+The report, scan and chain objects come from their ``NamedTuple`` records
 (``report.SubsystemDiagnostics``, ``report.NonlocalResult``,
 ``routing.ChainSolution``): one key per field, so a field is declared once,
 in its record.  ``simulate`` writes its stream with ``write_snapshots``; every
@@ -46,7 +46,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import fields
 from itertools import chain, compress, count
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -396,12 +395,9 @@ def _read_snapshot_lines(
 
 
 def _record_obj(record) -> dict:
-    """A JSON object with one key per dataclass field; tuples become lists."""
-    obj = {}
-    for field in fields(record):
-        value = getattr(record, field.name)
-        obj[field.name] = list(value) if isinstance(value, tuple) else value
-    return obj
+    """A JSON object with one key per field of the ``NamedTuple`` record; tuples become lists."""
+    return {name: list(value) if isinstance(value, tuple) else value
+            for name, value in zip(record._fields, record)}
 
 
 def report_to_obj(report: DiagnosticReport) -> dict:
@@ -422,8 +418,9 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
-#: The optional number fields of a report row, read from its annotations.
-_REPORT_NUMBERS = tuple(f.name for f in fields(SubsystemDiagnostics) if f.type == "float | None")
+#: The optional number fields of a report row, read from its evaluated annotations.
+_REPORT_NUMBERS = tuple(name for name, kind in SubsystemDiagnostics.__annotations__.items()
+                        if kind == float | None)
 
 
 def _report_row(raw: dict) -> SubsystemDiagnostics:

@@ -11,30 +11,25 @@ devices, ``data/heavy_hex_127.json``, is written by ``tools/make_fixtures.py``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import SubsystemError, ValidationError
-from .report import as_pairs, qubit_count, qubit_subset
+from .report import Record, as_pairs, qubit_count, qubit_subset
 
 
 def normalize_edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True, eq=False)
-class DeviceLayout:
+class DeviceLayout(Record):
     """An integer ``num_qubits`` >= 1 and ``edges``, read by ``report.as_pairs`` and each
     within ``range(num_qubits)``; else ``ValidationError`` naming the edge's position."""
 
-    num_qubits: int
-    edges: tuple[tuple[int, int], ...]
-    _edge_set: frozenset[tuple[int, int]] = field(init=False, repr=False)
+    __slots__ = ("num_qubits", "edges", "_edge_set")
 
-    def __post_init__(self):
-        n = qubit_count(self.num_qubits, ValidationError, "layout")
-        object.__setattr__(self, "num_qubits", n)
+    def __init__(self, num_qubits: int, edges: tuple[tuple[int, int], ...]):
+        n = qubit_count(num_qubits, ValidationError, "layout")
         try:
-            pairs = as_pairs(self.edges, "edge")
+            pairs = as_pairs(edges, "edge")
         except SubsystemError as exc:
             raise ValidationError(str(exc)) from None
         for index, pair in enumerate(pairs):
@@ -42,6 +37,7 @@ class DeviceLayout:
                 raise ValidationError(
                     f"edge {index}: qubit subset {pair} out of range for {n} qubits")
         edges = sorted(normalize_edge(*pair) for pair in pairs)
+        object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "_edge_set", frozenset(edges))
 

@@ -16,13 +16,12 @@ Every matrix entering this module must be finite: NaN and inf are rejected, not 
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError, ValidationError
-from .report import qubit_subset
+from .report import Record, qubit_subset
 
 #: Max entrywise deviation of ``m - m.conj().T`` tolerated for Hermitian input.
 HERMITICITY_TOL = 1e-8
@@ -60,8 +59,7 @@ def require_hermitian(m: np.ndarray | Sequence) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
+class EigenDecomposition(Record):
     """Spectral decomposition of a Hermitian matrix, or of each matrix in a stack.
 
     ``eigenvalues`` (shape ``(..., d)``) are real and sorted by descending
@@ -70,8 +68,11 @@ class EigenDecomposition:
     matching orthonormal columns.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ("eigenvalues", "eigenvectors")
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "eigenvectors", eigenvectors)
 
 
 def eigh(m: np.ndarray) -> EigenDecomposition:
@@ -149,11 +150,12 @@ def clamp_psd(m: np.ndarray) -> tuple[np.ndarray, float]:
     return clamped, float(magnitude)
 
 
-def mat_sqrt_psd(m: np.ndarray) -> np.ndarray:
+def mat_sqrt_psd(m: np.ndarray, decomp: EigenDecomposition | None = None) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix, or of each matrix in a stack.
 
     The :func:`from_spectrum` of the roots of the eigenvalues, clamped to zero first, so
     mildly indefinite inputs (finite-sample shadow reconstructions) are accepted.
+    ``decomp`` is ``eigh(m)`` when the caller already holds it.
     """
-    decomp = eigh(m)
+    decomp = eigh(m) if decomp is None else decomp
     return from_spectrum(decomp.eigenvectors, np.sqrt(np.maximum(decomp.eigenvalues, 0.0)))

@@ -1,8 +1,11 @@
 """Diagnostic report records: subsystem kinds, report rows and scan results.
 
-Plain frozen dataclasses with no NumPy, so that reading, writing and routing
-over a stored report loads none of the numeric layers.  Each check takes raw JSON
-values: :func:`is_integer` is the integer rule, :func:`qubit_index` checks a qubit
+Immutable records with no NumPy, so that reading, writing and routing over a
+stored report loads none of the numeric layers.  The value records without
+checks are ``NamedTuple``s; a record that checks its fields is a :class:`Record`
+(equal only to itself) or a :class:`ValueRecord` (equal to one with equal fields),
+and every record of the package is one of these three kinds.  Each check takes raw
+JSON values: :func:`is_integer` is the integer rule, :func:`qubit_index` checks a qubit
 index, :func:`qubit_count` a width, :func:`qubit_subset` a set of indices (for specs,
 circuits, ``partial_trace`` and ``rho_cs``), :func:`as_pairs` a list of qubit pairs
 (layout edges, and the target and candidate pairs of a scan or a values file) and
@@ -11,11 +14,10 @@ the rows ``shadow.encode_rows`` reads), so the numeric layers that need only the
 rules load neither the simulator nor the router.
 """
 
-from __future__ import annotations
-
+# Annotations here are evaluated (no ``from __future__ import annotations``): ``io``
+# reads the number fields of ``SubsystemDiagnostics`` as the ones typed ``float | None``.
 import numbers
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import SubsystemError, ZecsError
 
@@ -108,27 +110,64 @@ def record_problem(bases: str, bits: str) -> str | None:
 ENTROPY_NORMALIZATIONS = ("per-kind", "global")
 
 
-@dataclass(frozen=True)
-class SubsystemSpec:
+class Record:
+    """Base of the records that check their fields: each lists them in ``__slots__`` and
+    sets them once in ``__init__``, after which assigning or deleting one raises
+    ``AttributeError``.  A record is equal only to itself."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # ``copy`` and ``pickle`` restore the fields here, since ``__setattr__`` refuses them.
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+
+class ValueRecord(Record):
+    """A :class:`Record` equal to one of its own class with equal fields, and hashed by them."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class SubsystemSpec(ValueRecord):
     """A subsystem to reconstruct: its kind fixes size and bipartition.
 
     ``qubits`` are device indices in reconstruction order: the active pair
     first, then the idle qubit or the second pair.
     """
 
-    kind: str
-    qubits: tuple[int, ...]
+    __slots__ = ("kind", "qubits")
 
-    def __post_init__(self):
-        if type(self.kind) is not str:
-            raise SubsystemError(f"kind must be a string, got {self.kind!r}")
-        if self.kind not in _KIND_SIZES:
-            raise SubsystemError(f"unknown subsystem kind {self.kind!r}")
-        qubits = qubit_subset(self.qubits)
-        if len(qubits) != _KIND_SIZES[self.kind]:
-            raise SubsystemError(
-                f"{self.kind} subsystem needs {_KIND_SIZES[self.kind]} qubits, got {qubits}"
-            )
+    def __init__(self, kind: str, qubits: tuple[int, ...]):
+        if type(kind) is not str:
+            raise SubsystemError(f"kind must be a string, got {kind!r}")
+        if kind not in _KIND_SIZES:
+            raise SubsystemError(f"unknown subsystem kind {kind!r}")
+        qubits = qubit_subset(qubits)
+        if len(qubits) != _KIND_SIZES[kind]:
+            raise SubsystemError(f"{kind} subsystem needs {_KIND_SIZES[kind]} qubits, got {qubits}")
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "qubits", qubits)
 
     def pairs(self) -> tuple[tuple[int, ...], ...]:
@@ -144,8 +183,7 @@ class SubsystemSpec:
         return (0, 1)
 
 
-@dataclass(frozen=True)
-class SubsystemDiagnostics:
+class SubsystemDiagnostics(NamedTuple):
     """One report row.  Fields are None when not applicable or not ingested."""
 
     kind: str
@@ -159,14 +197,12 @@ class SubsystemDiagnostics:
     clamp_magnitude: float | None
 
 
-@dataclass(frozen=True)
-class DiagnosticReport:
+class DiagnosticReport(NamedTuple):
     subsystems: tuple[SubsystemDiagnostics, ...]
     entropy_normalization: str = "per-kind"
 
 
-@dataclass(frozen=True)
-class NonlocalResult:
+class NonlocalResult(NamedTuple):
     target: tuple[int, ...]
     candidate: tuple[int, ...]
     s_ij: float

@@ -18,34 +18,33 @@ raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, PathError, SearchBudgetError, ValidationError
 from .layout import DeviceLayout, normalize_edge
-from .report import PAIR, DiagnosticReport
+from .report import PAIR, DiagnosticReport, ValueRecord
 
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class EdgeScore:
+class EdgeScore(ValueRecord):
     """Quality annotations of the edge keying it; out-of-range values raise ``ValidationError``."""
 
-    fidelity: float
-    s_ij: float = 0.0
+    __slots__ = ("fidelity", "s_ij")
 
-    def __post_init__(self):
-        if not 0.0 <= self.fidelity <= 1.0:
-            raise ValidationError(f"fidelity {self.fidelity} outside [0, 1]")
-        if not (math.isfinite(self.s_ij) and self.s_ij >= 0.0):
-            raise ValidationError(f"s_ij {self.s_ij} must be finite and non-negative")
+    def __init__(self, fidelity: float, s_ij: float = 0.0):
+        if not 0.0 <= fidelity <= 1.0:
+            raise ValidationError(f"fidelity {fidelity} outside [0, 1]")
+        if not (math.isfinite(s_ij) and s_ij >= 0.0):
+            raise ValidationError(f"s_ij {s_ij} must be finite and non-negative")
+        object.__setattr__(self, "fidelity", fidelity)
+        object.__setattr__(self, "s_ij", s_ij)
 
     def cost(self, weight_w: float) -> float:
         return (1.0 - self.fidelity) + weight_w * self.s_ij
 
 
-@dataclass(frozen=True)
-class ChainSolution:
+class ChainSolution(NamedTuple):
     qubits: tuple[int, ...]
     cost: float
     mean_fidelity: float

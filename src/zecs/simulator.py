@@ -17,8 +17,7 @@ the seed (PCG64), and do not depend on the chunk size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +30,8 @@ from .errors import (
     SubsystemError,
     ValidationError,
 )
-from .report import BASIS_LETTERS, is_integer, qubit_count, qubit_subset, record_problem
+from .report import (BASIS_LETTERS, Record, ValueRecord, is_integer, qubit_count, qubit_subset,
+                     record_problem)
 from .states import DensityOperator
 
 RY = "ry"
@@ -53,23 +53,19 @@ _MAX_SIM_QUBITS = 12
 _SAMPLE_CHUNK = 512  # basis-sorted records sampled together; bounds the states held at any depth
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     kind: str
     target: int
     control: int | None = None
     angle: float | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class Circuit:
-    n_qubits: int
-    gates: tuple[Gate, ...]
+class Circuit(Record):
+    __slots__ = ("n_qubits", "gates")
 
-    def __post_init__(self):
-        n = _simulable(qubit_count(self.n_qubits, CircuitSpecError, "circuit"))
-        object.__setattr__(self, "n_qubits", n)
-        for index, g in enumerate(self.gates):
+    def __init__(self, n_qubits: int, gates: tuple[Gate, ...]):
+        n = _simulable(qubit_count(n_qubits, CircuitSpecError, "circuit"))
+        for index, g in enumerate(gates):
             try:
                 qubit_subset((g.control, g.target) if g.kind == CNOT else (g.target,), n)
                 if g.kind not in (RY, RZ, CNOT):
@@ -80,17 +76,17 @@ class Circuit:
                     raise CircuitSpecError(f"{g.kind} gate takes no control, got {g.control!r}")
             except (SubsystemError, CircuitSpecError) as exc:
                 raise CircuitSpecError(f"gate {index}: {exc}") from None
-        object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "n_qubits", n)
+        object.__setattr__(self, "gates", tuple(gates))
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Record):
     """Unit-norm amplitudes, flattened, of ``n_qubits = log2(len(amplitudes))`` qubits."""
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+    def __init__(self, amplitudes: np.ndarray):
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "amplitudes", amps)
         if len(amps) != 2**self.n_qubits:
             raise DimensionMismatchError(f"{len(amps)} amplitudes are not 2**n for any n >= 0")
@@ -106,17 +102,17 @@ class StateVector:
         return DensityOperator.from_pure(self.amplitudes)
 
 
-@dataclass(frozen=True)
-class SnapshotRecord:
+class SnapshotRecord(ValueRecord):
     """One measurement event: per-qubit basis letter and observed bit."""
 
-    bases: str
-    bits: str
+    __slots__ = ("bases", "bits")
 
-    def __post_init__(self):
-        problem = record_problem(self.bases, self.bits)
+    def __init__(self, bases: str, bits: str):
+        problem = record_problem(bases, bits)
         if problem:
             raise RecordError(problem)
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "bits", bits)
 
     @property
     def n_qubits(self) -> int:

@@ -21,14 +21,13 @@ the one structural check, and ``from_matrix`` always adds the physical one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, SubsystemError, ValidationError
-from .report import qubit_subset
+from .report import Record, qubit_subset
 
 #: Tolerances for deciding that an operator is a physical density operator.
 TRACE_TOL = 1e-8
@@ -39,8 +38,7 @@ PSD_TOL = 1e-8
 _SPIN_FLIP = np.eye(4, dtype=complex)[::-1]
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
+class DensityOperator(Record):
     """Hermitian unit-trace operator on ``n_qubits = log2(len(matrix))`` qubits.
 
     The constructor takes only the matrix and checks its structure: one square,
@@ -51,13 +49,13 @@ class DensityOperator:
     :meth:`from_matrix` and :meth:`from_pure`; raw shadow reconstructions carry neither.
     """
 
-    matrix: np.ndarray
-    validated: bool = field(default=False, init=False)
-    pure_vector: np.ndarray | None = field(default=None, init=False)
+    __slots__ = ("matrix", "validated", "pure_vector")
 
-    def __post_init__(self):
-        m = linalg.require_hermitian(self.matrix)
+    def __init__(self, matrix: np.ndarray):
+        m = linalg.require_hermitian(matrix)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "validated", False)
+        object.__setattr__(self, "pure_vector", None)
         if m.ndim != 2 or len(m) < 2 or len(m) != 2**self.n_qubits:
             raise DimensionMismatchError(f"expected one 2**n x 2**n matrix, n >= 1, not {m.shape}")
 
@@ -163,7 +161,9 @@ def concurrence(rho: DensityOperator) -> float:
     return float(concurrence_matrix(m))
 
 
-def concurrence_matrix(m: np.ndarray) -> np.ndarray:
+def concurrence_matrix(
+    m: np.ndarray, decomp: linalg.EigenDecomposition | None = None
+) -> np.ndarray:
     """Wootters' formula with an ``X (x) X`` flip, per PSD matrix of a ``(..., 4, 4)`` stack.
 
     ``R = sqrt(sqrt(rho) rho~ sqrt(rho))`` with
@@ -171,10 +171,11 @@ def concurrence_matrix(m: np.ndarray) -> np.ndarray:
     ``max(0, l0 - l1 - l2 - l3)`` over the descending eigenvalues of R.
     Wootters' concurrence flips with ``Y (x) Y`` instead.  The two agree on
     the Bell pair (1) and on |00> (0) but not in general: the product state
-    |++> gives 1 here, not 0.
+    |++> gives 1 here, not 0.  ``decomp`` is ``linalg.eigh(m)`` when the caller already
+    holds it, as the study does from ``require_physical``.
     """
     flipped = _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
-    sqrt_m = linalg.mat_sqrt_psd(m)
+    sqrt_m = linalg.mat_sqrt_psd(m, decomp)
     inner = sqrt_m @ flipped @ sqrt_m
     # R's eigenvalues are the square roots of inner's (inner is PSD up to noise).
     lam = np.sort(np.sqrt(np.maximum(linalg.eigh(inner).eigenvalues, 0.0)), axis=-1)

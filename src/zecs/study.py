@@ -56,7 +56,7 @@ def perturbation_study(
             "infidelity_ze": 1.0 - pure_fidelity_matrix(top, ideal),
             "trace_distance_raw": trace_distance_matrix(raw, ideal),
             "trace_distance_ze": trace_distance_matrix(ze, ideal),
-            "concurrence_raw": concurrence_matrix(raw),
+            "concurrence_raw": concurrence_matrix(raw, decomp),
             "concurrence_ze": concurrence_matrix(ze),
         }
         row = {"sigma": sigma, "trials": trials}

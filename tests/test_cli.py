@@ -795,7 +795,8 @@ def test_module_entry_failure_exits_2_with_its_error_line(tmp_path):
 
 
 def test_route_loads_no_numpy(tmp_path):
-    """``import zecs``, ``import zecs.cli`` and a whole ``route`` run leave NumPy unloaded."""
+    """``import zecs``, ``import zecs.cli`` and a whole ``route`` run leave NumPy,
+    ``dataclasses`` and ``inspect`` unloaded."""
     report, layout = route_files(tmp_path)
     out = tmp_path / "chain.json"
     run_python(
@@ -804,7 +805,8 @@ def test_route_loads_no_numpy(tmp_path):
         "argv = ['route', '--report', sys.argv[1], '--layout', sys.argv[2],\n"
         "        '--length', '20', '--out', sys.argv[3]]\n"
         "assert zecs.cli.main(argv) == 0\n"
-        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)[:5]\n",
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)[:5]\n"
+        "assert 'dataclasses' not in sys.modules and 'inspect' not in sys.modules\n",
         report, layout, out,
     )
     assert json.loads(out.read_text())["cost"] == pytest.approx(0.757)
@@ -886,11 +888,12 @@ WIDE_STEP = Path(__file__).resolve().parents[1] / "perfbench" / "wide_step.py"
 
 def assert_loads(code, expected, *args):
     """Run ``code`` in a fresh interpreter, which must leave exactly the ``expected`` zecs
-    modules loaded."""
+    modules loaded, and not ``dataclasses``."""
     run_python(
         "import sys\n" + code +
         "loaded = sorted(m for m in sys.modules if m == 'zecs' or m.startswith('zecs.'))\n"
-        f"assert loaded == {expected!r}, loaded\n",
+        f"assert loaded == {expected!r}, loaded\n"
+        "assert 'dataclasses' not in sys.modules\n",
         *args,
     )
 

@@ -1,6 +1,5 @@
 """Tests for file formats: snapshot-stream parsing errors and golden round-trips."""
 
-import dataclasses
 import importlib.util
 import json
 import math
@@ -694,7 +693,7 @@ class TestCircuitAndSubsystemTypes:
 
 
 def names(record_type):
-    return {field.name for field in dataclasses.fields(record_type)}
+    return set(record_type._fields)
 
 
 def test_file_objects_hold_their_record_fields():
