@@ -11,22 +11,25 @@ devices, ``data/heavy_hex_127.json``, is written by ``tools/make_fixtures.py``.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from .errors import SubsystemError, ValidationError
-from .report import Record, as_pairs, qubit_count, qubit_subset
+from .report import Identity, as_pairs, qubit_count, qubit_subset
 
 
 def normalize_edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-class DeviceLayout(Record):
+class DeviceLayout(Identity, NamedTuple("DeviceLayout", [("num_qubits", int), ("edges", tuple),
+                                                          ("edge_set", frozenset)])):
     """An integer ``num_qubits`` >= 1 and ``edges``, read by ``report.as_pairs`` and each
-    within ``range(num_qubits)``; else ``ValidationError`` naming the edge's position."""
+    within ``range(num_qubits)``; else ``ValidationError`` naming the edge's position.
+    ``edges`` are sorted and normalized, and ``edge_set`` holds them as a set."""
 
-    __slots__ = ("num_qubits", "edges", "_edge_set")
+    __slots__ = ()
 
-    def __init__(self, num_qubits: int, edges: tuple[tuple[int, int], ...]):
+    def __new__(cls, num_qubits: int, edges: tuple[tuple[int, int], ...]):
         n = qubit_count(num_qubits, ValidationError, "layout")
         try:
             pairs = as_pairs(edges, "edge")
@@ -37,12 +40,13 @@ class DeviceLayout(Record):
                 raise ValidationError(
                     f"edge {index}: qubit subset {pair} out of range for {n} qubits")
         edges = sorted(normalize_edge(*pair) for pair in pairs)
-        object.__setattr__(self, "num_qubits", n)
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "_edge_set", frozenset(edges))
+        return super().__new__(cls, n, tuple(edges), frozenset(edges))
+
+    def __getnewargs__(self):  # copies and pickles rebuild through the checks
+        return self.num_qubits, self.edges
 
     def edges_between(self, group_a, group_b) -> list[tuple[int, int]]:
         """Sorted normalized edges from one ``qubit_subset`` to the other, else
         ``SubsystemError``; a qubit outside the layout couples to nothing."""
         pairs = itertools.product(qubit_subset(group_a), qubit_subset(group_b))
-        return sorted({normalize_edge(a, b) for a, b in pairs} & self._edge_set)
+        return sorted({normalize_edge(a, b) for a, b in pairs} & self.edge_set)

@@ -16,12 +16,12 @@ Every matrix entering this module must be finite: NaN and inf are rejected, not 
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError, ValidationError
-from .report import Record, qubit_subset
+from .report import Identity, qubit_subset
 
 #: Max entrywise deviation of ``m - m.conj().T`` tolerated for Hermitian input.
 HERMITICITY_TOL = 1e-8
@@ -59,7 +59,8 @@ def require_hermitian(m: np.ndarray | Sequence) -> np.ndarray:
     return a
 
 
-class EigenDecomposition(Record):
+class EigenDecomposition(Identity, NamedTuple("EigenDecomposition", [
+        ("eigenvalues", np.ndarray), ("eigenvectors", np.ndarray)])):
     """Spectral decomposition of a Hermitian matrix, or of each matrix in a stack.
 
     ``eigenvalues`` (shape ``(..., d)``) are real and sorted by descending
@@ -68,11 +69,7 @@ class EigenDecomposition(Record):
     matching orthonormal columns.
     """
 
-    __slots__ = ("eigenvalues", "eigenvectors")
-
-    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "eigenvectors", eigenvectors)
+    __slots__ = ()
 
 
 def eigh(m: np.ndarray) -> EigenDecomposition:

@@ -9,11 +9,13 @@ construction positive semidefinite with unit trace.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import linalg
 from .errors import ValidationError
-from .report import Record
+from .report import Identity
 from .states import DensityOperator
 
 #: Relative spectral-gap threshold below which the top eigenvalue is considered degenerate.
@@ -36,19 +38,15 @@ def project_spectra(decomp: linalg.EigenDecomposition) -> tuple[np.ndarray, ...]
     return top, top[..., :, None] * top.conj()[..., None, :], degenerate
 
 
-class ZecsResult(Record):
+class ZecsResult(Identity, NamedTuple("ZecsResult", [
+        ("rho_zecs", DensityOperator), ("lambda_top", float), ("degenerate_flag", bool)])):
     """Outcome of the rank-1 projection; ``lambda_top`` keeps the dominant eigenvalue's sign.
 
     A negative ``lambda_top`` or a set ``degenerate_flag`` indicates severe sampling
     noise and downstream consumers may want to exclude the entry.
     """
 
-    __slots__ = ("rho_zecs", "lambda_top", "degenerate_flag")
-
-    def __init__(self, rho_zecs: DensityOperator, lambda_top: float, degenerate_flag: bool):
-        object.__setattr__(self, "rho_zecs", rho_zecs)
-        object.__setattr__(self, "lambda_top", lambda_top)
-        object.__setattr__(self, "degenerate_flag", degenerate_flag)
+    __slots__ = ()
 
 
 def zecs_project(rho_cs: DensityOperator) -> ZecsResult:

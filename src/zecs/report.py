@@ -1,10 +1,12 @@
 """Diagnostic report records: subsystem kinds, report rows and scan results.
 
 Immutable records with no NumPy, so that reading, writing and routing over a
-stored report loads none of the numeric layers.  The value records without
-checks are ``NamedTuple``s; a record that checks its fields is a :class:`Record`
-(equal only to itself) or a :class:`ValueRecord` (equal to one with equal fields),
-and every record of the package is one of these three kinds.  Each check takes raw
+stored report loads none of the numeric layers.  Every record of the package is a
+``NamedTuple``.  One that checks its fields subclasses the ``NamedTuple`` of those
+fields with ``__slots__ = ()`` and runs its checks in ``__new__``; one that holds
+arrays, or is equal only to itself, lists :class:`Identity` ahead of that base.
+``_make`` and ``_replace`` skip ``__new__``: on a checked record the package calls
+them only in ``DensityOperator.from_matrix`` and ``from_pure``.  Each check takes raw
 JSON values: :func:`is_integer` is the integer rule, :func:`qubit_index` checks a qubit
 index, :func:`qubit_count` a width, :func:`qubit_subset` a set of indices (for specs,
 circuits, ``partial_trace`` and ``rho_cs``), :func:`as_pairs` a list of qubit pairs
@@ -110,56 +112,22 @@ def record_problem(bases: str, bits: str) -> str | None:
 ENTROPY_NORMALIZATIONS = ("per-kind", "global")
 
 
-class Record:
-    """Base of the records that check their fields: each lists them in ``__slots__`` and
-    sets them once in ``__init__``, after which assigning or deleting one raises
-    ``AttributeError``.  A record is equal only to itself."""
-
+class Identity:
+    """Listed ahead of a record's ``NamedTuple`` base: the record is equal only to itself."""
     __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __setstate__(self, state):
-        # ``copy`` and ``pickle`` restore the fields here, since ``__setattr__`` refuses them.
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
-
-    def __repr__(self) -> str:
-        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
-        return f"{type(self).__name__}({', '.join(shown)})"
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
-class ValueRecord(Record):
-    """A :class:`Record` equal to one of its own class with equal fields, and hashed by them."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-
-class SubsystemSpec(ValueRecord):
+class SubsystemSpec(NamedTuple("SubsystemSpec", [("kind", str), ("qubits", tuple[int, ...])])):
     """A subsystem to reconstruct: its kind fixes size and bipartition.
 
     ``qubits`` are device indices in reconstruction order: the active pair
     first, then the idle qubit or the second pair.
     """
 
-    __slots__ = ("kind", "qubits")
+    __slots__ = ()
 
-    def __init__(self, kind: str, qubits: tuple[int, ...]):
+    def __new__(cls, kind: str, qubits: tuple[int, ...]):
         if type(kind) is not str:
             raise SubsystemError(f"kind must be a string, got {kind!r}")
         if kind not in _KIND_SIZES:
@@ -167,8 +135,7 @@ class SubsystemSpec(ValueRecord):
         qubits = qubit_subset(qubits)
         if len(qubits) != _KIND_SIZES[kind]:
             raise SubsystemError(f"{kind} subsystem needs {_KIND_SIZES[kind]} qubits, got {qubits}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "qubits", qubits)
+        return super().__new__(cls, kind, qubits)
 
     def pairs(self) -> tuple[tuple[int, ...], ...]:
         """The active pair, then for ``pair_pair`` the second pair."""

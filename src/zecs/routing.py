@@ -22,23 +22,22 @@ from typing import NamedTuple
 
 from .errors import ConfigError, PathError, SearchBudgetError, ValidationError
 from .layout import DeviceLayout, normalize_edge
-from .report import PAIR, DiagnosticReport, ValueRecord
+from .report import PAIR, DiagnosticReport, is_integer
 
 _EPS = 1e-12
 
 
-class EdgeScore(ValueRecord):
+class EdgeScore(NamedTuple("EdgeScore", [("fidelity", float), ("s_ij", float)])):
     """Quality annotations of the edge keying it; out-of-range values raise ``ValidationError``."""
 
-    __slots__ = ("fidelity", "s_ij")
+    __slots__ = ()
 
-    def __init__(self, fidelity: float, s_ij: float = 0.0):
+    def __new__(cls, fidelity: float, s_ij: float = 0.0):
         if not 0.0 <= fidelity <= 1.0:
             raise ValidationError(f"fidelity {fidelity} outside [0, 1]")
         if not (math.isfinite(s_ij) and s_ij >= 0.0):
             raise ValidationError(f"s_ij {s_ij} must be finite and non-negative")
-        object.__setattr__(self, "fidelity", fidelity)
-        object.__setattr__(self, "s_ij", s_ij)
+        return super().__new__(cls, fidelity, s_ij)
 
     def cost(self, weight_w: float) -> float:
         return (1.0 - self.fidelity) + weight_w * self.s_ij
@@ -171,6 +170,8 @@ def best_chain(
     """
     if not math.isfinite(weight_w):
         raise ConfigError(f"entropy weight must be finite, got {weight_w}")
+    if not is_integer(length_L):
+        raise PathError(f"chain length must be an integer, got {length_L!r}")
     if length_L < 2:
         raise PathError(f"chain length must be >= 2, got {length_L}")
     qubits, adj = _scored_adjacency(layout, scores, weight_w)

@@ -167,8 +167,8 @@ def rho_cs(codes: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     """Snapshot means of equal-size qubit subsets: an ``(S, 2**k, 2**k)`` stack.
 
     Each subset is a non-empty ``qubit_subset`` of one size, else ``SubsystemError``.
-    ``codes`` is an integer matrix of codes 0..5, as :func:`outcome_codes`
-    returns, else ``RecordError`` as that function raises it.  One histogram
+    ``codes`` is a 2-D integer array of codes 0..5, as :func:`outcome_codes`
+    returns, else ``RecordError``.  One histogram
     per subset, counted from one contiguous index of the N records (memory of
     one N-length index at a time), then ``k`` contractions of the stack with
     the factor table.  While the sum is exact (``N * 4**k < 2**52``), each
@@ -178,6 +178,9 @@ def rho_cs(codes: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     ``2 * (sum|diag| + 1) * 2**-52``; see :func:`_unit_trace_diagonal`), so
     its trace is exactly 1 in any summation order.
     """
+    if not isinstance(codes, np.ndarray) or codes.ndim != 2:
+        got = f"{codes.ndim}-D array" if isinstance(codes, np.ndarray) else type(codes).__name__
+        raise RecordError(f"a code matrix must be a 2-D array, got a {got}")
     try:
         subsets = [list(qubit_subset(subset)) for subset in subsets]
     except TypeError:

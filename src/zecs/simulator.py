@@ -30,8 +30,7 @@ from .errors import (
     SubsystemError,
     ValidationError,
 )
-from .report import (BASIS_LETTERS, Record, ValueRecord, is_integer, qubit_count, qubit_subset,
-                     record_problem)
+from .report import BASIS_LETTERS, Identity, is_integer, qubit_count, qubit_subset, record_problem
 from .states import DensityOperator
 
 RY = "ry"
@@ -60,10 +59,10 @@ class Gate(NamedTuple):
     angle: float | None = None
 
 
-class Circuit(Record):
-    __slots__ = ("n_qubits", "gates")
+class Circuit(Identity, NamedTuple("Circuit", [("n_qubits", int), ("gates", tuple[Gate, ...])])):
+    __slots__ = ()
 
-    def __init__(self, n_qubits: int, gates: tuple[Gate, ...]):
+    def __new__(cls, n_qubits: int, gates: tuple[Gate, ...]):
         n = _simulable(qubit_count(n_qubits, CircuitSpecError, "circuit"))
         for index, g in enumerate(gates):
             try:
@@ -76,23 +75,22 @@ class Circuit(Record):
                     raise CircuitSpecError(f"{g.kind} gate takes no control, got {g.control!r}")
             except (SubsystemError, CircuitSpecError) as exc:
                 raise CircuitSpecError(f"gate {index}: {exc}") from None
-        object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "gates", tuple(gates))
+        return super().__new__(cls, n, tuple(gates))
 
 
-class StateVector(Record):
+class StateVector(Identity, NamedTuple("StateVector", [("amplitudes", np.ndarray)])):
     """Unit-norm amplitudes, flattened, of ``n_qubits = log2(len(amplitudes))`` qubits."""
 
-    __slots__ = ("amplitudes",)
+    __slots__ = ()
 
-    def __init__(self, amplitudes: np.ndarray):
+    def __new__(cls, amplitudes: np.ndarray):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        object.__setattr__(self, "amplitudes", amps)
-        if len(amps) != 2**self.n_qubits:
+        if len(amps) != 2**(len(amps).bit_length() - 1):
             raise DimensionMismatchError(f"{len(amps)} amplitudes are not 2**n for any n >= 0")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-10:
             raise ValidationError(f"state vector norm {norm:.12g} deviates from 1")
+        return super().__new__(cls, amps)
 
     @property
     def n_qubits(self) -> int:
@@ -102,17 +100,16 @@ class StateVector(Record):
         return DensityOperator.from_pure(self.amplitudes)
 
 
-class SnapshotRecord(ValueRecord):
+class SnapshotRecord(NamedTuple("SnapshotRecord", [("bases", str), ("bits", str)])):
     """One measurement event: per-qubit basis letter and observed bit."""
 
-    __slots__ = ("bases", "bits")
+    __slots__ = ()
 
-    def __init__(self, bases: str, bits: str):
+    def __new__(cls, bases: str, bits: str):
         problem = record_problem(bases, bits)
         if problem:
             raise RecordError(problem)
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "bits", bits)
+        return super().__new__(cls, bases, bits)
 
     @property
     def n_qubits(self) -> int:
@@ -250,6 +247,8 @@ def sample_shadow(state: StateVector, n_records: int, seed: int) -> list[Snapsho
     qubits and 6,000 records one call peaks at about 3 MiB under
     ``tracemalloc``.
     """
+    if not is_integer(n_records):
+        raise ConfigError(f"n_records must be an integer, got {n_records!r}")
     if n_records < 1:
         raise ConfigError(f"n_records must be >= 1, got {n_records}")
     n = state.n_qubits

@@ -21,13 +21,13 @@ the one structural check, and ``from_matrix`` always adds the physical one.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, SubsystemError, ValidationError
-from .report import Record, qubit_subset
+from .report import Identity, qubit_subset
 
 #: Tolerances for deciding that an operator is a physical density operator.
 TRACE_TOL = 1e-8
@@ -38,7 +38,8 @@ PSD_TOL = 1e-8
 _SPIN_FLIP = np.eye(4, dtype=complex)[::-1]
 
 
-class DensityOperator(Record):
+class DensityOperator(Identity, NamedTuple("DensityOperator", [
+        ("matrix", np.ndarray), ("validated", bool), ("pure_vector", np.ndarray | None)])):
     """Hermitian unit-trace operator on ``n_qubits = log2(len(matrix))`` qubits.
 
     The constructor takes only the matrix and checks its structure: one square,
@@ -49,15 +50,16 @@ class DensityOperator(Record):
     :meth:`from_matrix` and :meth:`from_pure`; raw shadow reconstructions carry neither.
     """
 
-    __slots__ = ("matrix", "validated", "pure_vector")
+    __slots__ = ()
 
-    def __init__(self, matrix: np.ndarray):
+    def __new__(cls, matrix: np.ndarray):
         m = linalg.require_hermitian(matrix)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "validated", False)
-        object.__setattr__(self, "pure_vector", None)
-        if m.ndim != 2 or len(m) < 2 or len(m) != 2**self.n_qubits:
+        if m.ndim != 2 or len(m) < 2 or len(m) != 2**(len(m).bit_length() - 1):
             raise DimensionMismatchError(f"expected one 2**n x 2**n matrix, n >= 1, not {m.shape}")
+        return super().__new__(cls, m, False, None)
+
+    def __reduce__(self):  # copies and pickles keep ``validated`` and ``pure_vector``
+        return self._make, (tuple(self),)
 
     @property
     def n_qubits(self) -> int:
@@ -68,7 +70,7 @@ class DensityOperator(Record):
         """Wrap a matrix that must pass the trace and PSD checks of :func:`require_physical`."""
         rho = cls(matrix)
         require_physical(rho.matrix)
-        return rho._validated()
+        return rho._replace(validated=True)
 
     @classmethod
     def from_pure(cls, vector: np.ndarray) -> "DensityOperator":
@@ -77,12 +79,7 @@ class DensityOperator(Record):
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > 1e-10:
             raise ValidationError(f"state vector norm {norm:.12g} deviates from 1")
-        return cls(np.outer(v, v.conj()))._validated(v)
-
-    def _validated(self, pure_vector: np.ndarray | None = None) -> "DensityOperator":
-        object.__setattr__(self, "validated", True)
-        object.__setattr__(self, "pure_vector", pure_vector)
-        return self
+        return cls(np.outer(v, v.conj()))._replace(validated=True, pure_vector=v)
 
     def clamped(self) -> tuple[np.ndarray, float]:
         """PSD projection of the matrix plus the removed negative magnitude."""

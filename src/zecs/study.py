@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .projection import project_spectra
+from .report import is_integer
 from .simulator import _generator, _perturb_stack
 from .states import (concurrence_matrix, pure_fidelity_matrix, require_physical,
                      trace_distance_matrix)
@@ -37,6 +38,8 @@ def perturbation_study(
     ``zecs_project`` does.  All trials of one sigma go through the model, the
     projection and the metrics as one ``(trials, 4, 4)`` stack.
     """
+    if not is_integer(trials):
+        raise ConfigError(f"trials must be an integer, got {trials!r}")
     if trials < 2:
         raise ConfigError(f"need at least 2 trials, got {trials}")
     sigmas = [float(s) for s in sigma_grid]

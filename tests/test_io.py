@@ -753,6 +753,48 @@ def test_stream_header_of_another_version_is_rejected(tmp_path, version):
         io.read_snapshots(path)
 
 
+@pytest.mark.parametrize("fmt", ["zecs-report", "other", None])
+def test_stream_header_of_another_format_is_rejected(tmp_path, fmt):
+    path = write_stream(tmp_path, {**io.snapshot_header(2), "format": fmt})
+    expected = f"{path}: line 1: not a {io.SNAPSHOT_FORMAT} file (format {fmt!r})"
+    with pytest.raises(RecordError, match=f"^{re.escape(expected)}$"):
+        io.read_snapshots(path)
+
+
+@pytest.mark.parametrize("fmt", ["zecs-snapshots", None])
+def test_report_of_another_format_is_rejected(tmp_path, fmt):
+    obj = io.report_to_obj(datasets.brisbane_report())
+    if fmt is None:
+        del obj["format"]
+    else:
+        obj["format"] = fmt
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(obj))
+    expected = f"{path}: report: not a {io.REPORT_FORMAT} file (format {fmt!r})"
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+        io.read_report(path)
+
+
+def test_record_of_another_width_is_not_written(tmp_path):
+    path = tmp_path / "snapshots.jsonl"
+    records = [SnapshotRecord("XZ", "01"), SnapshotRecord("XYZ", "011")]
+    with pytest.raises(RecordError, match="^record width 3 does not match header n_qubits 2$"):
+        io.write_snapshots(path, records, 2)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({1: 2}, "object keys must be strings, got 1"),
+    ({"rows": [{None: 0.5}]}, "object keys must be strings, got None"),
+    ({"qubits": {0, 1}}, "cannot serialize set"),
+    ([object()], "cannot serialize object"),
+    (1j, "cannot serialize complex"),
+])
+def test_canonical_writer_rejects_what_json_cannot_hold(obj, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        io.canonical_dumps(obj)
+
+
 def _bundled(name, edit):
     """The bundled file ``name`` as an object, changed in place by ``edit``."""
     obj = json.loads(bundled_text(name))

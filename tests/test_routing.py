@@ -3,6 +3,7 @@ its non-backtracking walk bound, the node budget, and edge scores derived
 from a report."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,20 @@ def test_bundled_report_has_no_chain_through_every_qubit(length_L):
     assert len({q for edge in scores for q in edge}) == 126
     with pytest.raises(PathError, match=f"^no simple path of {length_L} qubits exists$"):
         best_chain(layout, scores, length_L, node_budget=1)
+
+
+@pytest.mark.parametrize("length_L, message", [
+    (1, "chain length must be >= 2, got 1"),
+    (0, "chain length must be >= 2, got 0"),
+    (3.5, "chain length must be an integer, got 3.5"),
+    ("3", "chain length must be an integer, got '3'"),
+    (True, "chain length must be an integer, got True"),
+])
+def test_chain_length_must_be_an_integer_of_at_least_two(length_L, message):
+    layout, scores = random_instance(0, grid=False)
+    with pytest.raises(PathError, match=f"^{re.escape(message)}$"):
+        best_chain(layout, scores, length_L)
+    assert best_chain(layout, scores, np.int64(3)) == best_chain(layout, scores, 3)
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])

@@ -193,6 +193,15 @@ class TestHistogramKernel:
         with pytest.raises(RecordError, match=rf"^a code matrix holds codes 0\.\.5, got {bad}$"):
             rho_cs(codes, [[0, 1], [1, 2]])
 
+    @pytest.mark.parametrize("codes, got", [
+        (np.zeros(4, dtype=np.uint8), "a 1-D array"),
+        (np.zeros((2, 4, 2), dtype=np.uint8), "a 3-D array"),
+        ([[0, 1], [2, 3]], "a list"),
+    ])
+    def test_codes_must_be_a_two_dimensional_array(self, codes, got):
+        with pytest.raises(RecordError, match=f"^a code matrix must be a 2-D array, got {got}$"):
+            rho_cs(codes, [[0]])
+
     def test_codes_must_be_integers(self):
         codes = outcome_codes(random_records(np.random.default_rng(12), 5, 2)).astype(float)
         with pytest.raises(RecordError, match=r"^a code matrix holds integer codes, got float64$"):

@@ -371,6 +371,14 @@ class TestSampleShadow:
         with pytest.raises(ConfigError, match=r"^seed must be a non-negative integer, got -1$"):
             sample_shadow(zero_state(1), 5, seed=-1)
 
+    @pytest.mark.parametrize("n_records", [2.5, True, "3", None])
+    def test_non_integer_count_is_a_config_error(self, n_records):
+        """``True`` is not one record and ``2.5`` is not two."""
+        message = f"n_records must be an integer, got {n_records!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            sample_shadow(zero_state(1), n_records, seed=0)
+        assert sample_shadow(zero_state(1), np.int64(3), 0) == sample_shadow(zero_state(1), 3, 0)
+
     def test_zero_qubit_state_is_a_dimension_error(self):
         """A one-amplitude state is a valid ``StateVector`` of no qubits, but nothing to measure."""
         state = StateVector(np.array([1.0]))

@@ -124,6 +124,11 @@ class TestDensityOperator:
         with pytest.raises(AttributeError):
             DensityOperator(m).n_qubits = n_qubits + 1
 
+    def test_pure_vector_must_have_unit_norm(self):
+        message = r"^state vector norm 1\.41421356237 deviates from 1$"
+        with pytest.raises(ValidationError, match=message):
+            DensityOperator.from_pure(np.array([1.0, 1.0]))
+
 
 class TestFidelity:
     def test_self_fidelity_is_one(self):
@@ -185,6 +190,11 @@ class TestFidelity:
 
 
 class TestTraceDistance:
+    def test_operators_of_different_widths_are_rejected(self):
+        one, two = DensityOperator(np.eye(2) / 2), DensityOperator(np.eye(4) / 4)
+        with pytest.raises(DimensionMismatchError, match="^operators differ in qubits: 1 vs 2$"):
+            trace_distance(one, two)
+
     def test_orthogonal_states(self):
         zero = DensityOperator.from_pure([1, 0])
         one = DensityOperator.from_pure([0, 1])
@@ -364,6 +374,10 @@ class TestEntanglementEntropy:
             entanglement_entropy(rho, [0, 1])
         with pytest.raises(SubsystemError):
             entanglement_entropy(rho, [3])
+
+    def test_zero_trace_operator_has_no_entropy(self):
+        with pytest.raises(ValidationError, match="^marginal has no positive weight$"):
+            entanglement_entropy(DensityOperator(np.zeros((4, 4))), [0])
 
     @pytest.mark.parametrize("index", [True, False, 0.0, 1.0, "0"])
     def test_non_integer_qubit_rejected(self, index):

@@ -120,6 +120,7 @@ def test_reproducible_from_seed():
 
 @pytest.mark.parametrize("sigmas, trials", [
     ([0.1], 1), ([], 5), ([0.1, float("nan")], 5), ([float("inf")], 5), ([0.7], 5), ([-0.1], 5),
+    ([0.1], 2.5), ([0.1], True), ([0.1], "4"),
 ])
 def test_rejects_bad_arguments(sigmas, trials):
     with pytest.raises(ConfigError):
